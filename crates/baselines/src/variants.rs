@@ -133,7 +133,6 @@ impl BaselineCluster {
                 info.id,
                 &info.replicas,
                 config.raft.clone(),
-                config.kv.clone(),
             ));
         }
         let mut fs_groups = Vec::new();
@@ -143,12 +142,7 @@ impl BaselineCluster {
                 .map(|r| NodeId(FS_BASE + (n * config.replication + r) as u32))
                 .collect();
             fs_nodes.push(ids.clone());
-            fs_groups.push(FileStoreGroup::spawn(
-                &net,
-                &ids,
-                config.raft.clone(),
-                config.kv.clone(),
-            ));
+            fs_groups.push(FileStoreGroup::spawn(&net, &ids, config.raft.clone()));
         }
         let fs_layout = Arc::new(FileStoreLayout::new(fs_nodes));
         for g in &taf_groups {

@@ -89,15 +89,7 @@ fn main() {
         ts_svc.register(&net, NodeId(499));
         let groups: Vec<TafBackendGroup> = shard_infos
             .iter()
-            .map(|info| {
-                TafBackendGroup::spawn(
-                    &net,
-                    info.id,
-                    &info.replicas,
-                    config.raft.clone(),
-                    config.kv.clone(),
-                )
-            })
+            .map(|info| TafBackendGroup::spawn(&net, info.id, &info.replicas, config.raft.clone()))
             .collect();
         for g in &groups {
             g.wait_ready(Duration::from_secs(30)).expect("ready");

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use cfs_bench::{
     banner, bench_cfs_config, cell_duration, default_clients, expectation, json_result, speedup,
-    write_bench_json, Json,
+    write_bench_json, Json, ServiceTime,
 };
 use cfs_core::{CfsClient, CfsCluster, FileSystem, ReadConsistency};
 use cfs_harness::metrics::fmt_ops;
@@ -136,7 +136,7 @@ fn resolve_cell(shards: usize) -> (u64, u64, u64, f64, f64) {
 }
 
 /// Hot-directory read throughput under one consistency mode. The per-replica
-/// read cost saturates the leader under LeaderOnly; ReadIndex spreads the
+/// service time saturates the leader under LeaderOnly; ReadIndex spreads the
 /// same reads across all replicas.
 fn hot_dir_cell(
     cluster: &CfsCluster,
@@ -157,7 +157,7 @@ fn main() {
     banner(
         "fig_resolve",
         "pruned read path: batched resolution, dentry cache, ReadIndex follower reads",
-        &format!("depth={DEPTH}, clients={clients}, read_cost=120us"),
+        &format!("depth={DEPTH}, clients={clients}, service_time=120us"),
     );
     expectation(&[
         "per-component walk: ~8 RPCs for a depth-8 resolve",
@@ -201,11 +201,10 @@ fn main() {
     println!();
 
     // (b) Hot-directory read throughput, LeaderOnly vs ReadIndex, on the
-    // same cluster. A 120us per-replica read cost models the storage-engine
-    // read path; with LeaderOnly all of it lands on one replica per shard.
-    let mut cfg = bench_cfs_config(2, 2);
-    cfg.kv.read_cost = Duration::from_micros(120);
-    let cluster = CfsCluster::start(cfg).expect("boot");
+    // same cluster. A 120us per-replica service time models the
+    // storage-engine read path; with LeaderOnly all of it lands on one
+    // replica per shard.
+    let cluster = CfsCluster::start(bench_cfs_config(2, 2)).expect("boot");
     let opts = WorkloadOptions {
         clients,
         duration: cell_duration(),
@@ -214,6 +213,7 @@ fn main() {
         ..Default::default()
     };
     prepare_op_workload(&cluster.client(), MetaOp::Lookup, &opts).expect("prepare");
+    ServiceTime::new(Duration::from_micros(120)).mount(&cluster.taf_groups());
 
     println!("(b) hot-directory lookup throughput (contention=1.0)");
     let (leader, leader_net) = hot_dir_cell(&cluster, ReadConsistency::LeaderOnly, &opts);

@@ -15,19 +15,22 @@ use std::time::Duration;
 
 use cfs_bench::{
     banner, bench_cfs_config, cell_duration, default_clients, expectation, speedup,
-    write_bench_json, Json,
+    write_bench_json, Json, ServiceTime,
 };
 use cfs_core::CfsCluster;
 use cfs_harness::metrics::{fmt_ns, fmt_ops, Histogram};
 use cfs_harness::workload::{prepare_op_workload, run_op_bench, MetaOp, WorkloadOptions};
 use cfs_types::ShardId;
 
-/// Simulated storage service time per applied write batch. On a real
-/// deployment the storage engine bounds per-shard write capacity; the
-/// simulation models that the way it models network hops, so splitting a
-/// shard genuinely doubles the capacity behind a range even when the host
-/// has fewer cores than shards.
-const APPLY_COST: Duration = Duration::from_micros(400);
+/// Simulated storage service time per client request to a shard replica
+/// (see [`ServiceTime`]). On a real deployment the storage engine bounds
+/// per-shard capacity; the bench models that the way the network models
+/// hops, so splitting a shard genuinely doubles the capacity behind a range
+/// even when the host has fewer cores than shards. It has to be long enough
+/// that the gates, not the host's cores, are the limit: at 400 µs a two-core
+/// box saturates its CPUs near 8 K ops/s and post-split no longer beats
+/// pre-split reliably.
+const SERVICE_TIME: Duration = Duration::from_micros(1500);
 
 fn main() {
     let clients = default_clients() * 2;
@@ -39,8 +42,8 @@ fn main() {
         "Scale-out",
         "online 4->8 shard split under contended create load",
         &format!(
-            "clients={clients}, 4 shards x3 -> 8 shards x3, apply-cost={}us, during-window={during_ms}ms",
-            APPLY_COST.as_micros()
+            "clients={clients}, 4 shards x3 -> 8 shards x3, service-time={}us, during-window={during_ms}ms",
+            SERVICE_TIME.as_micros()
         ),
     );
     expectation(&[
@@ -49,9 +52,9 @@ fn main() {
         "post-split: 8 shards lift throughput above the pre-split cell",
     ]);
 
-    let mut config = bench_cfs_config(4, 4);
-    config.kv.apply_cost = APPLY_COST;
-    let cluster = Arc::new(CfsCluster::start(config).expect("boot cfs"));
+    let cluster = Arc::new(CfsCluster::start(bench_cfs_config(4, 4)).expect("boot cfs"));
+    let mut service_time = ServiceTime::new(SERVICE_TIME);
+    service_time.mount(&cluster.taf_groups());
     let opts = WorkloadOptions {
         clients,
         duration: cell_duration(),
@@ -79,6 +82,7 @@ fn main() {
                     Ok(st) => stats.push(st),
                     Err(e) => eprintln!("  split of shard {s} failed: {e:?}"),
                 }
+                service_time.mount(&c.taf_groups());
             }
             stats
         });

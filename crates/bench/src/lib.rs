@@ -6,11 +6,17 @@
 //! output is uniform: a header naming the experiment, the parameter values,
 //! the measured rows, and the paper's qualitative expectation for the shape.
 
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 use cfs_core::CfsConfig;
 use cfs_harness::bench_scale;
-use cfs_rpc::{NetConfig, SimLatency};
+use cfs_rpc::mux::CH_APP;
+use cfs_rpc::{NetConfig, Service, SimLatency};
+use cfs_tafdb::TafBackendGroup;
+use cfs_types::NodeId;
+use parking_lot::Mutex;
 
 /// Simulated one-way network hop cost used by all figure benches. Chosen in
 /// the tens of microseconds — datacenter scale — so that holding locks
@@ -30,6 +36,65 @@ pub fn bench_cfs_config(taf_shards: usize, filestore_nodes: usize) -> CfsConfig 
             ..Default::default()
         },
         ..Default::default()
+    }
+}
+
+/// Simulated storage service time in front of every TafDB replica, for the
+/// benches whose claim is about capacity the host does not have (more shards
+/// or more replicas than cores). Each replica is one capacity unit: a client
+/// request to it queues behind a per-replica gate for `cost`, then runs the
+/// replica's real `CH_APP` handler. The production code knows nothing of it.
+pub struct ServiceTime {
+    cost: Duration,
+    mounted: HashSet<NodeId>,
+}
+
+impl ServiceTime {
+    /// A service time of `cost` per request, mounted nowhere yet.
+    pub fn new(cost: Duration) -> ServiceTime {
+        ServiceTime {
+            cost,
+            mounted: HashSet::new(),
+        }
+    }
+
+    /// Puts the gate in front of every replica of `groups` that does not
+    /// have it yet, so calling it again after a split covers exactly the
+    /// split-born groups.
+    pub fn mount(&mut self, groups: &[Arc<TafBackendGroup>]) {
+        for group in groups {
+            for (i, node) in group.raft().nodes().iter().enumerate() {
+                if !self.mounted.insert(node.id()) {
+                    continue;
+                }
+                let mux = group.raft().mux(i);
+                let inner = mux.handler(CH_APP).expect("replica serves CH_APP");
+                mux.mount(
+                    CH_APP,
+                    Arc::new(Gated {
+                        inner,
+                        gate: Mutex::new(()),
+                        cost: self.cost,
+                    }),
+                );
+            }
+        }
+    }
+}
+
+struct Gated {
+    inner: Arc<dyn Service>,
+    gate: Mutex<()>,
+    cost: Duration,
+}
+
+impl Service for Gated {
+    fn handle(&self, from: NodeId, payload: &[u8]) -> Vec<u8> {
+        {
+            let _gate = self.gate.lock();
+            std::thread::sleep(self.cost);
+        }
+        self.inner.handle(from, payload)
     }
 }
 

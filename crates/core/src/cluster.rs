@@ -5,7 +5,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cfs_filestore::{FileStoreClient, FileStoreGroup, FileStoreLayout};
-use cfs_kvstore::KvConfig;
 use cfs_placement::{PlacementClient, PlacementDriver, SplitStats};
 use cfs_raft::RaftConfig;
 use cfs_renamer::{RenamerClient, RenamerService};
@@ -41,8 +40,6 @@ pub struct CfsConfig {
     pub replication: usize,
     /// Raft timing.
     pub raft: RaftConfig,
-    /// Storage engine tuning for shards and attribute stores.
-    pub kv: KvConfig,
     /// Network simulation parameters.
     pub net: NetConfig,
     /// Which replicas serve client reads: the leader only (default), or any
@@ -69,7 +66,6 @@ impl Default for CfsConfig {
                 snapshot_threshold: 256,
                 ..Default::default()
             },
-            kv: KvConfig::default(),
             net: NetConfig::default(),
             read_consistency: ReadConsistency::default(),
             block_size: 64 * 1024,
@@ -155,7 +151,6 @@ impl CfsCluster {
                 info.id,
                 &info.replicas,
                 config.raft.clone(),
-                config.kv.clone(),
             )));
         }
 
@@ -167,12 +162,7 @@ impl CfsCluster {
                 .map(|r| NodeId(FS_BASE + (n * config.replication + r) as u32))
                 .collect();
             fs_nodes.push(ids.clone());
-            fs_groups.push(FileStoreGroup::spawn(
-                &net,
-                &ids,
-                config.raft.clone(),
-                config.kv.clone(),
-            ));
+            fs_groups.push(FileStoreGroup::spawn(&net, &ids, config.raft.clone()));
         }
         let fs_layout = Arc::new(FileStoreLayout::new(fs_nodes));
 
@@ -282,7 +272,6 @@ impl CfsCluster {
             info.id,
             &info.replicas,
             self.config.raft.clone(),
-            self.config.kv.clone(),
         ));
         group.wait_ready(Duration::from_secs(30))?;
         match self.driver.split(src, at, info) {

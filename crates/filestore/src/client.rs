@@ -200,7 +200,6 @@ fn unexpected(resp: FileStoreResponse) -> FsError {
 mod tests {
     use super::*;
     use crate::node::FileStoreGroup;
-    use cfs_kvstore::KvConfig;
     use cfs_raft::RaftConfig;
     use cfs_rpc::NetConfig;
 
@@ -220,12 +219,7 @@ mod tests {
         for n in 0..n_nodes {
             let ids: Vec<NodeId> = (0..3).map(|i| NodeId(100 + n * 10 + i)).collect();
             layout_nodes.push(ids.clone());
-            groups.push(FileStoreGroup::spawn(
-                &net,
-                &ids,
-                fast_raft(),
-                KvConfig::default(),
-            ));
+            groups.push(FileStoreGroup::spawn(&net, &ids, fast_raft()));
         }
         for g in &groups {
             g.wait_ready(Duration::from_secs(5)).unwrap();

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use cfs_kvstore::{KvConfig, KvStore, WriteOp};
+use cfs_kvstore::{KvStore, WriteOp};
 use cfs_raft::{RaftConfig, RaftGroup, RaftNode, StateMachine};
 use cfs_rpc::mux::CH_APP;
 use cfs_rpc::{Network, Service};
@@ -32,16 +32,17 @@ pub struct FileStoreNode {
     cdc: Wal,
 }
 
-impl FileStoreNode {
-    /// Creates a node with the given attribute-store configuration.
-    pub fn new(attr_config: KvConfig) -> FsResult<FileStoreNode> {
-        Ok(FileStoreNode {
-            attrs: KvStore::with_config(attr_config)?,
+impl Default for FileStoreNode {
+    fn default() -> FileStoreNode {
+        FileStoreNode {
+            attrs: KvStore::new_in_memory(),
             blocks: KvStore::new_in_memory(),
             cdc: Wal::new_in_memory(),
-        })
+        }
     }
+}
 
+impl FileStoreNode {
     /// The node's logical change stream (watched by the GC).
     pub fn cdc(&self) -> &Wal {
         &self.cdc
@@ -63,7 +64,7 @@ impl FileStoreNode {
     /// tests).
     pub fn list_attr_inos(&self) -> Vec<InodeId> {
         self.attrs
-            .scan(&[], &[0xFF; 9], usize::MAX)
+            .scan_from(&[], None, usize::MAX)
             .into_iter()
             .filter_map(|(k, _)| {
                 let bytes: [u8; 8] = k.as_slice().try_into().ok()?;
@@ -218,7 +219,6 @@ impl FileStoreGroup {
         net: &Arc<Network>,
         node_ids: &[NodeId],
         raft_config: RaftConfig,
-        attr_config: KvConfig,
     ) -> FileStoreGroup {
         let storages: Vec<_> = node_ids
             .iter()
@@ -228,7 +228,7 @@ impl FileStoreGroup {
             net,
             node_ids,
             raft_config,
-            |_| Arc::new(FileStoreNode::new(attr_config.clone()).expect("filestore init")),
+            |_| Arc::new(FileStoreNode::default()),
             &storages,
         );
         for (i, node) in group.nodes().iter().enumerate() {
@@ -313,7 +313,7 @@ mod tests {
     use cfs_types::Timestamp;
 
     fn node() -> FileStoreNode {
-        FileStoreNode::new(KvConfig::default()).unwrap()
+        FileStoreNode::default()
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! The concurrent LSM store facade.
+//! The store: one ordered map, a write-ahead log, a checkpoint sidecar.
 
+use std::collections::BTreeMap;
 use std::io::Write as _;
+use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -8,9 +10,6 @@ use cfs_types::codec::{Decode, DecodeError, Encode, EncodeListItem};
 use cfs_types::{FsError, FsResult};
 use cfs_wal::{Wal, WalConfig};
 use parking_lot::RwLock;
-
-use crate::memtable::{Memtable, Slot};
-use crate::sstable::{merge_tables, SsTable};
 
 /// One mutation in a write batch.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -52,46 +51,11 @@ impl Decode for WriteOp {
     }
 }
 
-/// Tuning and durability knobs of a [`KvStore`].
-#[derive(Clone, Debug)]
+/// Durability configuration of a [`KvStore`].
+#[derive(Clone, Debug, Default)]
 pub struct KvConfig {
-    /// Flush the memtable to an SSTable once it holds this many bytes.
-    pub memtable_max_bytes: usize,
-    /// Merge all SSTables once more than this many have accumulated.
-    pub max_tables: usize,
     /// Optional WAL configuration; `None` disables logging entirely.
     pub wal: Option<WalConfig>,
-    /// Simulated service time charged per committed write batch by consumers
-    /// that model storage capacity in simulated time (the TafDB shard apply
-    /// path honors it the way the RPC layer honors `hop_latency`). Zero — the
-    /// default — disables it; the store itself never sleeps.
-    pub apply_cost: std::time::Duration,
-    /// Simulated service time charged per read request (point reads, scans,
-    /// resolve walks) by consumers that model per-replica read capacity —
-    /// reads serialize behind a per-replica gate while this elapses, so a
-    /// group that spreads reads over its followers (ReadIndex) shows higher
-    /// aggregate read throughput than leader-only reads. Zero — the default —
-    /// disables it; the store itself never sleeps.
-    pub read_cost: std::time::Duration,
-}
-
-impl Default for KvConfig {
-    fn default() -> Self {
-        KvConfig {
-            memtable_max_bytes: 4 << 20,
-            max_tables: 8,
-            wal: None,
-            apply_cost: std::time::Duration::ZERO,
-            read_cost: std::time::Duration::ZERO,
-        }
-    }
-}
-
-struct State {
-    mem: Memtable,
-    /// Flushed tables, newest first.
-    tables: Vec<Arc<SsTable>>,
-    next_generation: u64,
 }
 
 /// Metadata of a durable checkpoint (the sidecar file a file-backed store
@@ -131,9 +95,9 @@ enum CrashPoint {
 const CKPT_MAGIC: &[u8; 4] = b"CFSC";
 const CKPT_VERSION: u8 = 1;
 
-/// A thread-safe LSM key-value store.
+/// A thread-safe ordered key-value store.
 pub struct KvStore {
-    state: RwLock<State>,
+    map: RwLock<BTreeMap<Vec<u8>, Vec<u8>>>,
     wal: Option<Wal>,
     config: KvConfig,
     /// Checkpoint loaded at open (if any); updated by [`KvStore::checkpoint`].
@@ -142,6 +106,19 @@ pub struct KvStore {
     /// witness that recovery honored the checkpoint cursor instead of
     /// replaying from offset 0.
     recovered_entries: usize,
+}
+
+fn apply(map: &mut BTreeMap<Vec<u8>, Vec<u8>>, batch: Vec<WriteOp>) {
+    for op in batch {
+        match op {
+            WriteOp::Put(k, v) => {
+                map.insert(k, v);
+            }
+            WriteOp::Delete(k) => {
+                map.remove(&k);
+            }
+        }
+    }
 }
 
 impl KvStore {
@@ -161,7 +138,7 @@ impl KvStore {
             Some(wal_cfg) => Some(Wal::with_config(wal_cfg.clone())?),
             None => None,
         };
-        let mut mem = Memtable::new();
+        let mut map = BTreeMap::new();
         let mut loaded_ckpt = None;
         let mut replay_from = 1u64;
         if let Some(path) = Self::checkpoint_path(&config) {
@@ -173,9 +150,7 @@ impl KvStore {
             // CRC failure into a typed error instead of a silent fallback.
             let faults = wal.as_ref().map(|w| Arc::clone(w.faults()));
             if let Some((info, entries)) = load_checkpoint_on(&path, faults.as_deref())? {
-                for (k, v) in entries {
-                    mem.put(k, v);
-                }
+                map.extend(entries);
                 replay_from = info.wal_cursor + 1;
                 loaded_ckpt = Some(info);
             }
@@ -183,22 +158,12 @@ impl KvStore {
         let mut recovered_entries = 0usize;
         if let Some(wal) = &wal {
             for entry in wal.read_from(replay_from) {
-                let batch = Vec::<WriteOp>::from_bytes(&entry.payload)?;
-                for op in batch {
-                    match op {
-                        WriteOp::Put(k, v) => mem.put(k, v),
-                        WriteOp::Delete(k) => mem.delete(k),
-                    }
-                }
+                apply(&mut map, Vec::<WriteOp>::from_bytes(&entry.payload)?);
                 recovered_entries += 1;
             }
         }
         Ok(KvStore {
-            state: RwLock::new(State {
-                mem,
-                tables: Vec::new(),
-                next_generation: 1,
-            }),
+            map: RwLock::new(map),
             wal,
             config,
             last_checkpoint: RwLock::new(loaded_ckpt),
@@ -222,13 +187,10 @@ impl KvStore {
     /// Writes a durable checkpoint tagged with the owning state machine's
     /// last applied Raft index and partition-map epoch.
     ///
-    /// The checkpoint is the LSM analogue of "hardlink the immutable levels,
-    /// flush the sealed memtable": the memtable is sealed and flushed into
-    /// an immutable run, the current runs are pinned via `Arc` (our
-    /// zero-copy stand-in for hardlinks), and the resulting live set is
-    /// serialized to a sidecar written atomically (temp file + rename).
-    /// Requires a file-backed WAL; the WAL cursor recorded in the sidecar is
-    /// where the next recovery resumes replay.
+    /// The live entries are copied under one read lock and serialized to a
+    /// sidecar written atomically (temp file + rename). Requires a
+    /// file-backed WAL; the WAL cursor recorded in the sidecar is where the
+    /// next recovery resumes replay.
     pub fn checkpoint(&self, applied_index: u64, epoch: u64) -> FsResult<CheckpointInfo> {
         self.checkpoint_at(applied_index, epoch, None)
     }
@@ -255,10 +217,7 @@ impl KvStore {
         // both in the snapshot and replayed after the cursor, and replay is
         // order-preserving, so re-applying it converges to the same state.
         let wal_cursor = wal.last_seq();
-        // Seal and flush the memtable so the checkpoint serializes from
-        // immutable runs only.
-        self.flush();
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = self.range_snapshot(&[], None).collect();
+        let entries = self.scan_from(&[], None, usize::MAX);
         let info = CheckpointInfo {
             applied_index,
             epoch,
@@ -332,14 +291,12 @@ impl KvStore {
         self.recovered_entries
     }
 
-    /// Discards all in-memory state (memtable and tables), returning the
-    /// store to empty. Snapshot installation uses this to replace contents
-    /// wholesale; durability of the new contents is the caller's concern
-    /// (a Raft snapshot subsumes the replaced log).
+    /// Discards all in-memory state, returning the store to empty. Snapshot
+    /// installation uses this to replace contents wholesale; durability of
+    /// the new contents is the caller's concern (a Raft snapshot subsumes the
+    /// replaced log).
     pub fn reset(&self) {
-        let mut st = self.state.write();
-        st.mem = Memtable::new();
-        st.tables.clear();
+        self.map.write().clear();
     }
 
     /// Returns the WAL, if configured (the GC watches it).
@@ -349,36 +306,7 @@ impl KvStore {
 
     /// Looks up the current value of `key`.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let st = self.state.read();
-        if let Some(slot) = st.mem.get(key) {
-            return slot.as_value().map(<[u8]>::to_vec);
-        }
-        for table in &st.tables {
-            if let Some(slot) = table.get(key) {
-                return slot.as_value().map(<[u8]>::to_vec);
-            }
-        }
-        None
-    }
-
-    /// Looks up several keys under one consistent snapshot: the results
-    /// reflect a single point in time, so the effects of an atomic
-    /// [`KvStore::write_batch`] are observed all-or-nothing.
-    pub fn multi_get(&self, keys: &[&[u8]]) -> Vec<Option<Vec<u8>>> {
-        let st = self.state.read();
-        keys.iter()
-            .map(|key| {
-                if let Some(slot) = st.mem.get(key) {
-                    return slot.as_value().map(<[u8]>::to_vec);
-                }
-                for table in &st.tables {
-                    if let Some(slot) = table.get(key) {
-                        return slot.as_value().map(<[u8]>::to_vec);
-                    }
-                }
-                None
-            })
-            .collect()
+        self.map.read().get(key).cloned()
     }
 
     /// Inserts or overwrites a single key.
@@ -400,104 +328,35 @@ impl KvStore {
         if let Some(wal) = &self.wal {
             wal.append(batch.to_bytes())?;
         }
-        let mut st = self.state.write();
-        for op in batch {
-            match op {
-                WriteOp::Put(k, v) => st.mem.put(k, v),
-                WriteOp::Delete(k) => st.mem.delete(k),
-            }
-        }
-        if st.mem.approx_bytes() >= self.config.memtable_max_bytes {
-            Self::flush_locked(&mut st);
-            if st.tables.len() > self.config.max_tables {
-                Self::compact_locked(&mut st);
-            }
-        }
+        apply(&mut self.map.write(), batch);
         Ok(())
     }
 
-    /// Returns up to `limit` live entries with keys in `[start, end)`,
-    /// in ascending key order.
-    ///
-    /// Implemented as a k-way merge over the memtable and every SSTable with
-    /// newest-wins shadowing and early exit: cost is proportional to the
-    /// entries *visited*, not to the size of the range — paging through a
-    /// million-entry directory stays O(page) per call.
+    /// Returns up to `limit` entries with keys in `[start, end)`, in
+    /// ascending key order. Cost is proportional to the entries returned,
+    /// not to the size of the range — paging through a million-entry
+    /// directory stays O(page) per call.
     pub fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         self.scan_from(start, Some(end), limit)
     }
 
     /// Like [`KvStore::scan`], but the exclusive upper bound is optional:
-    /// `None` scans to the very top of the key space. The hard-coded upper
-    /// bounds callers used to fake an unbounded scan silently missed keys
-    /// sorting above them; this is the real thing.
+    /// `None` scans to the very top of the key space. A hard-coded upper
+    /// bound used to fake an unbounded scan silently misses keys sorting
+    /// above it; this is the real thing.
     pub fn scan_from(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         limit: usize,
     ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let st = self.state.read();
-        // Source 0 is the memtable (newest); source i+1 is tables[i].
-        let mut mem_iter = st.mem.range_from(start, end).peekable();
-        let mut table_slices: Vec<&[(Vec<u8>, Slot)]> =
-            st.tables.iter().map(|t| t.range_from(start, end)).collect();
-        let mut out = Vec::new();
-        while out.len() < limit {
-            // Find the smallest current key; the newest source wins ties.
-            let mut best: Option<(usize, &[u8])> = None;
-            if let Some((k, _)) = mem_iter.peek() {
-                best = Some((0, k.as_slice()));
-            }
-            for (i, slice) in table_slices.iter().enumerate() {
-                if let Some((k, _)) = slice.first() {
-                    match best {
-                        None => best = Some((i + 1, k.as_slice())),
-                        Some((_, bk)) if k.as_slice() < bk => best = Some((i + 1, k.as_slice())),
-                        _ => {}
-                    }
-                }
-            }
-            let Some((winner, key)) = best else { break };
-            let key = key.to_vec();
-            // Take the winner's slot and advance every source at this key.
-            let slot = if winner == 0 {
-                mem_iter.next().expect("peeked").1.clone()
-            } else {
-                let (first, rest) = table_slices[winner - 1].split_first().expect("peeked");
-                table_slices[winner - 1] = rest;
-                first.1.clone()
-            };
-            if winner != 0 && mem_iter.peek().is_some_and(|(k, _)| *k == &key) {
-                mem_iter.next();
-            }
-            for (i, slice) in table_slices.iter_mut().enumerate() {
-                if i + 1 != winner {
-                    if let Some((first, rest)) = slice.split_first() {
-                        if first.0 == key {
-                            *slice = rest;
-                        }
-                    }
-                }
-            }
-            if let Some(v) = slot.as_value() {
-                out.push((key, v.to_vec()));
-            }
-        }
-        out
-    }
-
-    /// Forces the memtable into an SSTable.
-    pub fn flush(&self) {
-        let mut st = self.state.write();
-        Self::flush_locked(&mut st);
-    }
-
-    /// Merges all SSTables into one, purging tombstones.
-    pub fn compact(&self) {
-        let mut st = self.state.write();
-        Self::flush_locked(&mut st);
-        Self::compact_locked(&mut st);
+        let upper = end.map_or(Bound::Unbounded, Bound::Excluded);
+        self.map
+            .read()
+            .range::<[u8], _>((Bound::Included(start), upper))
+            .take(limit)
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
     }
 
     /// Makes the configured WAL durable.
@@ -508,85 +367,23 @@ impl KvStore {
         Ok(())
     }
 
-    /// Number of SSTables currently on disk-equivalent storage.
+    /// Number of immutable sorted runs behind the map: always 0, there are
+    /// none. Kept because the repo's benchmark (`bench/perf`) reports it.
     pub fn table_count(&self) -> usize {
-        self.state.read().tables.len()
+        0
     }
 
-    /// Approximate number of live entries (scans everything; test helper).
-    pub fn approx_live_entries(&self) -> usize {
-        self.scan_from(&[], None, usize::MAX).len()
-    }
-
-    /// Captures a point-in-time snapshot of the keys in `[start, end)`
-    /// (`end = None` for unbounded) and returns a lazy merging iterator over
-    /// the live entries.
-    ///
-    /// The snapshot pins the current SSTables via `Arc` and copies the
-    /// in-range slice of the memtable, so iteration is isolated from
-    /// concurrent writes, flushes, and compactions — this is what live range
-    /// migration streams from while the source shard keeps serving.
-    pub fn range_snapshot(&self, start: &[u8], end: Option<&[u8]>) -> RangeSnapshot {
-        let st = self.state.read();
-        let mem: Vec<(Vec<u8>, Slot)> = st
-            .mem
-            .range_from(start, end)
-            .map(|(k, s)| (k.clone(), s.clone()))
-            .collect();
-        let mut tables = Vec::with_capacity(st.tables.len());
-        let mut bounds = Vec::with_capacity(st.tables.len());
-        for t in &st.tables {
-            let entries = t.entries();
-            let lo = entries.partition_point(|(k, _)| k.as_slice() < start);
-            let hi = match end {
-                Some(e) => entries.partition_point(|(k, _)| k.as_slice() < e),
-                None => entries.len(),
-            };
-            bounds.push((lo, hi));
-            tables.push(Arc::clone(t));
-        }
-        RangeSnapshot {
-            mem,
-            mem_pos: 0,
-            tables,
-            cursors: bounds,
-        }
-    }
-
-    fn flush_locked(st: &mut State) {
-        if st.mem.is_empty() {
-            return;
-        }
-        // The write lock is held throughout, so this duration is a stall
-        // every concurrent reader and writer of the store experiences.
-        let stall_started = std::time::Instant::now();
-        let mem = std::mem::take(&mut st.mem);
-        let generation = st.next_generation;
-        st.next_generation += 1;
-        let table = SsTable::from_sorted(mem.into_sorted_entries(), generation);
-        st.tables.insert(0, table);
-        cfs_obs::profiler::record_local_ns(
-            "kv_flush_ns",
-            stall_started.elapsed().as_nanos() as u64,
-        );
-    }
-
-    fn compact_locked(st: &mut State) {
-        if st.tables.len() <= 1 {
-            return;
-        }
-        let stall_started = std::time::Instant::now();
-        let generation = st.next_generation;
-        st.next_generation += 1;
-        let merged = merge_tables(&st.tables, generation, true);
-        st.tables.clear();
-        if !merged.is_empty() {
-            st.tables.push(merged);
-        }
-        cfs_obs::profiler::record_local_ns(
-            "kv_compact_ns",
-            stall_started.elapsed().as_nanos() as u64,
-        );
+    /// Copies the entries with keys in `[start, end)` (`end = None` for
+    /// unbounded) under one read lock and returns an iterator that owns the
+    /// copy, so iteration is isolated from concurrent writes — this is what
+    /// live range migration streams from while the source shard keeps
+    /// serving.
+    pub fn range_snapshot(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+    ) -> impl Iterator<Item = (Vec<u8>, Vec<u8>)> {
+        self.scan_from(start, end, usize::MAX).into_iter()
     }
 }
 
@@ -694,83 +491,16 @@ fn parse_checkpoint(data: &[u8]) -> Option<(CheckpointInfo, Vec<(Vec<u8>, Vec<u8
     ))
 }
 
-/// A consistent point-in-time iterator over one key range of a [`KvStore`],
-/// produced by [`KvStore::range_snapshot`].
-///
-/// Yields live `(key, value)` pairs in ascending key order with newest-wins
-/// shadowing across levels; tombstoned keys are skipped. Holding the snapshot
-/// does not block writers: the memtable portion is copied at creation and
-/// the SSTables are immutable `Arc`s.
-pub struct RangeSnapshot {
-    /// Memtable entries in range, copied at snapshot time (newest source).
-    mem: Vec<(Vec<u8>, Slot)>,
-    mem_pos: usize,
-    /// Pinned tables, newest first; `cursors[i]` is the `(next, end)` index
-    /// window into `tables[i].entries()`.
-    tables: Vec<Arc<SsTable>>,
-    cursors: Vec<(usize, usize)>,
-}
-
-impl RangeSnapshot {
-    fn peek_source(&self, i: usize) -> Option<&(Vec<u8>, Slot)> {
-        if i == 0 {
-            self.mem.get(self.mem_pos)
-        } else {
-            let (pos, end) = self.cursors[i - 1];
-            (pos < end).then(|| &self.tables[i - 1].entries()[pos])
-        }
-    }
-
-    fn advance_source(&mut self, i: usize) {
-        if i == 0 {
-            self.mem_pos += 1;
-        } else {
-            self.cursors[i - 1].0 += 1;
-        }
-    }
-}
-
-impl Iterator for RangeSnapshot {
-    type Item = (Vec<u8>, Vec<u8>);
-
-    fn next(&mut self) -> Option<(Vec<u8>, Vec<u8>)> {
-        loop {
-            // Smallest current key across sources; source 0 (memtable) is
-            // newest and wins ties, then tables in newest-first order.
-            let mut best: Option<(usize, &[u8])> = None;
-            for i in 0..=self.tables.len() {
-                if let Some((k, _)) = self.peek_source(i) {
-                    match best {
-                        None => best = Some((i, k)),
-                        Some((_, bk)) if k.as_slice() < bk => best = Some((i, k)),
-                        _ => {}
-                    }
-                }
-            }
-            let (winner, key) = best?;
-            let key = key.to_vec();
-            let slot = self
-                .peek_source(winner)
-                .expect("winner source non-empty")
-                .1
-                .clone();
-            // Advance every source positioned at this key.
-            for i in 0..=self.tables.len() {
-                if self.peek_source(i).is_some_and(|(k, _)| *k == key) {
-                    self.advance_source(i);
-                }
-            }
-            if let Some(v) = slot.as_value() {
-                return Some((key, v.to_vec()));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl KvStore {
+        fn live_entries(&self) -> usize {
+            self.map.read().len()
+        }
+    }
 
     #[test]
     fn get_put_delete_round_trip() {
@@ -782,25 +512,29 @@ mod tests {
     }
 
     #[test]
-    fn deleted_key_stays_deleted_across_flush() {
+    fn deleted_key_stays_deleted() {
         let kv = KvStore::new_in_memory();
         kv.put(b"k".to_vec(), b"old".to_vec()).unwrap();
-        kv.flush();
+        kv.put(b"other".to_vec(), b"o".to_vec()).unwrap();
         kv.delete(b"k".to_vec()).unwrap();
-        kv.flush();
-        // The tombstone in the newer table must shadow the older value.
+        // Deleting again, or a key that never existed, changes nothing.
+        kv.delete(b"k".to_vec()).unwrap();
+        kv.delete(b"ghost".to_vec()).unwrap();
         assert_eq!(kv.get(b"k"), None);
-        kv.compact();
-        assert_eq!(kv.get(b"k"), None);
-        assert!(kv.table_count() <= 1);
+        assert_eq!(
+            kv.scan(b"a", b"z", 10),
+            vec![(b"other".to_vec(), b"o".to_vec())]
+        );
+        // A later put brings the key back.
+        kv.put(b"k".to_vec(), b"new".to_vec()).unwrap();
+        assert_eq!(kv.get(b"k"), Some(b"new".to_vec()));
     }
 
     #[test]
-    fn scan_merges_levels_newest_wins() {
+    fn scan_sees_the_newest_value_of_an_overwritten_key() {
         let kv = KvStore::new_in_memory();
         kv.put(b"a".to_vec(), b"old-a".to_vec()).unwrap();
         kv.put(b"b".to_vec(), b"b".to_vec()).unwrap();
-        kv.flush();
         kv.put(b"a".to_vec(), b"new-a".to_vec()).unwrap();
         kv.put(b"c".to_vec(), b"c".to_vec()).unwrap();
         let got = kv.scan(b"a", b"z", 10);
@@ -827,112 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn automatic_flush_and_compaction_keep_data() {
-        let kv = KvStore::with_config(KvConfig {
-            memtable_max_bytes: 256,
-            max_tables: 2,
-            wal: None,
-            ..Default::default()
-        })
-        .unwrap();
-        for i in 0..200u32 {
-            kv.put(i.to_be_bytes().to_vec(), vec![0u8; 16]).unwrap();
-        }
-        for i in 0..200u32 {
-            assert!(kv.get(&i.to_be_bytes()).is_some(), "lost key {i}");
-        }
-        assert!(kv.table_count() <= 3, "compaction should bound table count");
-    }
-
-    #[test]
-    fn memtable_rotation_to_flush_to_merged_iterator_round_trip() {
-        // Tiny memtable so writes rotate through several automatic flushes;
-        // overwrites land in different SSTables than the originals.
-        let kv = KvStore::with_config(KvConfig {
-            memtable_max_bytes: 128,
-            max_tables: 64, // keep every flushed table (no auto-compaction)
-            wal: None,
-            ..Default::default()
-        })
-        .unwrap();
-        let mut model = std::collections::BTreeMap::new();
-        for round in 0..6u8 {
-            for i in 0..16u8 {
-                let key = vec![i];
-                let mut val = vec![round, i];
-                val.resize(16, round); // bulk so rotations happen mid-round
-                kv.put(key.clone(), val.clone()).unwrap();
-                model.insert(key, val);
-            }
-        }
-        assert!(
-            kv.table_count() > 1,
-            "workload must span multiple flushed tables, got {}",
-            kv.table_count()
-        );
-        // The merged view (memtable + all tables, newest wins) must read back
-        // exactly the logical state.
-        let expect: Vec<(Vec<u8>, Vec<u8>)> = model.clone().into_iter().collect();
-        assert_eq!(kv.scan(&[], &[255u8; 4], usize::MAX), expect);
-        for (k, v) in &model {
-            assert_eq!(kv.get(k).as_ref(), Some(v), "key {k:?}");
-        }
-        // Compaction collapses the levels without changing the view.
-        kv.compact();
-        assert!(kv.table_count() <= 1);
-        assert_eq!(kv.scan(&[], &[255u8; 4], usize::MAX), expect);
-    }
-
-    #[test]
-    fn get_after_delete_shadows_across_levels() {
-        let kv = KvStore::new_in_memory();
-        // Oldest table: original value.
-        kv.put(b"k".to_vec(), b"v-old".to_vec()).unwrap();
-        kv.put(b"other".to_vec(), b"o".to_vec()).unwrap();
-        kv.flush();
-        // Middle table: overwrite.
-        kv.put(b"k".to_vec(), b"v-mid".to_vec()).unwrap();
-        kv.flush();
-        // Newest table: tombstone.
-        kv.delete(b"k".to_vec()).unwrap();
-        kv.flush();
-        assert_eq!(kv.table_count(), 3);
-        // The tombstone must shadow both older versions, in point reads,
-        // multi-key snapshot reads, and scans.
-        assert_eq!(kv.get(b"k"), None);
-        assert_eq!(
-            kv.multi_get(&[b"k", b"other"]),
-            vec![None, Some(b"o".to_vec())]
-        );
-        assert_eq!(
-            kv.scan(b"a", b"z", 10),
-            vec![(b"other".to_vec(), b"o".to_vec())]
-        );
-        // A newer put in the memtable shadows the tombstone again.
-        kv.put(b"k".to_vec(), b"v-new".to_vec()).unwrap();
-        assert_eq!(kv.get(b"k"), Some(b"v-new".to_vec()));
-        // Compaction purges shadowed versions and tombstones but preserves
-        // the logical view.
-        kv.compact();
-        assert_eq!(kv.get(b"k"), Some(b"v-new".to_vec()));
-        assert_eq!(kv.get(b"other"), Some(b"o".to_vec()));
-    }
-
-    #[test]
-    fn tombstone_alone_in_newest_level_hides_nothing_else() {
-        // Deleting a key that only ever existed in older levels, then
-        // compacting, must not resurrect it.
-        let kv = KvStore::new_in_memory();
-        kv.put(b"ghost".to_vec(), b"v".to_vec()).unwrap();
-        kv.flush();
-        kv.delete(b"ghost".to_vec()).unwrap();
-        kv.flush();
-        kv.compact();
-        assert_eq!(kv.get(b"ghost"), None);
-        assert!(kv.scan(&[], &[255u8; 4], usize::MAX).is_empty());
-    }
-
-    #[test]
     fn unbounded_scan_reaches_top_of_key_space() {
         let kv = KvStore::new_in_memory();
         // Keys that the old hard-coded `[0xFF; 16]` bound silently missed:
@@ -940,10 +568,9 @@ mod tests {
         kv.put(vec![0xFFu8; 16], b"at-bound".to_vec()).unwrap();
         kv.put(vec![0xFFu8; 24], b"long".to_vec()).unwrap();
         kv.put(vec![0x01], b"low".to_vec()).unwrap();
-        kv.flush();
         kv.put(vec![0xFFu8; 17], b"above".to_vec()).unwrap();
         assert_eq!(kv.scan_from(&[], None, usize::MAX).len(), 4);
-        assert_eq!(kv.approx_live_entries(), 4);
+        assert_eq!(kv.live_entries(), 4);
         // Bounded scan still excludes the high keys.
         assert_eq!(kv.scan(&[], &[0xFFu8; 16], usize::MAX).len(), 1);
         // Unbounded tail scan starting above the old bound.
@@ -953,12 +580,11 @@ mod tests {
     }
 
     #[test]
-    fn range_snapshot_merges_levels_and_skips_tombstones() {
+    fn range_snapshot_skips_deleted_keys_and_respects_bounds() {
         let kv = KvStore::new_in_memory();
         kv.put(b"a".to_vec(), b"old-a".to_vec()).unwrap();
         kv.put(b"b".to_vec(), b"b".to_vec()).unwrap();
         kv.put(b"dead".to_vec(), b"x".to_vec()).unwrap();
-        kv.flush();
         kv.put(b"a".to_vec(), b"new-a".to_vec()).unwrap();
         kv.delete(b"dead".to_vec()).unwrap();
         kv.put(b"c".to_vec(), b"c".to_vec()).unwrap();
@@ -982,13 +608,11 @@ mod tests {
         for i in 0..20u8 {
             kv.put(vec![i], vec![i]).unwrap();
         }
-        kv.flush();
         let snap = kv.range_snapshot(&[], None);
-        // Mutate after the snapshot: overwrite, delete, insert, compact.
+        // Mutate after the snapshot: overwrite, delete, insert.
         kv.put(vec![0], b"changed".to_vec()).unwrap();
         kv.delete(vec![5]).unwrap();
         kv.put(vec![200], b"new".to_vec()).unwrap();
-        kv.compact();
         let got: Vec<_> = snap.collect();
         assert_eq!(got.len(), 20);
         for (i, (k, v)) in got.iter().enumerate() {
@@ -1008,7 +632,6 @@ mod tests {
                 path: Some(path.clone()),
                 ..Default::default()
             }),
-            ..Default::default()
         };
         {
             let kv = KvStore::with_config(cfg.clone()).unwrap();
@@ -1027,26 +650,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(
-            KvStore::checkpoint_path(&KvConfig {
-                wal: Some(WalConfig {
-                    path: Some(path.clone()),
-                    ..Default::default()
-                }),
+        let cfg = KvConfig {
+            wal: Some(WalConfig {
+                path: Some(path.clone()),
                 ..Default::default()
-            })
-            .unwrap(),
-        );
-        (
-            KvConfig {
-                wal: Some(WalConfig {
-                    path: Some(path.clone()),
-                    ..Default::default()
-                }),
-                ..Default::default()
-            },
-            path,
-        )
+            }),
+        };
+        let _ = std::fs::remove_file(KvStore::checkpoint_path(&cfg).unwrap());
+        (cfg, path)
     }
 
     fn cleanup(path: &PathBuf) {
@@ -1081,7 +692,7 @@ mod tests {
         // post-checkpoint suffix, not the full 105-entry history.
         assert_eq!(kv.recovered_entries(), 5);
         assert_eq!(kv.last_checkpoint().unwrap().wal_cursor, 100);
-        assert_eq!(kv.approx_live_entries(), 105);
+        assert_eq!(kv.live_entries(), 105);
         assert_eq!(kv.get(&0u32.to_be_bytes()), Some(vec![1]));
         assert_eq!(kv.get(&104u32.to_be_bytes()), Some(vec![2]));
         cleanup(&path);
@@ -1174,7 +785,7 @@ mod tests {
                 }
             }
             // Either way the logical state is complete.
-            assert_eq!(kv.approx_live_entries(), 30, "{crash:?}");
+            assert_eq!(kv.live_entries(), 30, "{crash:?}");
             for i in 0..30u32 {
                 let want = if i < 20 {
                     b"old".to_vec()
@@ -1209,7 +820,7 @@ mod tests {
             let kv = KvStore::with_config(cfg.clone()).unwrap();
             assert!(kv.last_checkpoint().is_none(), "torn sidecar must not load");
             assert_eq!(kv.recovered_entries(), 25, "full replay must cover");
-            assert_eq!(kv.approx_live_entries(), 25);
+            assert_eq!(kv.live_entries(), 25);
         }
         // Corrupt: flip one byte in the middle.
         let mut flipped = full.clone();
@@ -1222,7 +833,7 @@ mod tests {
                 kv.last_checkpoint().is_none(),
                 "corrupt sidecar must not load"
             );
-            assert_eq!(kv.approx_live_entries(), 25);
+            assert_eq!(kv.live_entries(), 25);
         }
         cleanup(&path);
     }
@@ -1265,7 +876,7 @@ mod tests {
         faults.clear();
         let kv = KvStore::with_config(cfg.clone()).unwrap();
         assert_eq!(kv.last_checkpoint().unwrap().applied_index, 1);
-        assert_eq!(kv.approx_live_entries(), 25);
+        assert_eq!(kv.live_entries(), 25);
         cleanup(&path);
     }
 
@@ -1304,7 +915,7 @@ mod tests {
         }
         let kv = KvStore::with_config(cfg).unwrap();
         assert_eq!(kv.last_checkpoint().unwrap().applied_index, 3);
-        assert_eq!(kv.approx_live_entries(), 30);
+        assert_eq!(kv.live_entries(), 30);
         for i in 0..30u32 {
             assert!(kv.get(&i.to_be_bytes()).is_some(), "key {i}");
         }
@@ -1345,10 +956,13 @@ mod tests {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    let got = kv.multi_get(&[b"x", b"y"]);
+                    let got = kv.scan(b"x", b"z", 2);
                     // Both keys are always written together in one batch, so a
-                    // snapshot reader must never observe them disagreeing.
-                    assert_eq!(got[0], got[1], "batch atomicity violated");
+                    // reader of both must never observe them disagreeing.
+                    assert!(
+                        got.is_empty() || (got.len() == 2 && got[0].1 == got[1].1),
+                        "batch atomicity violated: {got:?}"
+                    );
                 }
             })
         };
@@ -1369,24 +983,44 @@ mod tests {
         #[test]
         fn prop_store_matches_btreemap_model(
             ops in proptest::collection::vec(
-                (any::<bool>(), proptest::collection::vec(0u8..8, 1..4), any::<u8>()),
+                (0u8..16, proptest::collection::vec(0u8..8, 1..4), any::<u8>()),
                 1..300,
             )
         ) {
-            let kv = KvStore::with_config(KvConfig {
-                memtable_max_bytes: 64,
-                max_tables: 3,
-                wal: None,
-                ..Default::default()
-            }).unwrap();
+            // A file-backed store driven through puts, deletes, checkpoints
+            // and drop-and-reopen steps: whatever was recovered from the
+            // newest checkpoint plus the WAL tail must equal the model.
+            let (cfg, path) = file_cfg("prop-model");
+            let mut kv = KvStore::with_config(cfg.clone()).unwrap();
             let mut model = std::collections::BTreeMap::new();
-            for (is_put, key, val) in ops {
-                if is_put {
-                    kv.put(key.clone(), vec![val]).unwrap();
-                    model.insert(key, vec![val]);
-                } else {
-                    kv.delete(key.clone()).unwrap();
-                    model.remove(&key);
+            let mut batches_since_checkpoint = 0usize;
+            for (step, key, val) in ops {
+                match step {
+                    0..=8 => {
+                        kv.put(key.clone(), vec![val]).unwrap();
+                        model.insert(key, vec![val]);
+                        batches_since_checkpoint += 1;
+                    }
+                    9..=13 => {
+                        kv.delete(key.clone()).unwrap();
+                        model.remove(&key);
+                        batches_since_checkpoint += 1;
+                    }
+                    14 => {
+                        let info = kv.checkpoint(u64::from(val), 0).unwrap();
+                        prop_assert_eq!(info.entries, model.len() as u64);
+                        batches_since_checkpoint = 0;
+                    }
+                    _ => {
+                        kv.sync().unwrap();
+                        drop(kv);
+                        kv = KvStore::with_config(cfg.clone()).unwrap();
+                        prop_assert_eq!(kv.recovered_entries(), batches_since_checkpoint);
+                        let recovered = kv.scan_from(&[], None, usize::MAX);
+                        let expect: Vec<(Vec<u8>, Vec<u8>)> =
+                            model.clone().into_iter().collect();
+                        prop_assert_eq!(recovered, expect);
+                    }
                 }
             }
             // Point reads agree.
@@ -1398,6 +1032,7 @@ mod tests {
             let expect: Vec<(Vec<u8>, Vec<u8>)> =
                 model.into_iter().collect();
             prop_assert_eq!(scan, expect);
+            cleanup(&path);
         }
     }
 }

@@ -16,7 +16,7 @@
 //!   snapshots that serialize to the hand-rolled [`Json`] emitter.
 //! * [`profiler`] — drop-guard stopwatches that feed critical-section
 //!   durations (lock wait/hold, Raft propose→apply, 2PC phases, kvstore
-//!   flush/compaction stalls) into the registry.
+//!   checkpoint writes) into the registry.
 //!
 //! The crate carries no heavy dependencies: `std` atomics and the workspace's
 //! own `cfs-types` only, so every layer of the system can afford to link it.

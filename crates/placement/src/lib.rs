@@ -423,7 +423,6 @@ impl MapSource for PlacementClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfs_kvstore::KvConfig;
     use cfs_raft::RaftConfig;
     use cfs_rpc::NetConfig;
     use cfs_tafdb::backend::TafBackendGroup;
@@ -447,8 +446,7 @@ mod tests {
             id: ShardId(id),
             replicas: ids.clone(),
         };
-        let group =
-            TafBackendGroup::spawn(net, ShardId(id), &ids, fast_raft(), KvConfig::default());
+        let group = TafBackendGroup::spawn(net, ShardId(id), &ids, fast_raft());
         group.wait_ready(Duration::from_secs(5)).unwrap();
         (info, group)
     }

@@ -43,6 +43,11 @@ impl MuxService {
     pub fn mount(&self, channel: u8, svc: Arc<dyn Service>) {
         self.handlers.write().insert(channel, svc);
     }
+
+    /// The handler mounted at `channel`, if any.
+    pub fn handler(&self, channel: u8) -> Option<Arc<dyn Service>> {
+        self.handlers.read().get(&channel).cloned()
+    }
 }
 
 impl Service for MuxService {
@@ -50,8 +55,7 @@ impl Service for MuxService {
         let Some((&ch, rest)) = payload.split_first() else {
             return Vec::new();
         };
-        let handler = self.handlers.read().get(&ch).cloned();
-        match handler {
+        match self.handler(ch) {
             Some(h) => h.handle(from, rest),
             None => Vec::new(),
         }
@@ -61,8 +65,7 @@ impl Service for MuxService {
         let Some((&ch, rest)) = payload.split_first() else {
             return;
         };
-        let handler = self.handlers.read().get(&ch).cloned();
-        if let Some(h) = handler {
+        if let Some(h) = self.handler(ch) {
             h.handle_oneway(from, rest);
         }
     }

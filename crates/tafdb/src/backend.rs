@@ -24,7 +24,6 @@ use crate::shard::{CdcHandoff, TafShard};
 pub struct TafBackendGroup {
     shard_id: ShardId,
     group: RaftGroup<TafShard>,
-    kv_config: KvConfig,
     locks: RwLock<Vec<Arc<LockManager>>>,
 }
 
@@ -35,7 +34,6 @@ impl TafBackendGroup {
         shard_id: ShardId,
         node_ids: &[NodeId],
         raft_config: RaftConfig,
-        kv_config: KvConfig,
     ) -> TafBackendGroup {
         let storages: Vec<_> = node_ids
             .iter()
@@ -45,7 +43,7 @@ impl TafBackendGroup {
             net,
             node_ids,
             raft_config,
-            |_| Arc::new(TafShard::new(kv_config.clone()).expect("shard init")),
+            |_| Arc::new(TafShard::new(KvConfig::default()).expect("shard init")),
             &storages,
         );
         let mut locks = Vec::new();
@@ -56,7 +54,6 @@ impl TafBackendGroup {
         TafBackendGroup {
             shard_id,
             group,
-            kv_config,
             locks: RwLock::new(locks),
         }
     }
@@ -106,7 +103,7 @@ impl TafBackendGroup {
             }
         };
         let sm = Arc::new(
-            TafShard::new_with_cdc(self.kv_config.clone(), Some(handoff)).expect("shard init"),
+            TafShard::new_with_cdc(KvConfig::default(), Some(handoff)).expect("shard init"),
         );
         let (node, mux) = self.group.restart_replica(i, sm);
         let lm = Self::mount_services(&node, &mux);
@@ -201,9 +198,6 @@ struct AppService {
 /// by the leader-local read path and the ReadIndex follower-read path so
 /// both enforce the same ownership checks.
 fn serve_read(sm: &TafShard, req: &TafRequest) -> TafResponse {
-    // Simulated read service time accrues on whichever replica serves the
-    // request — the quantity ReadIndex follower reads spread over the group.
-    sm.charge_read();
     match req {
         TafRequest::Get(key) => match sm.check_owner(key.kid.raw()) {
             Ok(()) => TafResponse::Record(sm.get(key)),

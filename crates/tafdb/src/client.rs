@@ -366,7 +366,6 @@ mod tests {
     use crate::backend::TafBackendGroup;
     use crate::primitive::UpdateSpec;
     use crate::router::ShardInfo;
-    use cfs_kvstore::KvConfig;
     use cfs_raft::RaftConfig;
     use cfs_rpc::NetConfig;
     use cfs_types::{Cond, FieldAssign, FileType, NumField, Pred, Timestamp, ROOT_INODE};
@@ -391,13 +390,7 @@ mod tests {
                 id: ShardId(s),
                 replicas: ids.clone(),
             });
-            groups.push(TafBackendGroup::spawn(
-                &net,
-                ShardId(s),
-                &ids,
-                fast_raft(),
-                KvConfig::default(),
-            ));
+            groups.push(TafBackendGroup::spawn(&net, ShardId(s), &ids, fast_raft()));
         }
         for g in &groups {
             g.wait_ready(Duration::from_secs(5)).unwrap();

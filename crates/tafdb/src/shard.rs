@@ -249,18 +249,8 @@ pub struct TafShard {
     /// Bumps happen in the replicated apply funnel ([`Self::commit_batch`]),
     /// so every replica of the shard derives the same sequence.
     dir_gens: Mutex<HashMap<u64, u64>>,
-    /// Simulated storage service time per committed batch (see
-    /// [`KvConfig::apply_cost`]); the shard sleeps this long in its apply
-    /// path so per-shard write capacity is bounded in simulated time.
-    apply_cost: std::time::Duration,
-    /// Simulated service time per read request (see [`KvConfig::read_cost`]).
-    read_cost: std::time::Duration,
-    /// Serializes simulated read service on this replica: each replica is
-    /// one read-capacity unit, so spreading reads over followers (ReadIndex)
-    /// multiplies a group's aggregate read throughput.
-    read_gate: Mutex<()>,
-    /// Raft index of the last applied command; tags kvstore checkpoints and
-    /// snapshot images with the log position they cover.
+    /// Raft index of the last applied command; tags snapshot images with the
+    /// log position they cover.
     applied_index: AtomicU64,
     /// Raft index of the command *currently* being applied (set before
     /// `apply_cmd` runs; `u64::MAX` outside the replicated apply funnel).
@@ -292,7 +282,7 @@ pub struct CdcHandoff {
 }
 
 impl TafShard {
-    /// Creates a shard over an LSM store with the given config.
+    /// Creates a shard over a store with the given config.
     pub fn new(kv_config: KvConfig) -> FsResult<TafShard> {
         Self::new_with_cdc(kv_config, None)
     }
@@ -300,8 +290,6 @@ impl TafShard {
     /// Like [`TafShard::new`], but resuming a crashed replica's CDC stream
     /// instead of starting a fresh one (see [`CdcHandoff`]).
     pub fn new_with_cdc(kv_config: KvConfig, handoff: Option<CdcHandoff>) -> FsResult<TafShard> {
-        let apply_cost = kv_config.apply_cost;
-        let read_cost = kv_config.read_cost;
         let (cdc, cdc_barrier) = match handoff {
             Some(h) => (h.wal, h.emitted_through),
             None => (cfs_wal::Wal::new_in_memory(), 0),
@@ -313,9 +301,6 @@ impl TafShard {
             cdc,
             mig: Mutex::new(MigState::default()),
             dir_gens: Mutex::new(HashMap::new()),
-            apply_cost,
-            read_cost,
-            read_gate: Mutex::new(()),
             applied_index: AtomicU64::new(0),
             applying_index: AtomicU64::new(u64::MAX),
             cdc_barrier,
@@ -332,23 +317,6 @@ impl TafShard {
     pub fn epoch(&self) -> u64 {
         let mig = self.mig.lock();
         mig.moved.iter().map(|&(_, _, e)| e).max().unwrap_or(0)
-    }
-
-    /// Writes an on-demand kvstore checkpoint tagged with the last applied
-    /// Raft index and the shard's partition-map epoch. Requires the shard's
-    /// store to have a file-backed WAL (see [`KvStore::checkpoint`]).
-    pub fn checkpoint(&self) -> FsResult<cfs_kvstore::CheckpointInfo> {
-        self.kv.checkpoint(self.applied_index(), self.epoch())
-    }
-
-    /// Charges one simulated read service slot on this replica (no-op when
-    /// [`KvConfig::read_cost`] is zero). Called once per client read request
-    /// by the serving replica.
-    pub fn charge_read(&self) {
-        if !self.read_cost.is_zero() {
-            let _gate = self.read_gate.lock();
-            std::thread::sleep(self.read_cost);
-        }
     }
 
     /// The logical change stream (CDC) of this shard.
@@ -369,11 +337,6 @@ impl TafShard {
     /// The shard's metrics handle (shared with the lock manager).
     pub fn metrics(&self) -> &Arc<ShardMetrics> {
         &self.metrics
-    }
-
-    /// The shard's WAL, when configured (watched by the GC).
-    pub fn wal(&self) -> Option<&cfs_wal::Wal> {
-        self.kv.wal()
     }
 
     /// Leader-local point read.
@@ -559,11 +522,6 @@ impl TafShard {
                     }
                 }
             }
-        }
-        if !self.apply_cost.is_zero() {
-            // Charged per batch, not per op: a migration ingest page costs
-            // one service slot, the same as a single client write.
-            std::thread::sleep(self.apply_cost);
         }
         self.kv.write_batch(ops)
     }
