@@ -292,23 +292,31 @@ impl CfsCluster {
         &self.fs_groups
     }
 
-    /// Simulates kill −9 of the TafDB replica at `id`: the node object and
-    /// every piece of in-flight state it held (proposals, ReadIndex rounds,
-    /// lock-manager waits) are dropped; only its durable [`cfs_raft::RaftStorage`]
-    /// survives, playing the disk.
+    /// Simulates kill −9 of the TafDB or FileStore replica at `id`: the node
+    /// object and every piece of in-flight state it held (proposals,
+    /// ReadIndex rounds, lock-manager waits) are dropped; only its durable
+    /// [`cfs_raft::RaftStorage`] survives, playing the disk.
     pub fn crash_node(&self, id: NodeId) -> FsResult<()> {
-        let (g, i) = self.find_taf_replica(id)?;
-        g.crash_replica(i);
+        if let Ok((g, i)) = self.find_taf_replica(id) {
+            g.crash_replica(i);
+        } else {
+            let (g, i) = self.find_fs_replica(id)?;
+            g.crash_replica(i);
+        }
         Ok(())
     }
 
-    /// Brings a crashed TafDB replica back from WAL + snapshot: a fresh
-    /// state machine is restored from the persisted image and log tail,
-    /// registry gauges are re-derived, services are remounted, and the
-    /// replica rejoins its Raft group.
+    /// Brings a crashed replica back from WAL + snapshot: a fresh state
+    /// machine is restored from the persisted image and log tail, registry
+    /// gauges are re-derived, services are remounted, and the replica
+    /// rejoins its Raft group.
     pub fn restart_node(&self, id: NodeId) -> FsResult<()> {
-        let (g, i) = self.find_taf_replica(id)?;
-        g.restart_replica(i);
+        if let Ok((g, i)) = self.find_taf_replica(id) {
+            g.restart_replica(i);
+        } else {
+            let (g, i) = self.find_fs_replica(id)?;
+            g.restart_replica(i);
+        }
         Ok(())
     }
 
@@ -346,9 +354,14 @@ impl CfsCluster {
         if let Ok((g, i)) = self.find_taf_replica(id) {
             return Ok(g.replica_faults(i));
         }
+        let (g, i) = self.find_fs_replica(id)?;
+        Ok(g.replica_faults(i))
+    }
+
+    fn find_fs_replica(&self, id: NodeId) -> FsResult<(&FileStoreGroup, usize)> {
         for g in &self.fs_groups {
             if let Some(i) = g.raft().nodes().iter().position(|n| n.id() == id) {
-                return Ok(g.replica_faults(i));
+                return Ok((g, i));
             }
         }
         Err(FsError::Invalid(format!("no replica at node {}", id.0)))
@@ -437,8 +450,10 @@ impl CfsCluster {
     }
 
     /// Builds the garbage collector wired to every component's change stream
-    /// (watching replica 0 of each group, which applies all committed
-    /// commands regardless of leadership).
+    /// (each group keeps one, on a replica that applies all committed
+    /// commands regardless of leadership). The collector is the streams' one
+    /// consumer and releases what it has ingested, so build one collector per
+    /// cluster; a cluster that never runs one keeps every event.
     ///
     /// Watchers cover the groups alive at call time; build the collector
     /// after any planned [`CfsCluster::split_shard`] calls. (Split receivers
@@ -449,12 +464,12 @@ impl CfsCluster {
             .taf_groups
             .read()
             .iter()
-            .map(|g| g.raft().nodes()[0].state_machine().cdc().watch_from_start())
+            .map(|g| g.cdc().watch_from_start())
             .collect();
         let fs_watchers = self
             .fs_groups
             .iter()
-            .map(|g| g.raft().nodes()[0].state_machine().cdc().watch_from_start())
+            .map(|g| g.cdc().watch_from_start())
             .collect();
         let me = NodeId(self.next_client.fetch_add(1, Ordering::Relaxed));
         GarbageCollector::new(

@@ -97,18 +97,16 @@ impl GarbageCollector {
     fn ingest(&self) {
         let now = Instant::now();
         let mut events = Vec::new();
-        for w in self.taf_watchers.lock().iter_mut() {
-            for entry in w.poll() {
-                if let Ok(e) = CdcEvent::from_bytes(&entry.payload) {
-                    events.push(e);
+        for watchers in [&self.taf_watchers, &self.fs_watchers] {
+            for w in watchers.lock().iter_mut() {
+                for entry in w.poll() {
+                    if let Ok(e) = CdcEvent::from_bytes(&entry.payload) {
+                        events.push(e);
+                    }
                 }
-            }
-        }
-        for w in self.fs_watchers.lock().iter_mut() {
-            for entry in w.poll() {
-                if let Ok(e) = CdcEvent::from_bytes(&entry.payload) {
-                    events.push(e);
-                }
+                // The collector is the stream's one consumer: what it has
+                // ingested lives on in `state`, so the stream may forget it.
+                w.release_consumed();
             }
         }
         let mut state = self.state.lock();

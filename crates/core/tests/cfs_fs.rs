@@ -415,3 +415,145 @@ fn cdc_stream_survives_replica_crash_restart_with_undrained_events() {
     fs.lookup("/gcdc/alive").unwrap();
     fs.lookup("/gcdc/after").unwrap();
 }
+
+#[test]
+fn only_the_watched_replica_of_a_group_keeps_a_cdc_stream() {
+    let c = cluster();
+    for g in c.taf_groups() {
+        let streams: Vec<bool> = g
+            .raft()
+            .nodes()
+            .iter()
+            .map(|n| n.state_machine().cdc().is_some())
+            .collect();
+        assert_eq!(streams, [true, false, false]);
+    }
+    for g in c.fs_groups() {
+        let streams: Vec<bool> = g
+            .raft()
+            .nodes()
+            .iter()
+            .map(|n| n.state_machine().cdc().is_some())
+            .collect();
+        assert_eq!(streams, [true, false, false]);
+    }
+}
+
+#[test]
+fn collector_releases_the_cdc_events_it_has_ingested() {
+    let c = cluster();
+    let fs = c.client();
+    fs.mkdir("/churn").unwrap();
+    let gc = c.garbage_collector(Duration::from_millis(100));
+    let streams: Vec<cfs_wal::Wal> = c
+        .taf_groups()
+        .iter()
+        .map(|g| g.cdc())
+        .chain(c.fs_groups().iter().map(|g| g.cdc()))
+        .collect();
+    let released = || -> u64 { streams.iter().map(|s| s.first_seq() - 1).sum() };
+    let mut before = released();
+    for round in 0..3 {
+        for i in 0..40 {
+            let path = format!("/churn/f{round}_{i}");
+            fs.create(&path).unwrap();
+            fs.unlink(&path).unwrap();
+        }
+        // Followers apply behind the commit; let the watched replicas catch
+        // up before the cycle under test.
+        std::thread::sleep(Duration::from_millis(100));
+        gc.run_once().unwrap();
+        let after = released();
+        // create + unlink: two TafDB and two FileStore events each.
+        assert!(
+            after >= before + 4 * 40,
+            "round {round}: released {before} -> {after}"
+        );
+        before = after;
+        for s in &streams {
+            assert_eq!(s.first_seq(), s.last_seq() + 1, "ingested means released");
+        }
+    }
+    // Churn pairs up, so nothing was collected — only forgotten.
+    let stats = gc.stats();
+    let removed = stats
+        .orphan_attrs_removed
+        .load(std::sync::atomic::Ordering::Relaxed)
+        + stats
+            .stale_attrs_removed
+            .load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(removed, 0);
+}
+
+#[test]
+fn filestore_replica_restarts_from_snapshot_and_tail() {
+    let c = cluster();
+    let threshold = c.config().raft.snapshot_threshold;
+    let fs = c.client();
+    fs.mkdir("/fsr").unwrap();
+    let files = 3 * threshold;
+    for i in 0..files {
+        let path = format!("/fsr/f{i}");
+        fs.create(&path).unwrap();
+        if i % 8 == 0 {
+            fs.write(&path, 0, &[i as u8; 300]).unwrap();
+        }
+    }
+    let group = &c.fs_groups()[0];
+    let leader = group
+        .raft()
+        .wait_for_leader(Duration::from_secs(10))
+        .unwrap();
+    assert!(
+        leader.snapshot_index() >= threshold,
+        "{files} creates over two groups compact each group's log"
+    );
+    let victim = group
+        .raft()
+        .nodes()
+        .into_iter()
+        .find(|n| n.id() != leader.id())
+        .unwrap()
+        .id();
+    c.crash_node(victim).expect("crash filestore replica");
+    // The group keeps committing with two of three replicas.
+    for i in files..files + 20 {
+        fs.create(&format!("/fsr/f{i}")).unwrap();
+    }
+    c.restart_node(victim).expect("rebuild filestore replica");
+    let node = group
+        .raft()
+        .nodes()
+        .into_iter()
+        .find(|n| n.id() == victim)
+        .unwrap();
+    assert!(
+        node.snapshot_index() > 0,
+        "recovery started from a snapshot"
+    );
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while node.applied_index() < leader.commit_index() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "replica never caught up"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (rebuilt, reference) = (node.state_machine(), leader.state_machine());
+    let inos = reference.list_attr_inos();
+    assert!(!inos.is_empty());
+    assert_eq!(rebuilt.list_attr_inos(), inos);
+    let mut blocks = 0;
+    for ino in inos {
+        assert_eq!(rebuilt.get_attr(ino), reference.get_attr(ino));
+        let block = cfs_types::BlockId { ino, index: 0 };
+        assert_eq!(rebuilt.read_block(block), reference.read_block(block));
+        blocks += usize::from(reference.read_block(block).is_some());
+    }
+    assert!(blocks > 0, "the group under test holds data blocks");
+    assert!(
+        node.log_len() < 2 * threshold,
+        "the rebuilt replica's log stays compacted: {}",
+        node.log_len()
+    );
+}

@@ -1,10 +1,11 @@
 //! The FileStore node state machine and its replicated deployment.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cfs_kvstore::{KvStore, WriteOp};
 use cfs_raft::{RaftConfig, RaftGroup, RaftNode, StateMachine};
-use cfs_rpc::mux::CH_APP;
+use cfs_rpc::mux::{MuxService, CH_APP};
 use cfs_rpc::{Network, Service};
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::{Attr, BlockId, CdcEvent, FsError, FsResult, InodeId, NodeId};
@@ -25,27 +26,60 @@ fn block_key(block: BlockId) -> Vec<u8> {
 
 /// One FileStore node's state: a local attribute store ("a local RocksDB to
 /// keep the attribute metadata of the corresponding files", §3.2) plus block
-/// storage, and the logical CDC stream for the GC.
+/// storage, and — on the one replica the GC watches — the logical CDC stream.
 pub struct FileStoreNode {
     attrs: KvStore,
     blocks: KvStore,
-    cdc: Wal,
+    /// The change stream, on the watched replica only: every replica applies
+    /// every command, so one stream carries every event, and a stream nobody
+    /// reads would only grow.
+    cdc: Option<Wal>,
+    /// Raft index of the command being applied (`u64::MAX` outside the
+    /// replicated apply funnel), compared against `cdc_barrier`.
+    applying_index: AtomicU64,
+    /// Highest Raft index whose events a previous incarnation of this
+    /// replica already emitted onto `cdc`: replaying the log at or below it
+    /// must not emit them again.
+    cdc_barrier: u64,
 }
 
 impl Default for FileStoreNode {
+    /// A node with no change stream.
     fn default() -> FileStoreNode {
         FileStoreNode {
             attrs: KvStore::new_in_memory(),
             blocks: KvStore::new_in_memory(),
-            cdc: Wal::new_in_memory(),
+            cdc: None,
+            applying_index: AtomicU64::new(u64::MAX),
+            cdc_barrier: 0,
         }
     }
 }
 
 impl FileStoreNode {
-    /// The node's logical change stream (watched by the GC).
-    pub fn cdc(&self) -> &Wal {
-        &self.cdc
+    /// A node publishing its changes onto `stream`. A fresh replica passes a
+    /// new stream and `emitted_through` 0; a replica rebuilt after a crash
+    /// passes the old incarnation's stream and applied index, so events the
+    /// GC has not drained survive, its cursors stay valid, and log replay
+    /// does not duplicate what was already emitted.
+    pub fn with_cdc(stream: Wal, emitted_through: u64) -> FileStoreNode {
+        FileStoreNode {
+            cdc: Some(stream),
+            cdc_barrier: emitted_through,
+            ..FileStoreNode::default()
+        }
+    }
+
+    /// The node's logical change stream, if this is the watched replica.
+    pub fn cdc(&self) -> Option<&Wal> {
+        self.cdc.as_ref()
+    }
+
+    fn emit(&self, event: CdcEvent) {
+        let Some(cdc) = &self.cdc else { return };
+        if self.applying_index.load(Ordering::Relaxed) > self.cdc_barrier {
+            let _ = cdc.append(event.to_bytes());
+        }
     }
 
     /// Leader-local attribute read.
@@ -92,7 +126,7 @@ impl FileStoreNode {
                 let ino = attr.ino;
                 match self.attrs.put(attr_key(ino), attr.to_bytes()) {
                     Ok(()) => {
-                        let _ = self.cdc.append(CdcEvent::AttrPut { ino }.to_bytes());
+                        self.emit(CdcEvent::AttrPut { ino });
                         FileStoreResponse::Ok
                     }
                     Err(e) => FileStoreResponse::Err(e),
@@ -117,7 +151,7 @@ impl FileStoreNode {
             },
             FileStoreRequest::DeleteAttr(ino) => match self.attrs.delete(attr_key(ino)) {
                 Ok(()) => {
-                    let _ = self.cdc.append(CdcEvent::AttrDeleted { ino }.to_bytes());
+                    self.emit(CdcEvent::AttrDeleted { ino });
                     FileStoreResponse::Ok
                 }
                 Err(e) => FileStoreResponse::Err(e),
@@ -157,7 +191,7 @@ impl FileStoreNode {
                 }
                 match self.attrs.delete(attr_key(ino)) {
                     Ok(()) => {
-                        let _ = self.cdc.append(CdcEvent::AttrDeleted { ino }.to_bytes());
+                        self.emit(CdcEvent::AttrDeleted { ino });
                         FileStoreResponse::Ok
                     }
                     Err(e) => FileStoreResponse::Err(e),
@@ -192,15 +226,72 @@ fn apply_patch(attr: &mut Attr, patch: &SetAttrPatch) {
     }
 }
 
+impl FileStoreNode {
+    /// The snapshot image: attributes, then blocks, each in key order, so
+    /// equal state yields equal bytes. The CDC stream stays out of it — it is
+    /// replica-local plumbing to the GC, not replicated state.
+    fn encode_image(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for store in [&self.attrs, &self.blocks] {
+            let entries = store.scan_from(&[], None, usize::MAX);
+            (entries.len() as u64).encode(&mut buf);
+            for (k, v) in &entries {
+                k.encode(&mut buf);
+                v.encode(&mut buf);
+            }
+        }
+        buf
+    }
+
+    /// Replaces the node's state with a decoded image. Everything is decoded
+    /// before anything is mutated, so a corrupt image leaves the node
+    /// untouched.
+    fn restore_image(&self, mut input: &[u8]) -> FsResult<()> {
+        let input = &mut input;
+        let mut stores = Vec::with_capacity(2);
+        for _ in 0..2 {
+            let n = u64::decode(input)?;
+            let mut ops = Vec::with_capacity((n as usize).min(1 << 16));
+            for _ in 0..n {
+                let k = Vec::<u8>::decode(input)?;
+                ops.push(WriteOp::Put(k, Vec::<u8>::decode(input)?));
+            }
+            stores.push(ops);
+        }
+        for (store, ops) in [&self.attrs, &self.blocks].into_iter().zip(stores) {
+            store.reset();
+            store.write_batch(ops)?;
+        }
+        Ok(())
+    }
+}
+
 impl StateMachine for FileStoreNode {
-    fn apply(&self, _index: u64, cmd: &[u8]) -> Vec<u8> {
+    fn apply(&self, index: u64, cmd: &[u8]) -> Vec<u8> {
+        // Published before the command runs so CDC emission can compare the
+        // in-flight index against the handoff barrier.
+        self.applying_index.store(index, Ordering::Relaxed);
         let resp = match FileStoreRequest::from_bytes(cmd) {
             Ok(req) => self.apply_req(req),
             Err(e) => FileStoreResponse::Err(FsError::from(e)),
         };
         resp.to_bytes()
     }
+
+    fn snapshot(&self) -> Option<Vec<u8>> {
+        Some(self.encode_image())
+    }
+
+    fn restore(&self, snap: &[u8]) {
+        // An undecodable image means the replication layer handed over a
+        // corrupt blob — there is no state to fall back to.
+        self.restore_image(snap)
+            .expect("valid filestore snapshot image");
+    }
 }
+
+/// The replica of every group that keeps the change stream the GC watches.
+const WATCHED_REPLICA: usize = 0;
 
 /// One logical FileStore node as deployed: a Raft group of replicas with the
 /// request service mounted.
@@ -228,16 +319,65 @@ impl FileStoreGroup {
             net,
             node_ids,
             raft_config,
-            |_| Arc::new(FileStoreNode::default()),
+            |i| {
+                Arc::new(if i == WATCHED_REPLICA {
+                    FileStoreNode::with_cdc(Wal::new_in_memory(), 0)
+                } else {
+                    FileStoreNode::default()
+                })
+            },
             &storages,
         );
         for (i, node) in group.nodes().iter().enumerate() {
-            let svc = Arc::new(FileStoreService {
-                node: Arc::clone(node),
-            });
-            group.mux(i).mount(CH_APP, svc as Arc<dyn Service>);
+            Self::mount_service(node, &group.mux(i));
         }
         FileStoreGroup { group }
+    }
+
+    fn mount_service(node: &Arc<RaftNode<FileStoreNode>>, mux: &Arc<MuxService>) {
+        let svc = Arc::new(FileStoreService {
+            node: Arc::clone(node),
+        });
+        mux.mount(CH_APP, svc as Arc<dyn Service>);
+    }
+
+    /// The change stream of this group: the watched replica's, which carries
+    /// every event because every replica applies every committed command.
+    pub fn cdc(&self) -> Wal {
+        self.group.nodes()[WATCHED_REPLICA]
+            .state_machine()
+            .cdc()
+            .expect("the watched replica keeps a stream")
+            .clone()
+    }
+
+    /// Simulates kill −9 of replica `i`: only its [`cfs_raft::RaftStorage`]
+    /// (and, on the watched replica, the change stream) survives.
+    pub fn crash_replica(&self, i: usize) {
+        self.group.crash_replica(i);
+    }
+
+    /// Rebuilds replica `i` after [`FileStoreGroup::crash_replica`]: an
+    /// empty node is restored from the persisted snapshot and log tail, its
+    /// service is remounted, and the address rejoins the network. The
+    /// watched replica carries its change stream across (see
+    /// [`FileStoreNode::with_cdc`]).
+    pub fn restart_replica(&self, i: usize) -> Arc<RaftNode<FileStoreNode>> {
+        let sm = {
+            let old = &self.group.nodes()[i];
+            match old.state_machine().cdc() {
+                Some(stream) => FileStoreNode::with_cdc(stream.clone(), old.applied_index()),
+                None => FileStoreNode::default(),
+            }
+        };
+        let (node, mux) = self.group.restart_replica(i, Arc::new(sm));
+        Self::mount_service(&node, &mux);
+        // Registration (which also revives the address) comes last, so the
+        // replica never serves a request before its service exists.
+        self.group
+            .net()
+            .register(node.id(), mux as Arc<dyn Service>);
+        node
     }
 
     /// The underlying Raft group.
@@ -421,8 +561,8 @@ mod tests {
 
     #[test]
     fn cdc_records_attr_lifecycle() {
-        let n = node();
-        let mut watcher = n.cdc().watch();
+        let n = FileStoreNode::with_cdc(Wal::new_in_memory(), 0);
+        let mut watcher = n.cdc().unwrap().watch();
         n.apply_req(FileStoreRequest::PutAttr(Attr::new_file(InodeId(5), 1)));
         n.apply_req(FileStoreRequest::DeleteAttr(InodeId(5)));
         let events: Vec<CdcEvent> = watcher
@@ -437,6 +577,115 @@ mod tests {
                 CdcEvent::AttrDeleted { ino: InodeId(5) },
             ]
         );
+    }
+
+    fn block_of(ino: u64, index: u32) -> BlockId {
+        BlockId {
+            ino: InodeId(ino),
+            index,
+        }
+    }
+
+    /// A node with a few attributes and blocks, written in `order`.
+    fn populated(order: &[u64]) -> FileStoreNode {
+        let n = node();
+        for &ino in order {
+            n.apply_req(FileStoreRequest::PutAttr(Attr::new_file(InodeId(ino), 7)));
+            n.apply_req(FileStoreRequest::WriteBlock {
+                block: block_of(ino, 0),
+                offset: 0,
+                data: vec![ino as u8; 100],
+                ts: Timestamp(ino),
+            });
+        }
+        n
+    }
+
+    #[test]
+    fn snapshot_image_round_trips_attrs_and_blocks() {
+        let n = populated(&[3, 1, 2]);
+        let image = n.snapshot().expect("filestore nodes are snapshottable");
+        // The image is a function of the state, not of how it came about.
+        assert_eq!(populated(&[1, 2, 3]).snapshot().unwrap(), image);
+
+        // Restore replaces, it does not merge.
+        let fresh = populated(&[9]);
+        fresh.restore(&image);
+        assert_eq!(fresh.list_attr_inos(), n.list_attr_inos());
+        for ino in 1..=3u64 {
+            assert_eq!(fresh.get_attr(InodeId(ino)), n.get_attr(InodeId(ino)));
+            assert_eq!(
+                fresh.read_block(block_of(ino, 0)),
+                Some(vec![ino as u8; 100])
+            );
+        }
+        assert_eq!(fresh.read_block(block_of(9, 0)), None);
+        assert_eq!(fresh.snapshot().unwrap(), image);
+
+        // A truncated image is rejected before anything is touched.
+        assert!(fresh.restore_image(&image[..image.len() / 2]).is_err());
+        assert_eq!(fresh.snapshot().unwrap(), image);
+    }
+
+    #[test]
+    fn install_snapshot_reseeds_an_empty_replica() {
+        // A replica that lost its disk rejoins after the leader compacted:
+        // only InstallSnapshot can bring its attributes and blocks back.
+        let net = Network::new(cfs_rpc::NetConfig::default());
+        let ids = [NodeId(7001), NodeId(7002), NodeId(7003)];
+        let config = RaftConfig {
+            election_timeout_min: std::time::Duration::from_millis(50),
+            election_timeout_max: std::time::Duration::from_millis(120),
+            heartbeat_interval: std::time::Duration::from_millis(15),
+            snapshot_threshold: 8,
+            ..Default::default()
+        };
+        let fs = FileStoreGroup::spawn(&net, &ids, config);
+        let timeout = std::time::Duration::from_secs(10);
+        let leader = fs.raft().wait_for_leader(timeout).unwrap();
+        let victim = fs
+            .raft()
+            .nodes()
+            .iter()
+            .position(|n| n.id() != leader.id())
+            .unwrap();
+        fs.crash_replica(victim);
+        let disk = fs.raft().storage(victim).unwrap();
+        disk.reset_to_snapshot(0, 0, Vec::new()).expect("wipe");
+        disk.truncate_from(1);
+        for ino in 1..=20u64 {
+            for req in [
+                FileStoreRequest::PutAttr(Attr::new_file(InodeId(ino), 7)),
+                FileStoreRequest::WriteBlock {
+                    block: block_of(ino, 0),
+                    offset: 0,
+                    data: vec![ino as u8; 64],
+                    ts: Timestamp(ino),
+                },
+            ] {
+                fs.raft().propose(req.to_bytes(), timeout).unwrap();
+            }
+        }
+        // What the victim needs first is gone from the leader's log, so
+        // whatever it ends up holding came by snapshot.
+        assert!(leader.snapshot_index() >= 32, "leader compacted");
+        let fresh = fs.restart_replica(victim);
+        let deadline = std::time::Instant::now() + timeout;
+        while fresh.applied_index() < leader.commit_index() {
+            assert!(std::time::Instant::now() < deadline, "never converged");
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let sm = fresh.state_machine();
+        assert_eq!(sm.list_attr_inos().len(), 20);
+        for ino in 1..=20u64 {
+            assert_eq!(sm.read_block(block_of(ino, 0)), Some(vec![ino as u8; 64]));
+        }
+        assert!(
+            fresh.log_len() < 2 * 8,
+            "the replica's own log compacts too: {}",
+            fresh.log_len()
+        );
+        fs.shutdown();
     }
 
     #[test]

@@ -649,6 +649,9 @@ pub struct NemesisReport {
     /// this stays bounded near the threshold no matter how many ops ran —
     /// the compaction half of the durability loop, asserted by the sweeps.
     pub max_taf_log_len: u64,
+    /// The same bound over all FileStore replicas: their state machine
+    /// snapshots too, so their logs compact like TafDB's.
+    pub max_fs_log_len: u64,
     /// First divergence found, if any.
     pub divergence: Option<Divergence>,
     /// Forensic dump written on divergence: per-node metrics snapshots and
@@ -802,11 +805,18 @@ pub fn run_nemesis(seed: u64, opts: NemesisOptions) -> NemesisReport {
     // the final read runs against a healthy cluster.
     heal_cluster(&cluster);
 
-    // The compaction oracle's input: with snapshots on, no TafDB replica's
-    // log may have grown past the snapshot threshold (plus the entries
-    // applied since the last compaction point).
+    // The compaction oracle's input: with snapshots on, no replica's log
+    // may have grown past the snapshot threshold (plus the entries applied
+    // since the last compaction point).
     let max_taf_log_len = cluster
         .taf_groups()
+        .iter()
+        .flat_map(|g| g.raft().nodes())
+        .map(|n| n.log_len())
+        .max()
+        .unwrap_or(0);
+    let max_fs_log_len = cluster
+        .fs_groups()
         .iter()
         .flat_map(|g| g.raft().nodes())
         .map(|n| n.log_len())
@@ -854,6 +864,7 @@ pub fn run_nemesis(seed: u64, opts: NemesisOptions) -> NemesisReport {
         results,
         splits_ok,
         max_taf_log_len,
+        max_fs_log_len,
         divergence,
         dump_path,
         canonical,

@@ -328,12 +328,15 @@ mod tests {
     /// that pair — tiny, but it exercises every code path a real image does.
     struct CountSm {
         state: Mutex<(u64, u64)>,
+        /// Microseconds every apply takes: makes a replica slow on demand.
+        apply_delay_us: std::sync::atomic::AtomicU64,
     }
 
     impl CountSm {
         fn new() -> Arc<CountSm> {
             Arc::new(CountSm {
                 state: Mutex::new((0, 0)),
+                apply_delay_us: std::sync::atomic::AtomicU64::new(0),
             })
         }
 
@@ -348,6 +351,10 @@ mod tests {
 
     impl StateMachine for CountSm {
         fn apply(&self, index: u64, cmd: &[u8]) -> Vec<u8> {
+            let delay = self
+                .apply_delay_us
+                .load(std::sync::atomic::Ordering::Relaxed);
+            std::thread::sleep(Duration::from_micros(delay));
             let mut st = self.state.lock();
             st.0 += 1;
             let mut h = st.1 ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -908,6 +915,195 @@ mod tests {
             prop_assert!(leader.log_len() < threshold.max(1));
             group.shutdown();
         }
+    }
+
+    /// The network the benchmark and the figure benches run on: a 25 µs hop,
+    /// four one-way workers.
+    fn hop_net() -> Arc<Network> {
+        Network::new(NetConfig {
+            hop_latency: cfs_rpc::SimLatency::fixed(Duration::from_micros(25)),
+            oneway_workers: 4,
+            ..NetConfig::default()
+        })
+    }
+
+    #[test]
+    fn one_proposer_commits_in_four_messages() {
+        // AppendEntries to two followers and their two acks — nothing is
+        // shipped twice, even though the slower follower's ack usually finds
+        // the next entry already appended. Heartbeats are rare enough here
+        // (200 ms) to stay inside the tolerance.
+        let net = hop_net();
+        let config = RaftConfig {
+            election_timeout_min: Duration::from_millis(600),
+            election_timeout_max: Duration::from_millis(1200),
+            heartbeat_interval: Duration::from_millis(200),
+            ..Default::default()
+        };
+        let group = RaftGroup::spawn(&net, &ids(1100, 3), config, |_| CountSm::new());
+        let leader = group.wait_for_leader(Duration::from_secs(10)).unwrap();
+        for _ in 0..20 {
+            leader.propose(vec![0u8; 64]).unwrap();
+        }
+        let before = net.stats().snapshot();
+        let commits = 2000;
+        for _ in 0..commits {
+            leader.propose(vec![0u8; 64]).unwrap();
+        }
+        let d = net.stats().snapshot().delta(&before);
+        let per_commit = (d.calls + d.oneways) as f64 / commits as f64;
+        assert!(
+            (3.9..=4.1).contains(&per_commit),
+            "{per_commit:.2} messages per commit"
+        );
+        group.shutdown();
+    }
+
+    #[test]
+    fn lossy_network_commits_every_proposal() {
+        // An ack never re-ships anything, so a lost AppendEntries (or a lost
+        // ack) is recovered by the heartbeat alone: with one message in five
+        // dropped, every proposal still has to commit.
+        let net = hop_net();
+        let config = RaftConfig {
+            heartbeat_interval: Duration::from_millis(5),
+            ..Default::default()
+        };
+        let group = RaftGroup::spawn(&net, &ids(1110, 3), config, |_| CountSm::new());
+        let leader = group.wait_for_leader(Duration::from_secs(5)).unwrap();
+        net.set_drop_rate(0.2);
+        for i in 0..500u32 {
+            leader.propose(i.to_be_bytes().to_vec()).unwrap();
+        }
+        assert!(net.stats().snapshot().dropped > 100, "messages were lost");
+        net.set_drop_rate(0.0);
+        wait_converged(&group, 500);
+        group.shutdown();
+    }
+
+    #[test]
+    fn compaction_overtaking_in_flight_entries_falls_back_to_snapshot() {
+        // One follower applies slowly, so its acks lag while the leader
+        // commits through the other one and compacts every four entries: by
+        // the time an ack arrives, the entries that would follow it are
+        // behind the leader's snapshot. The leader must stream the snapshot,
+        // not build an AppendEntries whose previous entry is gone.
+        let net = hop_net();
+        let group = RaftGroup::spawn(&net, &ids(1120, 3), compacting_config(4), |_| {
+            CountSm::new()
+        });
+        let leader = group.wait_for_leader(Duration::from_secs(5)).unwrap();
+        let slow = group
+            .nodes()
+            .into_iter()
+            .find(|n| n.id() != leader.id())
+            .unwrap();
+        slow.state_machine()
+            .apply_delay_us
+            .store(3_000, std::sync::atomic::Ordering::Relaxed);
+        for i in 0..60u32 {
+            leader.propose(i.to_be_bytes().to_vec()).unwrap();
+        }
+        slow.state_machine()
+            .apply_delay_us
+            .store(0, std::sync::atomic::Ordering::Relaxed);
+        wait_converged(&group, 60);
+        let restores = cfs_obs::metrics::node(slow.id().0 as u64)
+            .histogram("raft_restore_ns")
+            .count();
+        assert!(restores > 0, "the slow follower caught up by snapshot");
+        group.shutdown();
+    }
+
+    #[test]
+    fn follower_less_than_a_threshold_behind_catches_up_by_append() {
+        // A follower misses a few entries just as the leader reaches its
+        // snapshot threshold. Compacting under it would turn those entries
+        // into a whole-state transfer (and skip their applies on it); the
+        // leader holds the compaction until the follower has them.
+        let net = Network::new(NetConfig::default());
+        let group = RaftGroup::spawn(&net, &ids(1140, 3), compacting_config(10), |_| {
+            CountSm::new()
+        });
+        let leader = group.wait_for_leader(Duration::from_secs(5)).unwrap();
+        let lagger = group
+            .nodes()
+            .into_iter()
+            .find(|n| n.id() != leader.id())
+            .unwrap();
+        for i in 0..5u32 {
+            leader.propose(i.to_be_bytes().to_vec()).unwrap();
+        }
+        net.kill(lagger.id());
+        for i in 5..15u32 {
+            leader.propose(i.to_be_bytes().to_vec()).unwrap();
+        }
+        assert_eq!(leader.snapshot_index(), 0, "compaction is on hold");
+        net.revive(lagger.id());
+        wait_converged(&group, 15);
+        let restores = cfs_obs::metrics::node(lagger.id().0 as u64)
+            .histogram("raft_restore_ns")
+            .count();
+        assert_eq!(restores, 0, "the follower was sent a snapshot");
+        // Its ack ends the wait.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while leader.snapshot_index() < 10 {
+            assert!(Instant::now() < deadline, "leader never compacted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        group.shutdown();
+    }
+
+    #[test]
+    fn deposed_leader_inline_sends_are_harmless() {
+        // A leader cut off from its group keeps its role until it hears a
+        // higher term. Healed, its next `propose` ships AppendEntries of the
+        // stale term straight from the proposing thread; followers must nack
+        // them, the proposal must fail, and the entry must never apply.
+        let net = hop_net();
+        let config = RaftConfig {
+            election_timeout_min: Duration::from_millis(300),
+            election_timeout_max: Duration::from_millis(600),
+            heartbeat_interval: Duration::from_millis(100),
+            ..Default::default()
+        };
+        let group = RaftGroup::spawn(&net, &ids(1130, 3), config, |_| CountSm::new());
+        let old = group.wait_for_leader(Duration::from_secs(10)).unwrap();
+        for i in 0..3u32 {
+            old.propose(i.to_be_bytes().to_vec()).unwrap();
+        }
+        let rest: Vec<NodeId> = ids(1130, 3)
+            .into_iter()
+            .filter(|&n| n != old.id())
+            .collect();
+        net.partition(vec![vec![old.id()], rest]);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let new = loop {
+            let claimant = group
+                .nodes()
+                .into_iter()
+                .find(|n| n.id() != old.id() && n.role() == Role::Leader);
+            if let Some(n) = claimant {
+                break n;
+            }
+            assert!(Instant::now() < deadline, "majority side never elected");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        for i in 3..6u32 {
+            new.propose(i.to_be_bytes().to_vec()).unwrap();
+        }
+        assert_eq!(old.role(), Role::Leader, "deposed, but not told yet");
+        net.heal();
+        let stale = old.propose(b"stale".to_vec());
+        assert!(
+            matches!(stale, Err(FsError::NotLeader(_))),
+            "stale-term proposal must fail, got {stale:?}"
+        );
+        // Exactly the six committed commands everywhere: the stale entry was
+        // overwritten, not applied.
+        wait_converged(&group, 6);
+        assert_eq!(old.role(), Role::Follower);
+        group.shutdown();
     }
 
     #[test]

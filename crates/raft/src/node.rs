@@ -123,8 +123,9 @@ struct NodeState {
     votes: HashSet<NodeId>,
     next_index: HashMap<NodeId, u64>,
     match_index: HashMap<NodeId, u64>,
-    /// Highest log index already shipped to each peer; new entries beyond
-    /// this trigger an immediate send instead of waiting for a heartbeat.
+    /// Highest log index already shipped to each peer. At or past the
+    /// peer's `next_index` it means a batch the peer has not answered is in
+    /// flight; an ack never lowers it, only a nack does.
     sent_to: HashMap<NodeId, u64>,
     election_deadline: Instant,
     next_heartbeat: Instant,
@@ -156,7 +157,10 @@ pub struct RaftNode<S: StateMachine> {
     net: Arc<Network>,
     sm: Arc<S>,
     st: Mutex<NodeState>,
+    /// Wakes the pump: a role change moved its deadline, or the node stopped.
     wake: Condvar,
+    /// Signalled whenever `applied` advances (ReadIndex readers wait on it).
+    applied_cv: Condvar,
     config: RaftConfig,
     obs: Obs,
     /// Durable state written through before replies are sent; `None` runs the
@@ -303,6 +307,7 @@ impl<S: StateMachine> RaftNode<S> {
                 stopped: false,
             }),
             wake: Condvar::new(),
+            applied_cv: Condvar::new(),
             config,
             obs: Obs::for_node(id),
             storage,
@@ -401,6 +406,7 @@ impl<S: StateMachine> RaftNode<S> {
         }
         drop(st);
         self.wake.notify_all();
+        self.applied_cv.notify_all();
     }
 
     /// Proposes a command, blocking until it commits and applies, and returns
@@ -441,8 +447,10 @@ impl<S: StateMachine> RaftNode<S> {
             self.obs.log_len.set(st.log.len() as i64);
             self.advance_commit(&mut st);
             self.apply_committed(&mut st);
+            for &peer in &self.peers {
+                self.replicate(&mut st, peer);
+            }
         }
-        self.wake.notify_all();
         let result = rx
             .recv_timeout(self.config.propose_timeout)
             .map_err(|_| FsError::Timeout)?;
@@ -525,7 +533,7 @@ impl<S: StateMachine> RaftNode<S> {
             if st.stopped {
                 return Err(FsError::Timeout);
             }
-            let timed_out = self.wake.wait_until(&mut st, deadline).timed_out();
+            let timed_out = self.applied_cv.wait_until(&mut st, deadline).timed_out();
             if timed_out && st.applied < index {
                 return Err(FsError::Timeout);
             }
@@ -554,19 +562,14 @@ impl<S: StateMachine> RaftNode<S> {
             let now = Instant::now();
             match st.role {
                 Role::Leader => {
-                    let heartbeat_due = now >= st.next_heartbeat;
-                    if heartbeat_due {
+                    // New entries leave with `propose` and with the acks
+                    // ([`Self::replicate`]); the heartbeat resends from
+                    // `next_index` whatever is in flight, which makes it the
+                    // retransmission of every lost message.
+                    if now >= st.next_heartbeat {
                         st.next_heartbeat = now + self.config.heartbeat_interval;
-                    }
-                    let last = last_index(&st);
-                    for peer in self.peers.clone() {
-                        let next = *st.next_index.get(&peer).unwrap_or(&1);
-                        let sent = *st.sent_to.get(&peer).unwrap_or(&0);
-                        // Ship new entries immediately; heartbeats double as
-                        // the retransmission safety net for lost messages.
-                        let have_new = last >= next && sent < last;
-                        if heartbeat_due || have_new {
-                            self.send_append(&mut st, peer, now);
+                        for &peer in &self.peers {
+                            self.send_append(&mut st, peer);
                         }
                     }
                 }
@@ -609,7 +612,7 @@ impl<S: StateMachine> RaftNode<S> {
             last_log_index: lli,
             last_log_term: llt,
         };
-        self.broadcast(st, msg);
+        self.broadcast(msg);
         // A one-node "majority" can already win (defensive; spawn handles the
         // single-node case directly).
         self.maybe_win(st, now);
@@ -661,7 +664,7 @@ impl<S: StateMachine> RaftNode<S> {
         self.degraded.load(Ordering::Relaxed)
     }
 
-    fn broadcast(&self, _st: &NodeState, msg: RaftMsg) {
+    fn broadcast(&self, msg: RaftMsg) {
         let env = Envelope { from: self.id, msg };
         let payload = frame(CH_RAFT, &env.to_bytes());
         for &peer in &self.peers {
@@ -674,8 +677,25 @@ impl<S: StateMachine> RaftNode<S> {
         self.net.send(self.id, to, frame(CH_RAFT, &env.to_bytes()));
     }
 
-    fn send_append(&self, st: &mut NodeState, peer: NodeId, now: Instant) {
-        let _ = now;
+    /// Ships `peer` the entries past what it has answered for, unless a batch
+    /// it has not answered is still in flight: its ack (or nack) ships the
+    /// next one, so entries proposed meanwhile ride one AppendEntries, and an
+    /// ack that finds newer entries never re-ships what is already under way.
+    fn replicate(&self, st: &mut NodeState, peer: NodeId) {
+        let next = *st.next_index.get(&peer).unwrap_or(&1);
+        let sent = *st.sent_to.get(&peer).unwrap_or(&0);
+        if sent < next && next <= last_index(st) {
+            self.send_append(st, peer);
+        }
+    }
+
+    /// Sends `peer` everything from its `next_index` on (one batch at most;
+    /// nothing but the commit index when it is caught up), or the snapshot
+    /// when that entry is compacted away.
+    fn send_append(&self, st: &mut NodeState, peer: NodeId) {
+        // A batch carries whatever was proposed since the last one, whoever
+        // happens to ship it: it belongs to no single operation's trace.
+        let _untraced = trace::ctx_scope(None);
         let next = *st.next_index.get(&peer).unwrap_or(&1);
         if next <= st.snap_index {
             // The entry the peer needs was compacted away: stream the
@@ -764,7 +784,7 @@ impl<S: StateMachine> RaftNode<S> {
         let round = st.ri_round;
         st.ri_inflight = Some((round, HashSet::new()));
         let term = st.term;
-        self.broadcast(st, RaftMsg::ReadIndexHeartbeat { term, round });
+        self.broadcast(RaftMsg::ReadIndexHeartbeat { term, round });
         self.ri_try_complete(st);
     }
 
@@ -991,24 +1011,14 @@ impl<S: StateMachine> RaftNode<S> {
                     return;
                 }
                 if success {
-                    let m = st.match_index.entry(from).or_insert(0);
-                    *m = (*m).max(match_index);
-                    st.next_index.insert(from, match_index + 1);
-                    self.advance_commit(&mut st);
-                    self.apply_committed(&mut st);
-                    if match_index < last_index(&st) {
-                        // Peer still lagging: ship the next batch promptly.
-                        st.sent_to.insert(from, match_index);
-                        drop(st);
-                        self.wake.notify_all();
-                    }
+                    self.peer_acked(&mut st, from, match_index);
                 } else {
+                    // The peer's log ends or diverges before `next_index`:
+                    // back up and retransmit from there (which also resets
+                    // `sent_to` to the end of the retransmitted batch).
                     let next = st.next_index.entry(from).or_insert(1);
                     *next = (match_index + 1).max(1).min((*next).max(2) - 1).max(1);
-                    let new_next = *next;
-                    st.sent_to.insert(from, new_next.saturating_sub(1));
-                    drop(st);
-                    self.wake.notify_all();
+                    self.send_append(&mut st, from);
                 }
             }
             RaftMsg::ReadIndexReq { id } => {
@@ -1157,7 +1167,7 @@ impl<S: StateMachine> RaftNode<S> {
                     self.obs.log_len.set(0);
                     self.obs.apply_lag.set(0);
                     // ReadIndex readers block on the applied index.
-                    self.wake.notify_all();
+                    self.applied_cv.notify_all();
                 }
                 // Stale snapshots (index <= applied) are acked with our real
                 // applied index: the applied prefix is committed, hence
@@ -1178,20 +1188,23 @@ impl<S: StateMachine> RaftNode<S> {
                 if st.role != Role::Leader || term != st.term || index == 0 {
                     return;
                 }
-                let m = st.match_index.entry(from).or_insert(0);
-                *m = (*m).max(index);
-                let matched = *m;
-                st.next_index.insert(from, matched + 1);
-                self.advance_commit(&mut st);
-                self.apply_committed(&mut st);
-                if matched < last_index(&st) {
-                    // Resume normal append for the tail past the snapshot.
-                    st.sent_to.insert(from, matched);
-                    drop(st);
-                    self.wake.notify_all();
-                }
+                // Normal append resumes for the tail past the snapshot.
+                self.peer_acked(&mut st, from, index);
             }
         }
+    }
+
+    /// `peer` holds the leader's log through `index`: records it (stale and
+    /// reordered acks never move anything backwards), commits and applies
+    /// what that allows, and ships the peer its next batch.
+    fn peer_acked(&self, st: &mut NodeState, peer: NodeId, index: u64) {
+        let m = st.match_index.entry(peer).or_insert(0);
+        *m = (*m).max(index);
+        let next = st.next_index.entry(peer).or_insert(1);
+        *next = (*next).max(index + 1);
+        self.advance_commit(st);
+        self.apply_committed(st);
+        self.replicate(st, peer);
     }
 
     fn advance_commit(&self, st: &mut NodeState) {
@@ -1242,14 +1255,14 @@ impl<S: StateMachine> RaftNode<S> {
                 let _ = tx.send(result);
             }
         }
-        if st.applied > applied_before {
-            self.maybe_compact(st);
-        }
+        // Also when nothing applied: the ack that brings the last follower up
+        // to date is what ends a deferred compaction's wait.
+        self.maybe_compact(st);
         self.obs.log_len.set(st.log.len() as i64);
         self.obs.apply_lag.set((st.commit - st.applied) as i64);
         if st.applied > applied_before {
             // ReadIndex readers block on the applied index; wake them.
-            self.wake.notify_all();
+            self.applied_cv.notify_all();
         }
     }
 
@@ -1257,9 +1270,25 @@ impl<S: StateMachine> RaftNode<S> {
     /// have applied since the last one. Runs under the state lock right
     /// after apply, so the image is exactly the prefix through `applied` —
     /// no concurrent apply can slip in between serialize and truncate.
+    ///
+    /// A leader waits — for at most another threshold's worth of entries —
+    /// while a follower that is keeping up (it has acknowledged past the last
+    /// snapshot) is still short of `applied`: truncating under it would cost
+    /// a whole-state InstallSnapshot for want of a few entries, and a replica
+    /// caught up by snapshot never applies (nor publishes change events for)
+    /// the entries the image covers.
     fn maybe_compact(&self, st: &mut NodeState) {
         let threshold = self.config.snapshot_threshold;
-        if threshold == 0 || st.applied - st.snap_index < threshold {
+        let backlog = st.applied - st.snap_index;
+        if threshold == 0 || backlog < threshold {
+            return;
+        }
+        let catching_up = |p: &NodeId| {
+            let matched = st.match_index.get(p).copied().unwrap_or(0);
+            (st.snap_index..st.applied).contains(&matched)
+        };
+        if st.role == Role::Leader && backlog < 2 * threshold && self.peers.iter().any(catching_up)
+        {
             return;
         }
         let started = Instant::now();

@@ -5,10 +5,12 @@ use std::time::{Duration, Instant};
 /// A latency model applied per network hop (and reusable for simulated disk
 /// sync costs elsewhere).
 ///
-/// Sub-millisecond waits are implemented by spinning on a monotonic clock —
-/// `thread::sleep` has far too coarse a granularity on general-purpose kernels
-/// to model microsecond datacenter RTTs — while longer waits use a real sleep
-/// so fault-injection tests with large delays do not burn CPU.
+/// Every wait — a call's hop, a one-way message's hop, a simulated fsync —
+/// follows one rule ([`busy_wait`]): short waits yield-loop on a monotonic
+/// clock, because `thread::sleep` is far too coarse on general-purpose kernels
+/// to model microsecond datacenter RTTs; longer waits sleep most of the way, so
+/// fault-injection tests with large delays do not burn CPU, and yield-loop
+/// only the last stretch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimLatency {
     /// Fixed base latency applied to every hop.
@@ -70,12 +72,22 @@ impl Default for SimLatency {
     }
 }
 
-/// Threshold below which waits yield-loop instead of sleeping.
-const YIELD_THRESHOLD: Duration = Duration::from_micros(500);
+/// Waits shorter than this yield-loop; longer ones sleep until this much is
+/// left and yield-loop the rest.
+pub(crate) const YIELD_THRESHOLD: Duration = Duration::from_micros(500);
+
+/// The one delay rule, shared by [`busy_wait`] (synchronous calls, simulated
+/// fsyncs) and the one-way delivery workers: how long a waiter whose deadline
+/// is `left` away may sleep before it has to yield-loop. `None` inside the
+/// last [`YIELD_THRESHOLD`] — `sleep` (and a timed condvar wait) overshoots
+/// by more than a datacenter hop, so the last stretch is never slept.
+pub(crate) fn sleepable(left: Duration) -> Option<Duration> {
+    left.checked_sub(YIELD_THRESHOLD).filter(|d| !d.is_zero())
+}
 
 /// Blocks for `d`.
 ///
-/// Sub-threshold waits loop on `thread::yield_now` rather than spinning or
+/// The last stretch loops on `thread::yield_now` rather than spinning or
 /// sleeping: `sleep` has far coarser granularity than datacenter RTTs, and a
 /// hot spin would starve the other simulated nodes on small machines — a
 /// "waiting on the network" thread must donate its CPU to the rest of the
@@ -84,11 +96,10 @@ pub fn busy_wait(d: Duration) {
     if d.is_zero() {
         return;
     }
-    if d >= YIELD_THRESHOLD {
-        std::thread::sleep(d);
-        return;
-    }
     let deadline = Instant::now() + d;
+    if let Some(coarse) = sleepable(d) {
+        std::thread::sleep(coarse);
+    }
     while Instant::now() < deadline {
         std::thread::yield_now();
     }
@@ -113,6 +124,30 @@ mod tests {
         let start = Instant::now();
         lat.wait(1);
         assert!(start.elapsed() >= Duration::from_micros(200));
+    }
+
+    #[test]
+    fn the_delay_rule_sleeps_only_outside_the_last_stretch() {
+        assert_eq!(sleepable(YIELD_THRESHOLD / 2), None);
+        assert_eq!(sleepable(YIELD_THRESHOLD), None);
+        assert_eq!(
+            sleepable(YIELD_THRESHOLD * 4),
+            Some(YIELD_THRESHOLD * 3),
+            "sleep until the threshold is left"
+        );
+        // A wait on the sleep branch still ends at its deadline, not after
+        // the sleep's overshoot (median of a few, as the box may be busy).
+        let d = YIELD_THRESHOLD * 4;
+        let mut took: Vec<Duration> = (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                busy_wait(d);
+                start.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[0] >= d);
+        assert!(took[2] < d + Duration::from_micros(50), "{took:?}");
     }
 
     #[test]

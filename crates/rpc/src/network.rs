@@ -10,7 +10,7 @@ use cfs_types::{FsError, FsResult, NodeId};
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::latency::SimLatency;
+use crate::latency::{self, SimLatency};
 use crate::rng::SimRng;
 use crate::stats::NetStats;
 
@@ -93,6 +93,30 @@ impl Ord for OnewayMsg {
     }
 }
 
+/// What the worker timing the queue's head is doing. At most one worker
+/// owns that timer; the others run handlers or are parked.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Timer {
+    /// Nobody is timing the head: the next free worker takes it.
+    Unowned,
+    /// The owner yield-loops and re-reads the head every turn, so a new head
+    /// needs no notification.
+    Yielding,
+    /// The owner sleeps on `timer_cv` and must be woken for an earlier head.
+    Sleeping,
+}
+
+/// Pending one-way messages ordered by delivery time, and who is waiting
+/// for them.
+struct Queue {
+    heap: std::collections::BinaryHeap<OnewayMsg>,
+    timer: Timer,
+    /// Workers blocked on `parked_cv` with nothing to do.
+    parked: usize,
+    /// Sequence number of the next message queued.
+    next_seq: u64,
+}
+
 struct Inner {
     services: RwLock<HashMap<NodeId, Arc<dyn Service>>>,
     dead: RwLock<HashSet<NodeId>>,
@@ -108,13 +132,65 @@ struct Inner {
     rng_root: SimRng,
     /// Per-connection message counters indexing the connection's stream.
     conn_seq: RwLock<HashMap<(NodeId, NodeId), Arc<AtomicU64>>>,
-    /// Pending one-way messages ordered by delivery time. Workers pop
-    /// messages whose time has come; waits for different messages overlap
-    /// (a network keeps all in-flight messages moving concurrently).
-    queue: Mutex<std::collections::BinaryHeap<OnewayMsg>>,
-    queue_cv: parking_lot::Condvar,
-    oneway_seq: AtomicU64,
+    /// One worker times the head by the delay rule of [`latency`]; the rest
+    /// run handlers or park, so waits for different messages overlap (a
+    /// network keeps all in-flight messages moving concurrently).
+    queue: Mutex<Queue>,
+    /// Parked workers wait here for a head to time.
+    parked_cv: parking_lot::Condvar,
+    /// The timer's owner sleeps here while the head is far away.
+    timer_cv: parking_lot::Condvar,
     shutdown: AtomicBool,
+}
+
+impl Inner {
+    /// Queues a one-way message for delivery at `deliver_at`; messages with
+    /// equal delivery times keep the order they were queued in.
+    fn enqueue(&self, from: NodeId, to: NodeId, payload: Vec<u8>, deliver_at: Instant) {
+        let mut queue = self.queue.lock();
+        let seq = queue.next_seq;
+        queue.next_seq += 1;
+        queue.heap.push(OnewayMsg {
+            from,
+            to,
+            payload,
+            deliver_at,
+            seq,
+        });
+        // Only a new head changes what anybody waits for.
+        if queue.heap.peek().is_some_and(|head| head.seq == seq) {
+            match queue.timer {
+                Timer::Sleeping => self.timer_cv.notify_one(),
+                Timer::Yielding => {}
+                Timer::Unowned => {
+                    if queue.parked > 0 {
+                        self.parked_cv.notify_one();
+                    }
+                }
+            }
+        }
+    }
+
+    fn reachable(&self, from: NodeId, to: NodeId) -> bool {
+        {
+            let dead = self.dead.read();
+            // A killed node can neither receive nor send.
+            if dead.contains(&to) || dead.contains(&from) {
+                return false;
+            }
+        }
+        let parts = self.partitions.read();
+        if parts.is_empty() {
+            return true;
+        }
+        let ga = parts.iter().position(|g| g.contains(&from));
+        let gb = parts.iter().position(|g| g.contains(&to));
+        match (ga, gb) {
+            (Some(a), Some(b)) => a == b,
+            // A node outside every group is unrestricted.
+            _ => true,
+        }
+    }
 }
 
 /// The simulated cluster network. Cheap to clone via `Arc`.
@@ -136,9 +212,14 @@ impl Network {
             seed: config.seed,
             rng_root: SimRng::from_seed(config.seed),
             conn_seq: RwLock::new(HashMap::new()),
-            queue: Mutex::new(std::collections::BinaryHeap::new()),
-            queue_cv: parking_lot::Condvar::new(),
-            oneway_seq: AtomicU64::new(0),
+            queue: Mutex::new(Queue {
+                heap: std::collections::BinaryHeap::new(),
+                timer: Timer::Unowned,
+                parked: 0,
+                next_seq: 0,
+            }),
+            parked_cv: parking_lot::Condvar::new(),
+            timer_cv: parking_lot::Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
         let mut workers = Vec::new();
@@ -213,27 +294,6 @@ impl Network {
         self.inner.seed
     }
 
-    fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        {
-            let dead = self.inner.dead.read();
-            // A killed node can neither receive nor send.
-            if dead.contains(&to) || dead.contains(&from) {
-                return false;
-            }
-        }
-        let parts = self.inner.partitions.read();
-        if parts.is_empty() {
-            return true;
-        }
-        let ga = parts.iter().position(|g| g.contains(&from));
-        let gb = parts.iter().position(|g| g.contains(&to));
-        match (ga, gb) {
-            (Some(a), Some(b)) => a == b,
-            // A node outside every group is unrestricted.
-            _ => true,
-        }
-    }
-
     /// The next decision value for the `from → to` connection: a pure
     /// function of (seed, from, to, per-connection sequence number). One
     /// connection's draw count never perturbs another's stream, so a replay
@@ -273,7 +333,7 @@ impl Network {
     /// counters always observe the *inner* payload, so hop/byte figures are
     /// identical with tracing on or off.
     pub fn call(&self, from: NodeId, to: NodeId, payload: &[u8]) -> FsResult<Vec<u8>> {
-        if !self.reachable(from, to) {
+        if !self.inner.reachable(from, to) {
             self.inner.stats.unreachable.inc();
             return Err(FsError::Timeout);
         }
@@ -305,7 +365,7 @@ impl Network {
         };
         // The destination may have been killed while the handler ran; in that
         // case the response is lost.
-        if !self.reachable(from, to) {
+        if !self.inner.reachable(from, to) {
             self.inner.stats.unreachable.inc();
             return Err(FsError::Timeout);
         }
@@ -330,7 +390,7 @@ impl Network {
             self.inner.stats.dropped.inc();
             return;
         }
-        if !self.reachable(from, to) {
+        if !self.inner.reachable(from, to) {
             self.inner.stats.dropped.inc();
             return;
         }
@@ -342,22 +402,21 @@ impl Network {
             Some(ctx) if trace::enabled() => trace::wire_wrap(ctx, &payload),
             _ => payload,
         };
-        let seq = self.inner.oneway_seq.fetch_add(1, Ordering::Relaxed);
-        self.inner.queue.lock().push(OnewayMsg {
-            from,
-            to,
-            payload,
-            deliver_at: Instant::now() + delay,
-            seq,
-        });
-        self.inner.queue_cv.notify_one();
+        self.inner
+            .enqueue(from, to, payload, Instant::now() + delay);
     }
 }
 
 impl Drop for Network {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.queue_cv.notify_all();
+        {
+            // Under the lock, so no worker sits between its shutdown check
+            // and its wait when the notifications go out.
+            let _queue = self.inner.queue.lock();
+            self.inner.parked_cv.notify_all();
+            self.inner.timer_cv.notify_all();
+        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -365,47 +424,79 @@ impl Drop for Network {
 }
 
 fn oneway_worker(inner: Arc<Inner>) {
+    while let Some(msg) = next_due(&inner) {
+        deliver(&inner, msg);
+    }
+}
+
+/// Blocks until a message's delivery time has come and returns it, or `None`
+/// at shutdown.
+///
+/// The caller either parks or owns the timer for the queue's head, which it
+/// waits out by the delay rule calls obey ([`latency::sleepable`]): sleep
+/// while the head is far, yield-loop the last stretch — with the queue lock
+/// released, re-reading the head every turn.
+fn next_due(inner: &Inner) -> Option<OnewayMsg> {
+    let mut queue = inner.queue.lock();
     loop {
-        let msg = {
-            let mut queue = inner.queue.lock();
-            loop {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let now = Instant::now();
-                match queue.peek() {
-                    Some(head) if head.deliver_at <= now => break queue.pop().expect("peeked"),
-                    Some(head) => {
-                        let wait = head.deliver_at - now;
-                        inner.queue_cv.wait_for(&mut queue, wait);
-                    }
-                    None => {
-                        inner.queue_cv.wait(&mut queue);
-                    }
-                }
-            }
-        };
-        // Re-check reachability at delivery time: a partition installed while
-        // the message was in flight cuts it off.
-        let dead = inner.dead.read().contains(&msg.to);
-        if dead {
-            inner.stats.dropped.inc();
-            continue;
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return None;
         }
-        let svc = {
-            let services = inner.services.read();
-            services.get(&msg.to).cloned()
-        };
-        if let Some(svc) = svc {
-            let _node = trace::node_scope(msg.to.0 as u64);
-            match trace::wire_unwrap(&msg.payload) {
-                Some((ctx, stripped)) => {
-                    let _ctx = trace::ctx_scope(Some(ctx));
-                    let _span = trace::span("rpc.oneway");
-                    svc.handle_oneway(msg.from, stripped);
-                }
-                None => svc.handle_oneway(msg.from, &msg.payload),
+        let head_at = match queue.heap.peek() {
+            Some(head) if queue.timer == Timer::Unowned => head.deliver_at,
+            _ => {
+                queue.parked += 1;
+                inner.parked_cv.wait(&mut queue);
+                queue.parked -= 1;
+                continue;
             }
+        };
+        let now = Instant::now();
+        if head_at <= now {
+            let msg = queue.heap.pop().expect("peeked");
+            // Promote a parked worker before the handler runs: it times the
+            // next head, so a handler that blocks stalls nobody else.
+            if !queue.heap.is_empty() && queue.parked > 0 {
+                inner.parked_cv.notify_one();
+            }
+            return Some(msg);
+        }
+        match latency::sleepable(head_at - now) {
+            Some(coarse) => {
+                queue.timer = Timer::Sleeping;
+                inner.timer_cv.wait_for(&mut queue, coarse);
+            }
+            None => {
+                queue.timer = Timer::Yielding;
+                drop(queue);
+                std::thread::yield_now();
+                queue = inner.queue.lock();
+            }
+        }
+        queue.timer = Timer::Unowned;
+    }
+}
+
+fn deliver(inner: &Inner, msg: OnewayMsg) {
+    // Re-check reachability at delivery time: a kill or a partition installed
+    // while the message was in flight cuts it off.
+    if !inner.reachable(msg.from, msg.to) {
+        inner.stats.dropped.inc();
+        return;
+    }
+    let svc = {
+        let services = inner.services.read();
+        services.get(&msg.to).cloned()
+    };
+    if let Some(svc) = svc {
+        let _node = trace::node_scope(msg.to.0 as u64);
+        match trace::wire_unwrap(&msg.payload) {
+            Some((ctx, stripped)) => {
+                let _ctx = trace::ctx_scope(Some(ctx));
+                let _span = trace::span("rpc.oneway");
+                svc.handle_oneway(msg.from, stripped);
+            }
+            None => svc.handle_oneway(msg.from, &msg.payload),
         }
     }
 }
@@ -484,6 +575,201 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(counter.0.load(Ordering::SeqCst), 10);
+    }
+
+    /// Records how long after its send each one-way message was handled;
+    /// the payload carries the send time as nanoseconds since `epoch`.
+    struct Stopwatch {
+        epoch: Instant,
+        lags: Mutex<Vec<Duration>>,
+    }
+
+    impl Service for Stopwatch {
+        fn handle(&self, _from: NodeId, payload: &[u8]) -> Vec<u8> {
+            let sent = u64::from_le_bytes(payload.try_into().unwrap());
+            let lag = self.epoch.elapsed() - Duration::from_nanos(sent);
+            self.lags.lock().push(lag);
+            Vec::new()
+        }
+    }
+
+    /// Median send→handle time of `n` one-way messages sent one at a time
+    /// over a `hop`-latency network with the workers idle in between.
+    fn median_oneway_lag(hop: Duration, n: usize) -> Duration {
+        let net = Network::new(NetConfig {
+            hop_latency: SimLatency::fixed(hop),
+            oneway_workers: 4,
+            ..NetConfig::default()
+        });
+        let watch = Arc::new(Stopwatch {
+            epoch: Instant::now(),
+            lags: Mutex::new(Vec::new()),
+        });
+        net.register(NodeId(5), watch.clone());
+        for i in 0..n {
+            let sent = watch.epoch.elapsed().as_nanos() as u64;
+            net.send(NodeId(0), NodeId(5), sent.to_le_bytes().to_vec());
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while watch.lags.lock().len() <= i && Instant::now() < deadline {
+                std::thread::sleep(hop / 4);
+            }
+        }
+        let mut lags = watch.lags.lock().clone();
+        assert_eq!(lags.len(), n, "every message is delivered");
+        lags.sort();
+        lags[n / 2]
+    }
+
+    #[test]
+    fn oneway_delivery_is_punctual_below_the_yield_threshold() {
+        // A 200 µs hop is yield-looped: delivery must not carry the 50–100 µs
+        // a timed condvar wait overshoots by. Margin: 50 µs.
+        let hop = Duration::from_micros(200);
+        assert!(hop < latency::YIELD_THRESHOLD);
+        let median = median_oneway_lag(hop, 41);
+        assert!(median >= hop, "delivered early: {median:?}");
+        assert!(
+            median <= hop + Duration::from_micros(50),
+            "median send→handle {median:?} for a {hop:?} hop"
+        );
+    }
+
+    #[test]
+    fn oneway_delivery_is_punctual_on_the_sleep_branch() {
+        // A 2 ms hop is slept until YIELD_THRESHOLD before the deadline and
+        // yield-looped from there, so the sleep's overshoot never shows.
+        // Margin: 50 µs.
+        let hop = Duration::from_millis(2);
+        assert!(latency::sleepable(hop).is_some());
+        let median = median_oneway_lag(hop, 21);
+        assert!(median >= hop, "delivered early: {median:?}");
+        assert!(
+            median <= hop + Duration::from_micros(50),
+            "median send→handle {median:?} for a {hop:?} hop"
+        );
+    }
+
+    /// Appends each payload's first byte, in handling order.
+    struct Recorder(Mutex<Vec<u8>>);
+
+    impl Service for Recorder {
+        fn handle(&self, _from: NodeId, payload: &[u8]) -> Vec<u8> {
+            self.0.lock().push(payload[0]);
+            Vec::new()
+        }
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn equal_deadline_messages_keep_send_order() {
+        // One worker, so handling order is delivery order.
+        let net = Network::new(NetConfig {
+            oneway_workers: 1,
+            ..NetConfig::default()
+        });
+        let seen = Arc::new(Recorder(Mutex::new(Vec::new())));
+        net.register(NodeId(5), seen.clone());
+        let at = Instant::now() + Duration::from_millis(2);
+        for i in 0..100u8 {
+            net.inner.enqueue(NodeId(0), NodeId(5), vec![i], at);
+        }
+        wait_for("100 deliveries", || seen.0.lock().len() == 100);
+        assert_eq!(*seen.0.lock(), (0..100).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn message_cut_off_in_flight_is_dropped_at_delivery() {
+        let net = Network::new(NetConfig {
+            hop_latency: SimLatency::fixed(Duration::from_millis(20)),
+            ..NetConfig::default()
+        });
+        let counter = Arc::new(Counter(AtomicUsize::new(0)));
+        net.register(NodeId(5), counter.clone());
+        net.register(NodeId(6), counter.clone());
+        // Both pass the reachability check at send time...
+        net.send(NodeId(0), NodeId(5), vec![1]);
+        net.send(NodeId(0), NodeId(6), vec![1]);
+        assert_eq!(net.stats().snapshot().dropped, 0);
+        // ...and are cut off before their hop is over.
+        net.kill(NodeId(5));
+        net.partition(vec![vec![NodeId(0)], vec![NodeId(6)]]);
+        wait_for("both drops", || net.stats().snapshot().dropped == 2);
+        assert_eq!(counter.0.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn drop_joins_a_spinning_and_a_sleeping_timer_owner() {
+        // Below the yield threshold the timer's owner yield-loops, above it
+        // sleeps on its condvar; dropping the network must stop either
+        // without waiting the hop out.
+        for hop in [Duration::from_micros(450), Duration::from_secs(30)] {
+            let net = Network::new(NetConfig {
+                hop_latency: SimLatency::fixed(hop),
+                ..NetConfig::default()
+            });
+            net.register(NodeId(5), Arc::new(Echo));
+            net.send(NodeId(0), NodeId(5), vec![1]);
+            // Let a worker take the timer.
+            std::thread::sleep(Duration::from_micros(100));
+            let started = Instant::now();
+            drop(net);
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "drop waited out a {hop:?} hop"
+            );
+        }
+    }
+
+    /// Blocks in its handler until released.
+    struct Gate {
+        entered: AtomicBool,
+        open: AtomicBool,
+    }
+
+    impl Service for Gate {
+        fn handle(&self, _from: NodeId, _payload: &[u8]) -> Vec<u8> {
+            self.entered.store(true, Ordering::SeqCst);
+            while !self.open.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn blocked_handler_does_not_stall_other_due_messages() {
+        let net = Network::new(NetConfig {
+            hop_latency: SimLatency::fixed(Duration::from_micros(100)),
+            oneway_workers: 2,
+            ..NetConfig::default()
+        });
+        let gate = Arc::new(Gate {
+            entered: AtomicBool::new(false),
+            open: AtomicBool::new(false),
+        });
+        let counter = Arc::new(Counter(AtomicUsize::new(0)));
+        net.register(NodeId(5), gate.clone());
+        net.register(NodeId(6), counter.clone());
+        net.send(NodeId(0), NodeId(5), vec![1]);
+        wait_for("the blocking handler to start", || {
+            gate.entered.load(Ordering::SeqCst)
+        });
+        // One of the two workers is stuck in the handler; the other one must
+        // have been promoted to time and deliver what follows.
+        for _ in 0..10 {
+            net.send(NodeId(0), NodeId(6), vec![1]);
+        }
+        wait_for("deliveries past the blocked handler", || {
+            counter.0.load(Ordering::SeqCst) == 10
+        });
+        gate.open.store(true, Ordering::SeqCst);
     }
 
     #[test]

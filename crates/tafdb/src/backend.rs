@@ -14,6 +14,9 @@ use crate::api::{ShardCmd, TafRequest, TafResponse};
 use crate::locking::{LockManager, TxnService};
 use crate::shard::{CdcHandoff, TafShard};
 
+/// The replica of every group that keeps the change stream the GC watches.
+const WATCHED_REPLICA: usize = 0;
+
 /// One shard's replicated deployment: a Raft group of [`TafShard`] state
 /// machines with the client (`CH_APP`) and transaction (`CH_TXN`) services
 /// mounted on every replica's mux.
@@ -43,7 +46,10 @@ impl TafBackendGroup {
             net,
             node_ids,
             raft_config,
-            |_| Arc::new(TafShard::new(KvConfig::default()).expect("shard init")),
+            |i| {
+                let stream = (i == WATCHED_REPLICA).then(CdcHandoff::fresh);
+                Arc::new(TafShard::new_with_cdc(KvConfig::default(), stream).expect("shard init"))
+            },
             &storages,
         );
         let mut locks = Vec::new();
@@ -88,7 +94,7 @@ impl TafBackendGroup {
     /// fresh lock manager and service stack are mounted, and the address
     /// rejoins the network.
     ///
-    /// The crashed incarnation's CDC stream is handed over to the rebuilt
+    /// The watched replica's CDC stream is handed over to the rebuilt
     /// shard (the stream, like the [`RaftStorage`], plays the role of
     /// machine-local state that survives a process kill): events the garbage
     /// collector has not drained yet stay available, its watch cursors stay
@@ -97,14 +103,13 @@ impl TafBackendGroup {
         let handoff = {
             let nodes = self.group.nodes();
             let old = nodes[i].state_machine();
-            CdcHandoff {
-                wal: old.cdc().clone(),
+            old.cdc().map(|stream| CdcHandoff {
+                wal: stream.clone(),
                 emitted_through: old.applied_index(),
-            }
+            })
         };
-        let sm = Arc::new(
-            TafShard::new_with_cdc(KvConfig::default(), Some(handoff)).expect("shard init"),
-        );
+        let sm =
+            Arc::new(TafShard::new_with_cdc(KvConfig::default(), handoff).expect("shard init"));
         let (node, mux) = self.group.restart_replica(i, sm);
         let lm = Self::mount_services(&node, &mux);
         self.locks.write()[i] = lm;
@@ -130,6 +135,16 @@ impl TafBackendGroup {
     /// disk-full / torn-write / fsync faults (`None` for memory-only nodes).
     pub fn replica_faults(&self, i: usize) -> Option<Arc<cfs_wal::FaultFs>> {
         self.group.storage(i).map(|s| Arc::clone(s.faults()))
+    }
+
+    /// The change stream of this group: the watched replica's, which carries
+    /// every event because every replica applies every committed command.
+    pub fn cdc(&self) -> cfs_wal::Wal {
+        self.group.nodes()[WATCHED_REPLICA]
+            .state_machine()
+            .cdc()
+            .expect("the watched replica keeps a stream")
+            .clone()
     }
 
     /// The shard this group serves.

@@ -239,8 +239,11 @@ pub struct TafShard {
     /// live here).
     prepared: Mutex<HashMap<u64, Vec<Staged>>>,
     metrics: Arc<ShardMetrics>,
-    /// Logical change stream consumed by the garbage collector (§4.4).
-    cdc: cfs_wal::Wal,
+    /// Logical change stream consumed by the garbage collector (§4.4), on
+    /// the one replica of the group the collector watches: every replica
+    /// applies every command, so one stream carries every event, and a
+    /// stream nobody reads would only grow.
+    cdc: Option<cfs_wal::Wal>,
     /// Migration state (replicated through `ShardCmd`s).
     mig: Mutex<MigState>,
     /// Per-directory generation numbers, bumped whenever a replicated write
@@ -262,8 +265,9 @@ pub struct TafShard {
     cdc_barrier: u64,
 }
 
-/// The CDC stream carried over from a crashed replica into its restarted
-/// incarnation.
+/// The CDC stream a shard publishes onto: a fresh one
+/// ([`CdcHandoff::fresh`]) for a new watched replica, or the one carried over
+/// from a crashed replica into its restarted incarnation.
 ///
 /// The change stream is replica-local plumbing to the garbage collector, so
 /// it is excluded from snapshot images — but it must also never *lose* the
@@ -281,18 +285,29 @@ pub struct CdcHandoff {
     pub emitted_through: u64,
 }
 
+impl CdcHandoff {
+    /// An empty stream nothing was emitted onto yet.
+    pub fn fresh() -> CdcHandoff {
+        CdcHandoff {
+            wal: cfs_wal::Wal::new_in_memory(),
+            emitted_through: 0,
+        }
+    }
+}
+
 impl TafShard {
-    /// Creates a shard over a store with the given config.
+    /// Creates a shard over a store with the given config, publishing no
+    /// change stream.
     pub fn new(kv_config: KvConfig) -> FsResult<TafShard> {
         Self::new_with_cdc(kv_config, None)
     }
 
-    /// Like [`TafShard::new`], but resuming a crashed replica's CDC stream
-    /// instead of starting a fresh one (see [`CdcHandoff`]).
-    pub fn new_with_cdc(kv_config: KvConfig, handoff: Option<CdcHandoff>) -> FsResult<TafShard> {
-        let (cdc, cdc_barrier) = match handoff {
-            Some(h) => (h.wal, h.emitted_through),
-            None => (cfs_wal::Wal::new_in_memory(), 0),
+    /// Like [`TafShard::new`], but publishing its changes onto `stream`: a
+    /// fresh one, or a crashed replica's (see [`CdcHandoff`]).
+    pub fn new_with_cdc(kv_config: KvConfig, stream: Option<CdcHandoff>) -> FsResult<TafShard> {
+        let (cdc, cdc_barrier) = match stream {
+            Some(h) => (Some(h.wal), h.emitted_through),
+            None => (None, 0),
         };
         Ok(TafShard {
             kv: KvStore::with_config(kv_config)?,
@@ -319,19 +334,21 @@ impl TafShard {
         mig.moved.iter().map(|&(_, _, e)| e).max().unwrap_or(0)
     }
 
-    /// The logical change stream (CDC) of this shard.
-    pub fn cdc(&self) -> &cfs_wal::Wal {
-        &self.cdc
+    /// The logical change stream (CDC) of this shard, if this is the
+    /// replica that publishes one.
+    pub fn cdc(&self) -> Option<&cfs_wal::Wal> {
+        self.cdc.as_ref()
     }
 
     fn emit(&self, event: cfs_types::CdcEvent) {
+        let Some(cdc) = &self.cdc else { return };
         // Log replay at or below the handoff barrier re-applies commands
         // whose events the crashed incarnation already emitted onto this
         // same stream; emitting again would double-count GC work.
         if self.applying_index.load(Ordering::Relaxed) <= self.cdc_barrier {
             return;
         }
-        let _ = self.cdc.append(event.to_bytes());
+        let _ = cdc.append(event.to_bytes());
     }
 
     /// The shard's metrics handle (shared with the lock manager).

@@ -415,6 +415,17 @@ impl WalWatcher {
     pub fn position(&self) -> u64 {
         self.next
     }
+
+    /// Drops from the log every entry this cursor has already returned
+    /// ([`Wal::truncate_prefix`] behind the cursor): how a stream's one
+    /// consumer keeps it bounded. Other cursors behind this one lose the
+    /// released entries.
+    pub fn release_consumed(&self) {
+        let log = Wal {
+            inner: Arc::clone(&self.inner),
+        };
+        log.truncate_prefix(self.next - 1);
+    }
 }
 
 /// On-disk entry layout: `len(varint) seq(varint) crc(4 bytes LE) payload`.

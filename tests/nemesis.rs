@@ -105,8 +105,8 @@ fn read_index_nemesis_sweep_passes_divergence_oracle() {
 /// snapshot + log WAL) and `slow_fsync` windows (every TafDB log fsync
 /// stalls). Acknowledged writes must survive replicas being reconstructed
 /// from disk mid-workload — zero oracle divergences — and because snapshots
-/// compact the log behind them, no TafDB replica's post-run log may have
-/// grown past the `test_small` snapshot threshold (48) plus one
+/// compact the log behind them, no TafDB or FileStore replica's post-run log
+/// may have grown past the `test_small` snapshot threshold (48) plus one
 /// inter-compaction stride.
 #[test]
 fn restart_nemesis_sweep_passes_divergence_oracle() {
@@ -124,6 +124,12 @@ fn restart_nemesis_sweep_passes_divergence_oracle() {
             "seed {seed}: a TafDB replica's raft log grew to {} entries — \
              compaction is not bounding the log",
             report.max_taf_log_len
+        );
+        assert!(
+            report.max_fs_log_len < 96,
+            "seed {seed}: a FileStore replica's raft log grew to {} entries — \
+             compaction is not bounding the log",
+            report.max_fs_log_len
         );
     }
 }
