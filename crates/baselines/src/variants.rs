@@ -220,26 +220,9 @@ impl BaselineCluster {
         &self.net
     }
 
-    /// The TafDB backend groups (metrics access).
+    /// The TafDB backend groups.
     pub fn taf_groups(&self) -> &[TafBackendGroup] {
         &self.taf_groups
-    }
-
-    /// Aggregated shard metrics across the deployment.
-    pub fn shard_metrics(&self) -> cfs_tafdb::shard::ShardMetricsSnapshot {
-        let mut total = cfs_tafdb::shard::ShardMetricsSnapshot::default();
-        for g in &self.taf_groups {
-            let m = g.metrics_snapshot();
-            total.lock_wait_ns += m.lock_wait_ns;
-            total.lock_hold_ns += m.lock_hold_ns;
-            total.lock_acquisitions += m.lock_acquisitions;
-            total.lock_contentions += m.lock_contentions;
-            total.primitives += m.primitives;
-            total.primitive_failures += m.primitive_failures;
-            total.txn_commits += m.txn_commits;
-            total.txn_aborts += m.txn_aborts;
-        }
-        total
     }
 
     /// Creates a file system handle for a new client.

@@ -191,7 +191,7 @@ fn main() {
         println!(
             "{:>11}% {:>12} {:>12} {:>12} {:>12} {:>9.1}%",
             (cont * 100.0) as u32,
-            fmt_ns(r.summary().mean_ns),
+            fmt_ns(r.latency.mean_ns),
             fmt_ns(lock),
             fmt_ns(exec),
             fmt_ns(other),

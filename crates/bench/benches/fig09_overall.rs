@@ -58,7 +58,7 @@ fn main() {
                 ..Default::default()
             };
             let r1 = run_op_bench(|_| system.client(), op, &opts1);
-            lat[oi][si] = r1.summary().mean_ns;
+            lat[oi][si] = r1.latency.mean_ns;
         }
     }
 

@@ -56,7 +56,7 @@ fn main() {
             prepare_op_workload(&system.client(), op, &opts).expect("prepare");
             let r = run_op_bench(|_| system.client(), op, &opts);
             tput[oi][vi] = r.throughput();
-            lat[oi][vi] = r.summary().mean_ns;
+            lat[oi][vi] = r.latency.mean_ns;
         }
     }
 

@@ -74,7 +74,7 @@ fn main() {
                 system.name(),
                 r.fsops.throughput(),
                 r.metadata_throughput(),
-                r.fsops.summary().p999_ns,
+                r.fsops.latency.p999_ns,
                 r.fsops.errors,
             ));
         }

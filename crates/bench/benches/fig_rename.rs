@@ -74,7 +74,7 @@ fn main() {
                 }
             }
         });
-        let s = r.summary();
+        let s = r.latency;
         rows.push((system.name(), r.throughput(), s.p99_ns, s.p999_ns));
     }
     let cfs_tput = rows.last().map(|r| r.1).unwrap_or(0.0);

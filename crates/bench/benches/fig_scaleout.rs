@@ -18,7 +18,7 @@ use cfs_bench::{
     write_bench_json, Json, ServiceTime,
 };
 use cfs_core::CfsCluster;
-use cfs_harness::metrics::{fmt_ns, fmt_ops, Histogram};
+use cfs_harness::metrics::{fmt_ns, fmt_ops, Summary};
 use cfs_harness::workload::{prepare_op_workload, run_op_bench, MetaOp, WorkloadOptions};
 use cfs_types::ShardId;
 
@@ -112,22 +112,21 @@ fn main() {
     );
     println!();
 
-    // Migration counters, de-duplicated across replicas by the backend and
-    // summed over groups.
+    // Migration counters: every replica of a group counts the replicated
+    // migration commands, so read one replica's — the leader has applied
+    // them all — and sum over groups. This process booted one cluster, so
+    // the registries hold nothing else.
     let (mut donated, mut received, mut streamed) = (0u64, 0u64, 0u64);
     for g in cluster.taf_groups() {
-        let m = g.metrics_snapshot();
-        donated += m.ranges_donated;
-        received += m.ranges_received;
-        streamed += m.keys_streamed;
+        let leader = g.raft().leader().expect("group has a leader").id();
+        let reg = cfs_obs::metrics::node(leader.0 as u64);
+        donated += reg.counter("shard_ranges_donated").get();
+        received += reg.counter("shard_ranges_received").get();
+        streamed += reg.counter("shard_keys_streamed").get();
     }
-    let mut freeze = Histogram::new();
-    let mut tail = 0u64;
-    for st in &stats {
-        freeze.record(st.freeze.as_nanos() as u64);
-        tail += st.tail_len;
-    }
-    let f = freeze.summary();
+    let mut freeze: Vec<u64> = stats.iter().map(|st| st.freeze.as_nanos() as u64).collect();
+    let tail: u64 = stats.iter().map(|st| st.tail_len).sum();
+    let f = Summary::from_samples(&mut freeze);
     println!("  migration: ranges donated={donated} received={received}");
     println!("  streamed {streamed} kv entries in export pages, {tail} via freeze tails");
     println!(

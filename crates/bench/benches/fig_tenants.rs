@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use cfs_bench::{banner, bench_cfs_config, cell_duration, expectation, write_bench_json, Json};
 use cfs_core::{CfsClient, CfsCluster, FileSystem};
 use cfs_harness::bench_scale;
-use cfs_harness::metrics::{fmt_ns, Histogram};
+use cfs_harness::metrics::{fmt_ns, Summary};
 use cfs_volume::QosConfig;
 
 /// Victim clients: few, paced — the tenant QoS exists to protect.
@@ -53,27 +53,23 @@ const NOISY_SHARE: QosConfig = QosConfig {
 };
 
 struct ArmResult {
-    victim_lat: Histogram,
+    victim_lat: Summary,
     victim_ops: u64,
     noisy_ops: u64,
     noisy_errors: u64,
-    /// Summed per-tenant cfs-obs counter deltas for this arm, keyed by
+    /// Per-tenant cfs-obs counter deltas for this arm, keyed by
     /// metric suffix, per volume: (victim, noisy).
     qos_counters: Vec<(&'static str, u64, u64)>,
     /// `(inodes, bytes)` usage per tenant read back from the quota records.
     usage: Vec<(i64, i64)>,
 }
 
-/// Sums a tenant counter across a set of client node registries.
-fn counter_total(clients: &[&CfsClient], vol: u16, suffix: &str) -> u64 {
-    clients
-        .iter()
-        .map(|c| {
-            cfs_obs::metrics::node(u64::from(c.taf().node().0))
-                .counter(&format!("tenant.vol{vol}.{suffix}"))
-                .get()
-        })
-        .sum()
+/// One tenant counter of the cluster's shared limiter, which records into
+/// the registry of the thread that booted the cluster: this one.
+fn tenant_counter(vol: u16, suffix: &str) -> u64 {
+    cfs_obs::metrics::local()
+        .counter(&format!("tenant.vol{vol}.{suffix}"))
+        .get()
 }
 
 fn run_arm(with_noisy: bool, qos_on: bool) -> ArmResult {
@@ -112,13 +108,7 @@ fn run_arm(with_noisy: bool, qos_on: bool) -> ArmResult {
     let noisy_handles: Vec<CfsClient> = (0..noisy_clients()).map(|_| mk_client(noisy)).collect();
     let before: Vec<(&'static str, u64, u64)> = ["ops", "throttle_waits", "rejects"]
         .into_iter()
-        .map(|s| {
-            (
-                s,
-                counter_total(&victim_handles.iter().collect::<Vec<_>>(), victim.0, s),
-                counter_total(&noisy_handles.iter().collect::<Vec<_>>(), noisy.0, s),
-            )
-        })
+        .map(|s| (s, tenant_counter(victim.0, s), tenant_counter(noisy.0, s)))
         .collect();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -156,32 +146,27 @@ fn run_arm(with_noisy: bool, qos_on: bool) -> ArmResult {
             .enumerate()
             .map(|(t, c)| {
                 scope.spawn(move || {
-                    let mut lat = Histogram::new();
-                    let mut ok = 0u64;
+                    let mut lat: Vec<u64> = Vec::new();
                     let start = Instant::now();
                     let mut i = 0u64;
                     while start.elapsed() < deadline {
                         let t0 = Instant::now();
                         if c.create(&format!("/c{t}/v{i}")).is_ok() {
-                            ok += 1;
-                            lat.record(t0.elapsed().as_nanos() as u64);
+                            lat.push(t0.elapsed().as_nanos() as u64);
                         }
                         i += 1;
                         std::thread::sleep(VICTIM_PACE);
                     }
-                    (lat, ok)
+                    lat
                 })
             })
             .collect();
-        let mut lat = Histogram::new();
-        let mut ok = 0u64;
+        let mut lat: Vec<u64> = Vec::new();
         for v in victims {
-            let (l, o) = v.join().expect("victim thread");
-            lat.merge(&l);
-            ok += o;
+            lat.extend(v.join().expect("victim thread"));
         }
         stop.store(true, Ordering::Relaxed);
-        (lat, ok)
+        (Summary::from_samples(&mut lat), lat.len() as u64)
     });
 
     let qos_counters = before
@@ -189,8 +174,8 @@ fn run_arm(with_noisy: bool, qos_on: bool) -> ArmResult {
         .map(|(s, v0, n0)| {
             (
                 s,
-                counter_total(&victim_handles.iter().collect::<Vec<_>>(), victim.0, s) - v0,
-                counter_total(&noisy_handles.iter().collect::<Vec<_>>(), noisy.0, s) - n0,
+                tenant_counter(victim.0, s) - v0,
+                tenant_counter(noisy.0, s) - n0,
             )
         })
         .collect();
@@ -210,7 +195,7 @@ fn run_arm(with_noisy: bool, qos_on: bool) -> ArmResult {
 }
 
 fn arm_json(r: &ArmResult) -> Json {
-    let s = r.victim_lat.summary();
+    let s = r.victim_lat;
     let counters = |idx: usize| {
         Json::obj(
             r.qos_counters
@@ -267,9 +252,9 @@ fn main() {
     let qos_off = run_arm(true, false);
     let qos_on = run_arm(true, true);
 
-    let base_p99 = baseline.victim_lat.quantile(0.99);
-    let off_p99 = qos_off.victim_lat.quantile(0.99);
-    let on_p99 = qos_on.victim_lat.quantile(0.99);
+    let base_p99 = baseline.victim_lat.p99_ns;
+    let off_p99 = qos_off.victim_lat.p99_ns;
+    let on_p99 = qos_on.victim_lat.p99_ns;
     let ratio = |p: u64| p as f64 / base_p99.max(1) as f64;
 
     println!(
@@ -284,8 +269,8 @@ fn main() {
         println!(
             "{:>14} {:>14} {:>14} {:>14} {:>12}",
             name,
-            fmt_ns(r.victim_lat.quantile(0.5)),
-            fmt_ns(r.victim_lat.quantile(0.99)),
+            fmt_ns(r.victim_lat.p50_ns),
+            fmt_ns(r.victim_lat.p99_ns),
             r.victim_ops,
             r.noisy_ops,
         );

@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the core data structures: single-shard
-//! primitive execution vs the equivalent lock-based transaction, LSM store
+//! primitive execution vs the equivalent lock-based transaction, kv store
 //! operations, the binary codec, and Raft commit latency.
 
 use std::sync::Arc;
@@ -100,14 +100,13 @@ fn bench_codec(c: &mut Criterion) {
 
 fn bench_lock_contention(c: &mut Criterion) {
     use cfs_tafdb::locking::LockManager;
-    use cfs_tafdb::ShardMetrics;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     // Three background transactions ping-pong one hot row lock while the
     // measured thread takes its turn. Every handoff crosses the condvar:
     // release_all must wake waiters immediately, so the per-iteration cost
     // stays in the microseconds instead of a polling quantum.
-    let locks = Arc::new(LockManager::new(Arc::new(ShardMetrics::default())));
+    let locks = Arc::new(LockManager::new(0));
     let key = Key::entry(ROOT_INODE, "hot-row");
     let stop = Arc::new(AtomicBool::new(false));
     let contenders: Vec<_> = (1..=3u64)

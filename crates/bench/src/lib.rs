@@ -147,7 +147,7 @@ pub use cfs_obs::Json;
 /// Condenses one [`cfs_harness::runner::BenchResult`] into the standard
 /// result object: throughput, latency percentiles, op/error counts.
 pub fn json_result(r: &cfs_harness::runner::BenchResult) -> Vec<(String, Json)> {
-    let s = r.summary();
+    let s = r.latency;
     vec![
         ("throughput_ops_s".to_string(), Json::Num(r.throughput())),
         ("ops".to_string(), Json::Int(r.ops)),
@@ -219,30 +219,6 @@ impl SystemUnderTest {
         match self {
             SystemUnderTest::Cfs(c) => Box::new(c.client()),
             SystemUnderTest::Baseline(b) => Box::new(b.client()),
-        }
-    }
-
-    /// Aggregated shard lock metrics, when meaningful.
-    pub fn shard_metrics(&self) -> cfs_tafdb::shard::ShardMetricsSnapshot {
-        match self {
-            SystemUnderTest::Cfs(c) => {
-                let mut total = cfs_tafdb::shard::ShardMetricsSnapshot::default();
-                for g in c.taf_groups() {
-                    let m = g.metrics_snapshot();
-                    total.lock_wait_ns += m.lock_wait_ns;
-                    total.lock_hold_ns += m.lock_hold_ns;
-                    total.lock_acquisitions += m.lock_acquisitions;
-                    total.primitives += m.primitives;
-                    // Migration counters: per-group values are already
-                    // de-duplicated across replicas; sum over groups.
-                    total.ranges_donated += m.ranges_donated;
-                    total.ranges_received += m.ranges_received;
-                    total.keys_streamed += m.keys_streamed;
-                    total.freeze_ns += m.freeze_ns;
-                }
-                total
-            }
-            SystemUnderTest::Baseline(b) => b.shard_metrics(),
         }
     }
 }

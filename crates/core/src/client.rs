@@ -21,6 +21,7 @@ use cfs_types::{
 use cfs_volume::QosLimiter;
 use crossbeam::channel::{unbounded, Sender};
 
+use cfs_obs::metrics::Gauge;
 use cfs_obs::trace;
 
 use crate::dcache::{CacheLookup, DentryCache};
@@ -52,6 +53,10 @@ pub struct CfsClient {
     /// resolution starts at the volume's root inode.
     volume: VolumeId,
     root: InodeId,
+    /// This client's `tenant.vol<N>.quota_inodes` / `.quota_bytes` gauges in
+    /// its node's registry: the deltas it has applied to a metered volume's
+    /// usage. `None` in the unmetered default volume.
+    usage: Option<(Arc<Gauge>, Arc<Gauge>)>,
     /// Per-tenant fair-share admission, shared by every client of a cluster.
     /// `None` = QoS off (no admission control).
     qos: Option<Arc<QosLimiter>>,
@@ -94,6 +99,7 @@ impl CfsClient {
             block_size,
             volume: VolumeId::DEFAULT,
             root: ROOT_INODE,
+            usage: None,
             qos: None,
             writeback_tx: tx,
             writeback_thread: Some(writeback_thread),
@@ -106,6 +112,11 @@ impl CfsClient {
     pub fn with_volume(mut self, vol: VolumeId) -> CfsClient {
         self.volume = vol;
         self.root = vol.root_inode();
+        self.usage = self.metered().then(|| {
+            let reg = cfs_obs::metrics::node(self.taf.node().0 as u64);
+            let gauge = |what: &str| reg.gauge(&format!("tenant.vol{}.quota_{what}", vol.0));
+            (gauge("inodes"), gauge("bytes"))
+        });
         self
     }
 
@@ -354,10 +365,7 @@ impl CfsClient {
     /// Applies a quota delta as its own single-shard primitive on the quota
     /// record's home shard (reservation / release / compensation).
     fn quota_apply(&self, inodes: i64, bytes: i64) -> FsResult<()> {
-        let prim = Primitive {
-            quota: Some(self.quota_spec(inodes, bytes)),
-            ..Primitive::default()
-        };
+        let prim = Primitive::default().with_quota(self.quota_spec(inodes, bytes));
         self.taf.execute(prim)?;
         self.note_usage(inodes, bytes);
         Ok(())
@@ -365,14 +373,10 @@ impl CfsClient {
 
     /// Mirrors applied deltas on this client's per-tenant usage gauges.
     fn note_usage(&self, inodes: i64, bytes: i64) {
-        if !self.metered() || (inodes == 0 && bytes == 0) {
-            return;
+        if let Some((quota_inodes, quota_bytes)) = &self.usage {
+            quota_inodes.add(inodes);
+            quota_bytes.add(bytes);
         }
-        let m = cfs_obs::metrics::local();
-        m.gauge(&format!("tenant.vol{}.quota_inodes", self.volume.0))
-            .add(inodes);
-        m.gauge(&format!("tenant.vol{}.quota_bytes", self.volume.0))
-            .add(bytes);
     }
 
     /// Executes a namespace primitive whose keys live on `target_kid`'s

@@ -16,11 +16,12 @@
 //!   `getattr`/`readdir` fail to fetch attribute records.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cfs_filestore::FileStoreClient;
+use cfs_obs::metrics::Counter;
 use cfs_tafdb::primitive::{Primitive, UpdateSpec};
 use cfs_tafdb::TafDbClient;
 use cfs_types::codec::Decode;
@@ -28,19 +29,6 @@ use cfs_types::record::{FieldAssign, NumField, Pred};
 use cfs_types::{CdcEvent, Cond, FileType, FsResult, InodeId, Key};
 use cfs_wal::WalWatcher;
 use parking_lot::Mutex;
-
-/// Counters describing collector activity.
-#[derive(Debug, Default)]
-pub struct GcStats {
-    /// Orphaned FileStore attributes removed (crashed creates).
-    pub orphan_attrs_removed: AtomicU64,
-    /// Leftover attributes removed after unpaired deletes (crashed unlinks).
-    pub stale_attrs_removed: AtomicU64,
-    /// Dangling id records repaired on demand (crashed rmdir/unlink).
-    pub dangling_entries_repaired: AtomicU64,
-    /// CDC events processed.
-    pub events_processed: AtomicU64,
-}
 
 /// Per-inode pairing state.
 #[derive(Debug, Default)]
@@ -62,7 +50,12 @@ pub struct GarbageCollector {
     taf: TafDbClient,
     fs: FileStoreClient,
     state: Mutex<HashMap<InodeId, InoState>>,
-    stats: Arc<GcStats>,
+    /// Counters in the registry of the collector's own node (its TafDB
+    /// client's address): `gc_events_processed`, `gc_orphan_attrs_removed`
+    /// (crashed creates) and `gc_stale_attrs_removed` (crashed unlinks).
+    events_processed: Arc<Counter>,
+    orphan_attrs_removed: Arc<Counter>,
+    stale_attrs_removed: Arc<Counter>,
     /// How long an unpaired event must stay unpaired before being treated as
     /// an orphan.
     pub grace: Duration,
@@ -78,20 +71,23 @@ impl GarbageCollector {
         fs: FileStoreClient,
         grace: Duration,
     ) -> GarbageCollector {
+        let reg = cfs_obs::metrics::node(taf.node().0 as u64);
         GarbageCollector {
             taf_watchers: Mutex::new(taf_watchers),
             fs_watchers: Mutex::new(fs_watchers),
             taf,
             fs,
             state: Mutex::new(HashMap::new()),
-            stats: Arc::new(GcStats::default()),
+            events_processed: reg.counter("gc_events_processed"),
+            orphan_attrs_removed: reg.counter("gc_orphan_attrs_removed"),
+            stale_attrs_removed: reg.counter("gc_stale_attrs_removed"),
             grace,
         }
     }
 
-    /// The collector's counters.
-    pub fn stats(&self) -> &Arc<GcStats> {
-        &self.stats
+    /// The node whose registry holds the collector's `gc_*` counters.
+    pub fn node(&self) -> cfs_types::NodeId {
+        self.taf.node()
     }
 
     fn ingest(&self) {
@@ -111,7 +107,7 @@ impl GarbageCollector {
         }
         let mut state = self.state.lock();
         for e in events {
-            self.stats.events_processed.fetch_add(1, Ordering::Relaxed);
+            self.events_processed.inc();
             let s = state.entry(e.ino()).or_default();
             s.last_event = Some(now);
             match e {
@@ -149,9 +145,7 @@ impl GarbageCollector {
             if s.attr_put && s.inserts == 0 && !s.attr_deleted {
                 // Crashed create: the attribute was written but never linked.
                 self.fs.delete_file(ino)?;
-                self.stats
-                    .orphan_attrs_removed
-                    .fetch_add(1, Ordering::Relaxed);
+                self.orphan_attrs_removed.inc();
             } else if net < 0 {
                 // Crashed unlink / rename: the link is gone, attribute state
                 // may linger in either tier. All deletions are idempotent.
@@ -161,9 +155,7 @@ impl GarbageCollector {
                 if s.dir_attr_put && !s.dir_attr_deleted {
                     self.taf.delete(Key::attr(ino))?;
                 }
-                self.stats
-                    .stale_attrs_removed
-                    .fetch_add(1, Ordering::Relaxed);
+                self.stale_attrs_removed.inc();
             }
         }
         Ok(())
@@ -210,7 +202,8 @@ impl Drop for GcHandle {
 ///
 /// Verifies the attribute truly is gone from TafDB before unlinking the
 /// record — a merely-slow create is left alone because its id record points
-/// at an attribute that exists.
+/// at an attribute that exists. A repair counts in `gc_dangling_entries_repaired`
+/// of the calling client's node.
 pub fn repair_dangling_entry(
     taf: &TafDbClient,
     parent: InodeId,
@@ -232,7 +225,14 @@ pub fn repair_dangling_entry(
         ),
     );
     match taf.execute(prim) {
-        Ok(_) => Ok(true),
+        Ok(_) => {
+            // A rare repair path: the one lookup per repair is not worth a
+            // cached handle in every client.
+            cfs_obs::metrics::node(taf.node().0 as u64)
+                .counter("gc_dangling_entries_repaired")
+                .inc();
+            Ok(true)
+        }
         Err(cfs_types::FsError::NotFound) | Err(cfs_types::FsError::Conflict) => Ok(false),
         Err(e) => Err(e),
     }

@@ -30,4 +30,4 @@ pub use client::CfsClient;
 pub use cluster::{CfsCluster, CfsConfig};
 pub use dcache::DentryCache;
 pub use fsapi::{DirEntryInfo, FileSystem};
-pub use gc::{GarbageCollector, GcStats};
+pub use gc::GarbageCollector;

@@ -1,14 +1,29 @@
 //! End-to-end tests of the full CFS stack on a simulated cluster.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use cfs_core::{CfsCluster, CfsConfig, FileSystem};
+use cfs_core::{CfsCluster, CfsConfig, FileSystem, GarbageCollector};
 use cfs_filestore::SetAttrPatch;
 use cfs_types::{FileType, FsError};
 
 fn cluster() -> CfsCluster {
     CfsCluster::start(CfsConfig::test_small()).expect("cluster boot")
+}
+
+/// Every cluster numbers its clients from the same base and the registry hub
+/// is process-global, so the collectors of the tests below report into one
+/// node's `gc_*` counters: they take turns and compare against the values
+/// they started from.
+fn gc_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn gc_counter(gc: &GarbageCollector, name: &str) -> u64 {
+    cfs_obs::metrics::node(gc.node().0 as u64)
+        .counter(name)
+        .get()
 }
 
 #[test]
@@ -273,7 +288,9 @@ fn gc_reclaims_orphaned_create_attr() {
     assert!(fs.filestore().get_attr(orphan).unwrap().is_some());
     // Also perform a healthy create: it must be left alone.
     let live = fs.create("/g/alive").unwrap();
+    let _turn = gc_turn();
     let gc = c.garbage_collector(Duration::from_millis(100));
+    let removed_before = gc_counter(&gc, "gc_orphan_attrs_removed");
     // CDC events propagate through replica apply asynchronously; run cycles
     // until the orphan is collected (bounded).
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -287,9 +304,7 @@ fn gc_reclaims_orphaned_create_attr() {
     }
     assert!(fs.filestore().get_attr(live).unwrap().is_some());
     assert_eq!(
-        gc.stats()
-            .orphan_attrs_removed
-            .load(std::sync::atomic::Ordering::Relaxed),
+        gc_counter(&gc, "gc_orphan_attrs_removed") - removed_before,
         1
     );
 }
@@ -300,17 +315,14 @@ fn gc_reclaims_attr_after_crashed_unlink() {
     let fs = c.client();
     fs.mkdir("/g2").unwrap();
     let ino = fs.create("/g2/doomed").unwrap();
+    let _turn = gc_turn();
     let gc = c.garbage_collector(Duration::from_millis(100));
+    let events_before = gc_counter(&gc, "gc_events_processed");
     // Settle deterministically: root seeding + mkdir + create produce 5 CDC
     // events (TafPutDirAttr ×2, TafInsertedId ×2, AttrPut); wait until all
     // are ingested, then let the grace period expire and sweep them.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while gc
-        .stats()
-        .events_processed
-        .load(std::sync::atomic::Ordering::Relaxed)
-        < 5
-    {
+    while gc_counter(&gc, "gc_events_processed") - events_before < 5 {
         assert!(
             std::time::Instant::now() < deadline,
             "cdc events not observed"
@@ -376,6 +388,7 @@ fn cdc_stream_survives_replica_crash_restart_with_undrained_events() {
 
     // Subscribe the collector but do NOT poll yet — every event so far sits
     // undrained in the watched replicas' CDC streams.
+    let _turn = gc_turn();
     let gc = c.garbage_collector(Duration::from_millis(100));
 
     // kill −9 the exact replicas the collector watches (replica 0 of every
@@ -444,7 +457,12 @@ fn collector_releases_the_cdc_events_it_has_ingested() {
     let c = cluster();
     let fs = c.client();
     fs.mkdir("/churn").unwrap();
+    let _turn = gc_turn();
     let gc = c.garbage_collector(Duration::from_millis(100));
+    let removed = |gc: &GarbageCollector| {
+        gc_counter(gc, "gc_orphan_attrs_removed") + gc_counter(gc, "gc_stale_attrs_removed")
+    };
+    let removed_before = removed(&gc);
     let streams: Vec<cfs_wal::Wal> = c
         .taf_groups()
         .iter()
@@ -475,14 +493,7 @@ fn collector_releases_the_cdc_events_it_has_ingested() {
         }
     }
     // Churn pairs up, so nothing was collected — only forgotten.
-    let stats = gc.stats();
-    let removed = stats
-        .orphan_attrs_removed
-        .load(std::sync::atomic::Ordering::Relaxed)
-        + stats
-            .stale_attrs_removed
-            .load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(removed, 0);
+    assert_eq!(removed(&gc), removed_before);
 }
 
 #[test]

@@ -16,7 +16,7 @@ pub mod tenants;
 pub mod traces;
 pub mod workload;
 
-pub use metrics::{Histogram, Summary};
+pub use metrics::Summary;
 pub use model::Model;
 pub use nemesis::{run_nemesis, Divergence, NemOp, NemesisOptions, NemesisReport, NemesisSchedule};
 pub use runner::{run_clients, BenchResult};

@@ -1,123 +1,4 @@
-//! Latency histograms and summaries.
-
-/// A log-bucketed latency histogram (HDR-style): ~1.4% relative error across
-/// nanoseconds to minutes, constant memory, mergeable.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    /// `buckets[b * SUB + s]` counts samples in sub-bucket `s` of power `b`.
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-    min: u64,
-}
-
-/// Sub-buckets per power of two.
-const SUB: usize = 64;
-/// Powers of two covered (2^0 .. 2^47 ns ≈ 39 hours).
-const POWERS: usize = 48;
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: vec![0; SUB * POWERS],
-            count: 0,
-            sum: 0,
-            max: 0,
-            min: u64::MAX,
-        }
-    }
-
-    fn index(value: u64) -> usize {
-        let v = value.max(1);
-        let power = 63 - v.leading_zeros() as usize;
-        let power = power.min(POWERS - 1);
-        // The sub-bucket is the next 6 bits below the leading one.
-        let sub = if power >= 6 {
-            ((v >> (power - 6)) & 0x3F) as usize
-        } else {
-            (v & 0x3F) as usize % SUB
-        };
-        power * SUB + sub
-    }
-
-    /// Records one sample (nanoseconds).
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::index(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-        self.min = self.min.min(value);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean, 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Value at quantile `q` in `[0,1]` (upper bucket edge).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let power = i / SUB;
-                let sub = (i % SUB) as u64;
-                let base = 1u64 << power;
-                let edge = if power >= 6 {
-                    base + ((sub + 1) << (power - 6))
-                } else {
-                    base + sub + 1
-                };
-                return edge.min(self.max.max(1));
-            }
-        }
-        self.max
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-    }
-
-    /// Condensed summary.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            count: self.count,
-            mean_ns: self.mean() as u64,
-            p50_ns: self.quantile(0.50),
-            p99_ns: self.quantile(0.99),
-            p999_ns: self.quantile(0.999),
-            max_ns: if self.count == 0 { 0 } else { self.max },
-        }
-    }
-}
+//! Latency summaries over exact samples, and number formatting.
 
 /// Condensed latency summary.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -134,6 +15,30 @@ pub struct Summary {
     pub p999_ns: u64,
     /// Maximum.
     pub max_ns: u64,
+}
+
+impl Summary {
+    /// Summarises every recorded sample (nanoseconds): nearest-rank
+    /// percentiles of the sorted samples, so the figures are exact. Threads
+    /// record into their own vectors; concatenate them before the call.
+    /// Sorts `samples` in place; all zeros when there are none.
+    pub fn from_samples(samples: &mut [u64]) -> Summary {
+        if samples.is_empty() {
+            return Summary::default();
+        }
+        samples.sort_unstable();
+        let n = samples.len();
+        let at = |q: f64| samples[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+        let sum: u128 = samples.iter().map(|&v| u128::from(v)).sum();
+        Summary {
+            count: n as u64,
+            mean_ns: (sum / n as u128) as u64,
+            p50_ns: at(0.50),
+            p99_ns: at(0.99),
+            p999_ns: at(0.999),
+            max_ns: samples[n - 1],
+        }
+    }
 }
 
 /// Formats nanoseconds with an adaptive unit.
@@ -166,55 +71,58 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn empty_histogram() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.99), 0);
-        assert_eq!(h.mean(), 0.0);
+    fn no_samples_summarise_to_zeros() {
+        assert_eq!(Summary::from_samples(&mut []), Summary::default());
     }
 
     #[test]
-    fn single_value() {
-        let mut h = Histogram::new();
-        h.record(1000);
-        assert_eq!(h.count(), 1);
-        let q = h.quantile(0.5);
-        assert!((985..=1100).contains(&q), "median {q} should be ~1000");
+    fn single_sample_is_every_percentile() {
+        let s = Summary::from_samples(&mut [1000]);
+        assert_eq!(
+            s,
+            Summary {
+                count: 1,
+                mean_ns: 1000,
+                p50_ns: 1000,
+                p99_ns: 1000,
+                p999_ns: 1000,
+                max_ns: 1000,
+            }
+        );
     }
 
     #[test]
-    fn quantiles_are_ordered() {
-        let mut h = Histogram::new();
-        for i in 1..=100_000u64 {
-            h.record(i * 10);
-        }
-        let p50 = h.quantile(0.5);
-        let p99 = h.quantile(0.99);
-        let p999 = h.quantile(0.999);
-        assert!(p50 <= p99 && p99 <= p999);
-        // Relative accuracy ~ a few percent.
-        assert!((450_000..560_000).contains(&p50), "p50={p50}");
-        assert!((940_000..1_080_000).contains(&p99), "p99={p99}");
+    fn tail_percentiles_of_ten_samples_are_the_maximum() {
+        let mut v: Vec<u64> = (1..=10).rev().map(|i| i * 100).collect();
+        let s = Summary::from_samples(&mut v);
+        assert_eq!(s.p50_ns, 500);
+        assert_eq!((s.p99_ns, s.p999_ns, s.max_ns), (1000, 1000, 1000));
+        assert_eq!(s.mean_ns, 550);
     }
 
     #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
+    fn percentiles_are_exact_and_ordered() {
+        let mut v: Vec<u64> = (1..=100_000u64).map(|i| i * 10).collect();
+        let s = Summary::from_samples(&mut v);
+        assert_eq!(s.p50_ns, 500_000);
+        assert_eq!(s.p99_ns, 990_000);
+        assert_eq!(s.p999_ns, 999_000);
+        assert_eq!(s.max_ns, 1_000_000);
+    }
+
+    #[test]
+    fn two_threads_samples_concatenated_equal_one_recording() {
+        let (mut a, mut b, mut all) = (Vec::new(), Vec::new(), Vec::new());
         for i in 0..1000u64 {
             let v = (i * 7919) % 100_000 + 1;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            all.record(v);
+            if i % 2 == 0 { &mut a } else { &mut b }.push(v);
+            all.push(v);
         }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.quantile(0.9), all.quantile(0.9));
-        assert_eq!(a.summary(), all.summary());
+        a.extend(b);
+        assert_eq!(
+            Summary::from_samples(&mut a),
+            Summary::from_samples(&mut all)
+        );
     }
 
     #[test]
@@ -228,29 +136,15 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_quantile_relative_error_bounded(values in proptest::collection::vec(1u64..10_000_000_000, 100..500)) {
-            let mut h = Histogram::new();
-            for &v in &values {
-                h.record(v);
-            }
-            let mut sorted = values.clone();
-            sorted.sort_unstable();
-            for q in [0.5, 0.9, 0.99] {
-                let exact = sorted[((q * sorted.len() as f64).ceil() as usize - 1).min(sorted.len() - 1)];
-                let approx = h.quantile(q);
-                let err = (approx as f64 - exact as f64).abs() / exact as f64;
-                prop_assert!(err < 0.05, "q={q} exact={exact} approx={approx} err={err}");
-            }
-        }
-
-        #[test]
-        fn prop_count_and_max_exact(values in proptest::collection::vec(1u64..1_000_000, 1..200)) {
-            let mut h = Histogram::new();
-            for &v in &values {
-                h.record(v);
-            }
-            prop_assert_eq!(h.count(), values.len() as u64);
-            prop_assert_eq!(h.summary().max_ns, *values.iter().max().unwrap());
+        fn prop_count_max_and_order(values in proptest::collection::vec(1u64..10_000_000_000, 1..500)) {
+            let mut v = values.clone();
+            let s = Summary::from_samples(&mut v);
+            prop_assert_eq!(s.count, values.len() as u64);
+            prop_assert_eq!(s.max_ns, *values.iter().max().unwrap());
+            prop_assert!(s.p50_ns <= s.p99_ns && s.p99_ns <= s.p999_ns && s.p999_ns <= s.max_ns);
+            // Nearest rank: at least half the samples are at or below p50.
+            let at_or_below = values.iter().filter(|&&x| x <= s.p50_ns).count();
+            prop_assert!(2 * at_or_below >= values.len());
         }
     }
 }

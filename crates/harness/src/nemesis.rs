@@ -168,10 +168,9 @@ impl NemesisSchedule {
         )
     }
 
-    /// Like [`NemesisSchedule::generate`], but options can widen the fault
-    /// family: `restarts` adds kill −9 + rebuild-from-disk windows,
-    /// `slow_fsync` adds log-WAL fsync stalls. With default options the plan
-    /// is identical to [`NemesisSchedule::generate`]'s. Pure in all inputs.
+    /// Like [`NemesisSchedule::generate`], but `opts.families` can widen the
+    /// fault die (see [`FaultFamily`]). With default options the plan is
+    /// identical to [`NemesisSchedule::generate`]'s. Pure in all inputs.
     pub fn generate_with(
         seed: u64,
         taf_shards: usize,
@@ -183,15 +182,18 @@ impl NemesisSchedule {
         let mut windows = Vec::new();
         let count = 3 + rng.below(3); // 3..=5 windows
         let mut cursor = 60u64;
-        // Opted-in fault classes widen the bucket die; the base classes keep
-        // buckets 0..10, and each new class appends its band *after* every
-        // previously existing one, so any flag combination that was possible
-        // before a class existed still draws a byte-identical plan.
-        let restart_end = 10 + u64::from(opts.restarts) * 3;
-        let slow_end = restart_end + u64::from(opts.slow_fsync) * 2;
-        let disk_end = slow_end + u64::from(opts.disk_full) * 2;
-        let torn_end = disk_end + u64::from(opts.torn_write) * 2;
-        let buckets = torn_end + u64::from(opts.snapshot_crash);
+        // Opted-in families widen the bucket die; the base classes keep
+        // buckets 0..10 and each family's band follows in `FAMILY_BANDS`
+        // order: `(family, first bucket past its band)`.
+        let mut buckets = 10;
+        let bands: Vec<(FaultFamily, u64)> = FAMILY_BANDS
+            .iter()
+            .filter(|(family, _)| opts.families.contains(family))
+            .map(|&(family, width)| {
+                buckets += width;
+                (family, buckets)
+            })
+            .collect();
         for _ in 0..count {
             let start_ms = cursor + 20 + rng.below(70);
             let dur = 80 + rng.below(170); // 80..250 ms
@@ -201,35 +203,42 @@ impl NemesisSchedule {
                 // 10%..40% one-way drop: disruptive but recoverable within
                 // the Raft heartbeat/resend cycle.
                 7..=9 => Fault::DropSpike(100_000 + rng.below(300_000) as u32),
-                // Restarts target the durable (TafDB) replicas only — the
-                // whole point is recovering a state machine from disk.
-                b if opts.restarts && b < restart_end => Fault::Restart(Target {
-                    taf: true,
-                    group: rng.below(taf_shards as u64) as usize,
-                    replica: rng.below(replication as u64) as usize,
-                }),
-                // 500µs..3ms of extra fsync latency per log append.
-                b if opts.slow_fsync && b < slow_end => Fault::SlowFsync(500 + rng.below(2500)),
-                // Disk-full hits any durable replica — TafDB or FileStore,
-                // both sit on a FaultFs-backed log volume: 256B..2KiB of
-                // remaining budget starves the volume mid-window without
-                // taking the whole batch path down.
-                b if opts.disk_full && b < disk_end => Fault::DiskFull(
-                    pick_target(&mut rng, taf_shards, fs_groups, replication),
-                    256 + rng.below(1792),
-                ),
-                // Tear 20%..80% of the way into the straddling record.
-                b if opts.torn_write && b < torn_end => Fault::TornWrite(
-                    Target {
+                b => match bands
+                    .iter()
+                    .find(|&&(_, end)| b < end)
+                    .expect("the die is as wide as the bands")
+                    .0
+                {
+                    // Restarts target the durable (TafDB) replicas only — the
+                    // whole point is recovering a state machine from disk.
+                    FaultFamily::Restart => Fault::Restart(Target {
                         taf: true,
                         group: rng.below(taf_shards as u64) as usize,
                         replica: rng.below(replication as u64) as usize,
+                    }),
+                    // 500µs..3ms of extra fsync latency per log append.
+                    FaultFamily::SlowFsync => Fault::SlowFsync(500 + rng.below(2500)),
+                    // Disk-full hits any durable replica — TafDB or FileStore,
+                    // both sit on a FaultFs-backed log volume: 256B..2KiB of
+                    // remaining budget starves the volume mid-window without
+                    // taking the whole batch path down.
+                    FaultFamily::DiskFull => Fault::DiskFull(
+                        pick_target(&mut rng, taf_shards, fs_groups, replication),
+                        256 + rng.below(1792),
+                    ),
+                    // Tear 20%..80% of the way into the straddling record.
+                    FaultFamily::TornWrite => Fault::TornWrite(
+                        Target {
+                            taf: true,
+                            group: rng.below(taf_shards as u64) as usize,
+                            replica: rng.below(replication as u64) as usize,
+                        },
+                        (200_000 + rng.below(600_000)) as u32,
+                    ),
+                    FaultFamily::SnapshotCrash => Fault::SnapshotCrash {
+                        group: rng.below(taf_shards as u64) as usize,
+                        replica: rng.below(replication as u64) as usize,
                     },
-                    (200_000 + rng.below(600_000)) as u32,
-                ),
-                _ => Fault::SnapshotCrash {
-                    group: rng.below(taf_shards as u64) as usize,
-                    replica: rng.below(replication as u64) as usize,
                 },
             };
             windows.push(FaultWindow {
@@ -596,26 +605,47 @@ pub struct NemesisOptions {
     /// follower reads are still linearizable, so acknowledged writes must
     /// never be lost and the final namespace must match a candidate.
     pub read_index: bool,
-    /// Add [`Fault::Restart`] windows to the schedule: a TafDB replica is
-    /// kill −9'd and later rebuilt from its snapshot + log WAL — the
-    /// crash-restart recovery nemesis.
-    pub restarts: bool,
-    /// Add [`Fault::SlowFsync`] windows: every TafDB replica's log fsync
-    /// stalls for the window, squeezing commit latency without drops.
-    pub slow_fsync: bool,
-    /// Add [`Fault::DiskFull`] windows: one TafDB replica's log volume hits
-    /// `ENOSPC` mid-window and must degrade gracefully (serve reads, reject
+    /// Fault families added to the base kill / isolate / drop-spike die,
+    /// in any order (a family's band is fixed by [`FAMILY_BANDS`]).
+    pub families: &'static [FaultFamily],
+}
+
+/// An opt-in family of fault windows.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum FaultFamily {
+    /// [`Fault::Restart`] windows: a TafDB replica is kill −9'd and later
+    /// rebuilt from its snapshot + log WAL — the crash-restart recovery
+    /// nemesis.
+    Restart,
+    /// [`Fault::SlowFsync`] windows: every TafDB replica's log fsync stalls
+    /// for the window, squeezing commit latency without drops.
+    SlowFsync,
+    /// [`Fault::DiskFull`] windows: one replica's log volume hits `ENOSPC`
+    /// mid-window and must degrade gracefully (serve reads, reject
     /// mutations retryably) until the budget is lifted.
-    pub disk_full: bool,
-    /// Add [`Fault::TornWrite`] windows: one TafDB replica's log volume
-    /// tears a write and the replica is kill −9'd; recovery must truncate
-    /// the torn tail and rejoin.
-    pub torn_write: bool,
-    /// Add [`Fault::SnapshotCrash`] windows: a lagging follower's catch-up
+    DiskFull,
+    /// [`Fault::TornWrite`] windows: one TafDB replica's log volume tears a
+    /// write and the replica is kill −9'd; recovery must truncate the torn
+    /// tail and rejoin.
+    TornWrite,
+    /// [`Fault::SnapshotCrash`] windows: a lagging follower's catch-up
     /// `InstallSnapshot` is interrupted by kill −9 of the leader
     /// mid-transfer; the group must still converge.
-    pub snapshot_crash: bool,
+    SnapshotCrash,
 }
+
+/// Every family with the width of its band on the schedule's bucket die
+/// (the base faults hold buckets 0..10). A family's band sits after the
+/// bands of the enabled families listed before it, so a new family goes at
+/// the end: then every combination of the older ones still draws a
+/// byte-identical plan.
+pub const FAMILY_BANDS: [(FaultFamily, u64); 5] = [
+    (FaultFamily::Restart, 3),
+    (FaultFamily::SlowFsync, 2),
+    (FaultFamily::DiskFull, 2),
+    (FaultFamily::TornWrite, 2),
+    (FaultFamily::SnapshotCrash, 1),
+];
 
 impl Default for NemesisOptions {
     fn default() -> Self {
@@ -626,11 +656,7 @@ impl Default for NemesisOptions {
                 .unwrap_or(50),
             splits: 0,
             read_index: false,
-            restarts: false,
-            slow_fsync: false,
-            disk_full: false,
-            torn_write: false,
-            snapshot_crash: false,
+            families: &[],
         }
     }
 }
@@ -1167,8 +1193,7 @@ mod tests {
     #[test]
     fn extended_schedule_is_pure_and_restarts_target_taf_only() {
         let opts = NemesisOptions {
-            restarts: true,
-            slow_fsync: true,
+            families: &[FaultFamily::Restart, FaultFamily::SlowFsync],
             ..NemesisOptions::default()
         };
         let a = NemesisSchedule::generate_with(7, 2, 2, 3, &opts);
@@ -1205,9 +1230,11 @@ mod tests {
     #[test]
     fn storage_schedule_is_pure_and_targets_both_planes() {
         let opts = NemesisOptions {
-            disk_full: true,
-            torn_write: true,
-            snapshot_crash: true,
+            families: &[
+                FaultFamily::DiskFull,
+                FaultFamily::TornWrite,
+                FaultFamily::SnapshotCrash,
+            ],
             ..NemesisOptions::default()
         };
         let a = NemesisSchedule::generate_with(7, 2, 2, 3, &opts);
@@ -1261,8 +1288,7 @@ mod tests {
         // overlap that is draw-for-draw comparable, the full legacy combo
         // against itself across the module boundary of the new arms.
         let legacy = NemesisOptions {
-            restarts: true,
-            slow_fsync: true,
+            families: &[FaultFamily::Restart, FaultFamily::SlowFsync],
             ..NemesisOptions::default()
         };
         for seed in 0..32 {
@@ -1419,6 +1445,11 @@ mod tests {
             },
         ];
         let trace_ids = vec![vec![0; 3], vec![0, 0, 77]];
+        // A booted cluster registers every replica's instruments, so the
+        // dump shows what each shard applied.
+        let cluster = CfsCluster::start(CfsConfig::test_small()).expect("cluster boot");
+        cluster.client().mkdir("/dumped").expect("mkdir");
+        let taf_node = cluster.taf_groups()[0].raft().nodes()[0].id().0;
         let dir = std::env::temp_dir().join(format!("cfs_dump_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::env::set_var("CFS_NEMESIS_DUMP_DIR", &dir);
@@ -1432,6 +1463,12 @@ mod tests {
         assert!(text.contains("fs.create"));
         assert!(text.contains("rpc.handle"));
         assert!(text.contains("per-node metrics snapshots:"));
+        let taf_metrics = text
+            .split_once(&format!("\"{taf_node}\": {{"))
+            .expect("the dump has the TafDB node's registry")
+            .1;
+        assert!(taf_metrics.contains("\"shard_primitives\""));
+        assert!(taf_metrics.contains("\"shard_txn_commits\""));
         assert!(text.contains("net{}"));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::metrics::{fmt_ns, fmt_ops, Histogram, Summary};
+use crate::metrics::{fmt_ns, fmt_ops, Summary};
 
 /// Result of a measurement window.
 #[derive(Clone, Debug)]
@@ -15,8 +15,8 @@ pub struct BenchResult {
     pub errors: u64,
     /// Wall-clock duration of the window.
     pub wall: Duration,
-    /// Latency distribution of completed operations.
-    pub latency: Histogram,
+    /// Latency summary over every completed operation.
+    pub latency: Summary,
 }
 
 impl BenchResult {
@@ -29,14 +29,9 @@ impl BenchResult {
         }
     }
 
-    /// Condensed latency summary.
-    pub fn summary(&self) -> Summary {
-        self.latency.summary()
-    }
-
     /// One formatted report line.
     pub fn line(&self) -> String {
-        let s = self.summary();
+        let s = self.latency;
         format!(
             "{:>8} ops/s  avg {:>9}  p50 {:>9}  p99 {:>9}  p999 {:>9}  ({} ops, {} errs)",
             fmt_ops(self.throughput()),
@@ -72,31 +67,25 @@ where
     let stop = Arc::new(AtomicBool::new(false));
     let total_errors = Arc::new(AtomicU64::new(0));
     let start = Instant::now();
-    let results: Vec<(u64, Histogram)> = std::thread::scope(|scope| {
+    let results: Vec<Vec<u64>> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for c in 0..clients {
             let mut worker = make_worker(c);
             let stop = Arc::clone(&stop);
             let total_errors = Arc::clone(&total_errors);
             handles.push(scope.spawn(move || {
-                let mut hist = Histogram::new();
-                let mut ops = 0u64;
+                let mut samples: Vec<u64> = Vec::new();
                 let mut iter = 0u64;
                 loop {
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    if let Some(limit) = ops_per_client {
-                        if ops >= limit {
-                            break;
-                        }
+                    if ops_per_client.is_some_and(|limit| samples.len() as u64 >= limit) {
+                        break;
                     }
                     let t0 = Instant::now();
                     match worker(iter) {
-                        Ok(true) => {
-                            hist.record(t0.elapsed().as_nanos() as u64);
-                            ops += 1;
-                        }
+                        Ok(true) => samples.push(t0.elapsed().as_nanos() as u64),
                         Ok(false) => {}
                         Err(_) => {
                             total_errors.fetch_add(1, Ordering::Relaxed);
@@ -104,7 +93,7 @@ where
                     }
                     iter += 1;
                 }
-                (ops, hist)
+                samples
             }));
         }
         if let Some(d) = duration {
@@ -121,17 +110,12 @@ where
             .collect()
     });
     let wall = start.elapsed();
-    let mut latency = Histogram::new();
-    let mut ops = 0;
-    for (o, h) in &results {
-        ops += o;
-        latency.merge(h);
-    }
+    let mut samples = results.concat();
     BenchResult {
-        ops,
+        ops: samples.len() as u64,
         errors: total_errors.load(Ordering::Relaxed),
         wall: duration.map_or(wall, |d| wall.min(d + Duration::from_millis(200))),
-        latency,
+        latency: Summary::from_samples(&mut samples),
     }
 }
 

@@ -29,8 +29,8 @@ use cfs_types::FsError;
 
 use crate::nemesis::{
     apply_fault, apply_fs, check_thread_history_under, generate_ops_under, heal_cluster,
-    revert_fault, sleep_until, walk_subtree, Divergence, NemOp, NemesisOptions, NemesisSchedule,
-    LBL_WORKLOAD, NEMESIS_THREADS,
+    revert_fault, sleep_until, walk_subtree, Divergence, FaultFamily, NemOp, NemesisOptions,
+    NemesisSchedule, LBL_WORKLOAD, NEMESIS_THREADS,
 };
 
 /// Tunables for one soak run.
@@ -94,11 +94,13 @@ pub fn run_soak(opts: SoakOptions) -> SoakReport {
 
     let fault_opts = NemesisOptions {
         ops_per_thread: opts.ops_per_round,
-        restarts: true,
-        slow_fsync: true,
-        disk_full: true,
-        torn_write: true,
-        snapshot_crash: true,
+        families: &[
+            FaultFamily::Restart,
+            FaultFamily::SlowFsync,
+            FaultFamily::DiskFull,
+            FaultFamily::TornWrite,
+            FaultFamily::SnapshotCrash,
+        ],
         ..NemesisOptions::default()
     };
 

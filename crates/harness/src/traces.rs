@@ -14,7 +14,7 @@ use cfs_filestore::SetAttrPatch;
 use cfs_types::FsResult;
 use rand::{RngExt, SeedableRng};
 
-use crate::metrics::Histogram;
+use crate::metrics::Summary;
 use crate::runner::BenchResult;
 
 /// Which production trace to synthesize.
@@ -398,14 +398,13 @@ where
     F: Fn(usize) -> FS + Sync,
 {
     let start = Instant::now();
-    let results: Vec<(u64, u64, u64, Histogram)> = std::thread::scope(|scope| {
+    let results: Vec<(u64, u64, Vec<u64>)> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (c, stream) in trace.streams.iter().enumerate() {
             let fs = make_fs(c);
             handles.push(scope.spawn(move || {
                 let payload = vec![0x5Au8; 256 << 10];
-                let mut hist = Histogram::new();
-                let mut ops = 0u64;
+                let mut samples: Vec<u64> = Vec::with_capacity(stream.len());
                 let mut errors = 0u64;
                 let mut meta = 0u64;
                 for op in stream {
@@ -429,14 +428,13 @@ where
                     };
                     match res {
                         Ok(()) => {
-                            hist.record(t0.elapsed().as_nanos() as u64);
-                            ops += 1;
+                            samples.push(t0.elapsed().as_nanos() as u64);
                             meta += op.kind().metadata_ops();
                         }
                         Err(_) => errors += 1,
                     }
                 }
-                (ops, errors, meta, hist)
+                (errors, meta, samples)
             }));
         }
         handles
@@ -445,22 +443,20 @@ where
             .collect()
     });
     let wall = start.elapsed();
-    let mut latency = Histogram::new();
-    let mut ops = 0;
+    let mut samples = Vec::new();
     let mut errors = 0;
     let mut metadata_ops = 0;
-    for (o, e, m, h) in &results {
-        ops += o;
+    for (e, m, s) in results {
         errors += e;
         metadata_ops += m;
-        latency.merge(h);
+        samples.extend(s);
     }
     TraceReplay {
         fsops: BenchResult {
-            ops,
+            ops: samples.len() as u64,
             errors,
             wall,
-            latency,
+            latency: Summary::from_samples(&mut samples),
         },
         metadata_ops,
     }

@@ -106,6 +106,8 @@ pub struct KvStore {
     /// witness that recovery honored the checkpoint cursor instead of
     /// replaying from offset 0.
     recovered_entries: usize,
+    /// `kv_checkpoint_ns` in the registry of the node that opened the store.
+    checkpoint_ns: Arc<cfs_obs::metrics::Histogram>,
 }
 
 fn apply(map: &mut BTreeMap<Vec<u8>, Vec<u8>>, batch: Vec<WriteOp>) {
@@ -168,6 +170,7 @@ impl KvStore {
             config,
             last_checkpoint: RwLock::new(loaded_ckpt),
             recovered_entries,
+            checkpoint_ns: cfs_obs::metrics::local().histogram("kv_checkpoint_ns"),
         })
     }
 
@@ -213,11 +216,15 @@ impl KvStore {
                 "checkpoint requires a file-backed WAL".into(),
             ));
         };
-        // Cursor first, snapshot second: any batch racing this ordering is
-        // both in the snapshot and replayed after the cursor, and replay is
-        // order-preserving, so re-applying it converges to the same state.
-        let wal_cursor = wal.last_seq();
-        let entries = self.scan_from(&[], None, usize::MAX);
+        // Cursor and copy under one read guard: `write_batch` appends and
+        // applies under the write guard, so the copy holds exactly the
+        // batches at or below the cursor and recovery replays exactly the
+        // rest.
+        let (wal_cursor, entries) = {
+            let map = self.map.read();
+            let entries: Vec<_> = map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            (wal.last_seq(), entries)
+        };
         let info = CheckpointInfo {
             applied_index,
             epoch,
@@ -274,7 +281,8 @@ impl KvStore {
         // *replay* is the cursor's job, bounding memory is this one's).
         wal.truncate_prefix(wal_cursor);
         *self.last_checkpoint.write() = Some(info);
-        cfs_obs::profiler::record_local_ns("kv_checkpoint_ns", started.elapsed().as_nanos() as u64);
+        self.checkpoint_ns
+            .observe(started.elapsed().as_nanos() as u64);
         result?;
         Ok(info)
     }
@@ -325,10 +333,13 @@ impl KvStore {
         if batch.is_empty() {
             return Ok(());
         }
+        // Logged and applied under one write guard, so that a checkpoint
+        // never sees the log ahead of the map (see `checkpoint_at`).
+        let mut map = self.map.write();
         if let Some(wal) = &self.wal {
             wal.append(batch.to_bytes())?;
         }
-        apply(&mut self.map.write(), batch);
+        apply(&mut map, batch);
         Ok(())
     }
 
@@ -734,6 +745,56 @@ mod tests {
         assert_eq!(kv.get(b"keep"), Some(b"v".to_vec()));
         assert_eq!(kv.get(b"gone"), None);
         assert_eq!(kv.recovered_entries(), 1);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn checkpoints_racing_a_writer_never_skip_a_batch_on_recovery() {
+        // A checkpoint's cursor must cover exactly the batches its copy of
+        // the map holds: a cursor ahead of the copy makes recovery skip the
+        // batch in between. The interleaving sits inside `write_batch`, so
+        // the test races many checkpoints against a writer that never
+        // pauses instead of forcing one.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (cfg, path) = file_cfg("ckpt-race");
+        // Overwrites and deletes, so a skipped batch of either kind shows.
+        let op = |i: u32| {
+            let key = (i % 64).to_be_bytes().to_vec();
+            if i % 5 == 4 {
+                WriteOp::Delete(key)
+            } else {
+                WriteOp::Put(key, i.to_be_bytes().to_vec())
+            }
+        };
+        let mut model = BTreeMap::new();
+        let mut written = 0u32;
+        for round in 0..40u64 {
+            let kv = KvStore::with_config(cfg.clone()).unwrap();
+            assert_eq!(
+                kv.scan_from(&[], None, usize::MAX),
+                model.clone().into_iter().collect::<Vec<_>>(),
+                "reopen {round} lost or invented a batch"
+            );
+            let done = AtomicBool::new(false);
+            let until = std::thread::scope(|s| {
+                let writer = s.spawn(|| {
+                    let mut i = written;
+                    while !done.load(Ordering::Relaxed) {
+                        kv.write_batch(vec![op(i)]).unwrap();
+                        i += 1;
+                    }
+                    i
+                });
+                for _ in 0..8 {
+                    kv.checkpoint(round, 0).unwrap();
+                }
+                done.store(true, Ordering::Relaxed);
+                writer.join().unwrap()
+            });
+            apply(&mut model, (written..until).map(op).collect());
+            written = until;
+            kv.sync().unwrap();
+        }
         cleanup(&path);
     }
 

@@ -3,8 +3,8 @@
 //!
 //! The instrumented sites are the ones the paper's argument hinges on —
 //! lock wait/hold in the lock manager, Raft propose→apply, 2PC phase
-//! durations, kvstore flush/compaction stalls. Each site creates a
-//! [`Stopwatch`] over a cached histogram handle; the elapsed nanoseconds
+//! durations. Each site creates a [`Stopwatch`] over a cached histogram
+//! handle; the elapsed nanoseconds
 //! are recorded when the guard drops (or at an explicit [`Stopwatch::stop`]).
 
 use crate::metrics::Histogram;
@@ -55,12 +55,6 @@ impl Drop for Stopwatch {
     }
 }
 
-/// Records `duration` (in ns, from an `Instant`-measured span the caller
-/// already has) into the named histogram of the thread's local registry.
-pub fn record_local_ns(name: &str, ns: u64) {
-    crate::metrics::local().histogram(name).observe(ns);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,13 +83,5 @@ mod tests {
         let sw = Stopwatch::start(Arc::clone(&h));
         sw.disarm();
         assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn record_local_lands_in_thread_node() {
-        let _scope = crate::trace::node_scope(777_100);
-        record_local_ns("prof_test_ns", 123);
-        let h = crate::metrics::node(777_100).histogram("prof_test_ns");
-        assert_eq!(h.count(), 1);
     }
 }

@@ -473,7 +473,9 @@ mod tests {
     #[test]
     fn online_split_moves_data_and_redirects_clients() {
         let net = Network::new(NetConfig::default());
-        let (info0, group0) = spawn_group(&net, 0, 10);
+        // Node ids of this test's own: the registry hub is process-global
+        // and the migration counters below are asserted exactly.
+        let (info0, group0) = spawn_group(&net, 0, 7010);
         let pmap = Arc::new(PartitionMap::new(vec![info0]));
         let driver =
             PlacementDriver::new(Arc::clone(&net), NodeId(3), NodeId(4), Arc::clone(&pmap));
@@ -502,7 +504,7 @@ mod tests {
         }
 
         // Split at the donor's median occupied kid onto a fresh group.
-        let (info1, group1) = spawn_group(&net, 1, 20);
+        let (info1, group1) = spawn_group(&net, 1, 7020);
         let stats = driver.split(ShardId(0), None, info1).unwrap();
         assert_eq!(stats.epoch, 2);
         assert!(stats.keys_streamed > 0, "data moved: {stats:?}");
@@ -527,10 +529,20 @@ mod tests {
             .unwrap();
 
         // The donor purged and redirects; the receiver owns the moved keys.
-        let receiver_metrics = group1.metrics_snapshot();
-        assert!(receiver_metrics.keys_streamed >= stats.keys_streamed);
-        assert_eq!(receiver_metrics.ranges_received, 1);
-        assert_eq!(group0.metrics_snapshot().ranges_donated, 1);
+        // Every replica counts the replicated migration commands; the
+        // leader has applied all of them.
+        let leader_registry = |g: &TafBackendGroup| {
+            cfs_obs::metrics::node(g.raft().leader().expect("leader").id().0 as u64)
+        };
+        let receiver = leader_registry(&group1);
+        assert!(receiver.counter("shard_keys_streamed").get() >= stats.keys_streamed);
+        assert_eq!(receiver.counter("shard_ranges_received").get(), 1);
+        assert_eq!(
+            leader_registry(&group0)
+                .counter("shard_ranges_donated")
+                .get(),
+            1
+        );
 
         group0.shutdown();
         group1.shutdown();

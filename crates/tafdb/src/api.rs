@@ -6,7 +6,6 @@ use cfs_types::codec::{Decode, DecodeError, Encode, EncodeListItem};
 use cfs_types::{FsError, InodeId, Key, Record};
 
 use crate::primitive::{PrimResult, Primitive};
-use crate::shard::ShardMetricsSnapshot;
 
 /// Client-facing requests served on the `CH_APP` channel of a shard replica.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -30,8 +29,6 @@ pub enum TafRequest {
     Put(Key, Record),
     /// Delete one record (replicated). Used by GC cleanup.
     Delete(Key),
-    /// Fetch the shard's instrumentation counters.
-    Metrics,
     /// Migration: export one page of live entries whose kid lies in
     /// `[lo, hi]`, starting strictly after the raw kv key `after`
     /// (leader-local fuzzy read; the range stays writable while pages
@@ -113,7 +110,7 @@ impl Encode for TafRequest {
                 buf.push(4);
                 k.encode(buf);
             }
-            TafRequest::Metrics => buf.push(5),
+            // Tag 5 is retired; do not reuse it.
             TafRequest::MigExport {
                 lo,
                 hi,
@@ -171,7 +168,6 @@ impl Decode for TafRequest {
             2 => TafRequest::Execute(Primitive::decode(input)?),
             3 => TafRequest::Put(Key::decode(input)?, Record::decode(input)?),
             4 => TafRequest::Delete(Key::decode(input)?),
-            5 => TafRequest::Metrics,
             6 => TafRequest::MigExport {
                 lo: u64::decode(input)?,
                 hi: u64::decode(input)?,
@@ -334,6 +330,9 @@ impl Decode for Resolved {
 }
 
 /// Responses to [`TafRequest`]s.
+// `Record` is every point read's reply, so its payload stays inline rather
+// than costing a heap allocation per get.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TafResponse {
     /// Result of a `Get`.
@@ -344,8 +343,6 @@ pub enum TafResponse {
     Executed(PrimResult),
     /// Generic success (Put/Delete).
     Ok,
-    /// Instrumentation snapshot.
-    Metrics(ShardMetricsSnapshot),
     /// The request failed.
     Err(FsError),
     /// One page of a migration export; `done` means no further page exists.
@@ -380,10 +377,7 @@ impl Encode for TafResponse {
                 r.encode(buf);
             }
             TafResponse::Ok => buf.push(3),
-            TafResponse::Metrics(m) => {
-                buf.push(4);
-                m.encode(buf);
-            }
+            // Tag 4 is retired; do not reuse it.
             TafResponse::Err(e) => {
                 buf.push(5);
                 e.encode(buf);
@@ -416,7 +410,6 @@ impl Decode for TafResponse {
             1 => TafResponse::Entries(Vec::<DirEntry>::decode(input)?),
             2 => TafResponse::Executed(PrimResult::decode(input)?),
             3 => TafResponse::Ok,
-            4 => TafResponse::Metrics(ShardMetricsSnapshot::decode(input)?),
             5 => TafResponse::Err(FsError::decode(input)?),
             6 => TafResponse::Exported {
                 ops: Vec::<WriteOp>::decode(input)?,
@@ -664,9 +657,6 @@ impl Decode for ShardCmd {
 }
 
 /// Interactive transaction requests served on `CH_TXN` (baseline engines).
-// Quota fields on `Record` widened the primitive-bearing variants; these
-// requests are heap-bound RPC envelopes, so boxing would only add a hop.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TxnRequest {
     /// Acquire an exclusive row lock and read the record (SELECT ... FOR
@@ -851,7 +841,6 @@ mod tests {
                 Record::dir_attr_record(9, Timestamp(2)),
             ),
             TafRequest::Delete(Key::entry(InodeId(4), "x")),
-            TafRequest::Metrics,
             TafRequest::MigExport {
                 lo: 5,
                 hi: u64::MAX,

@@ -8,7 +8,6 @@ use cfs_rpc::mux::{MuxService, CH_APP, CH_TXN};
 use cfs_rpc::{Network, Service};
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::{FsError, NodeId, ShardId};
-use parking_lot::RwLock;
 
 use crate::api::{ShardCmd, TafRequest, TafResponse};
 use crate::locking::{LockManager, TxnService};
@@ -27,7 +26,6 @@ const WATCHED_REPLICA: usize = 0;
 pub struct TafBackendGroup {
     shard_id: ShardId,
     group: RaftGroup<TafShard>,
-    locks: RwLock<Vec<Arc<LockManager>>>,
 }
 
 impl TafBackendGroup {
@@ -46,40 +44,34 @@ impl TafBackendGroup {
             net,
             node_ids,
             raft_config,
-            |i| {
-                let stream = (i == WATCHED_REPLICA).then(CdcHandoff::fresh);
-                Arc::new(TafShard::new_with_cdc(KvConfig::default(), stream).expect("shard init"))
-            },
+            |i| Self::new_shard(node_ids[i], (i == WATCHED_REPLICA).then(CdcHandoff::fresh)),
             &storages,
         );
-        let mut locks = Vec::new();
         for (i, node) in group.nodes().iter().enumerate() {
-            let lm = Self::mount_services(node, &group.mux(i));
-            locks.push(lm);
+            Self::mount_services(node, &group.mux(i));
         }
-        TafBackendGroup {
-            shard_id,
-            group,
-            locks: RwLock::new(locks),
-        }
+        TafBackendGroup { shard_id, group }
+    }
+
+    /// Builds the state machine of the replica on `node`, reporting into
+    /// that node's registry. Shared by spawn and restart.
+    fn new_shard(node: NodeId, stream: Option<CdcHandoff>) -> Arc<TafShard> {
+        let _scope = cfs_obs::trace::node_scope(node.0 as u64);
+        Arc::new(TafShard::new_with_cdc(KvConfig::default(), stream).expect("shard init"))
     }
 
     /// Builds replica services (lock manager, app, txn) for `node` and
     /// mounts them on `mux`. Shared by spawn and restart.
-    fn mount_services(node: &Arc<RaftNode<TafShard>>, mux: &Arc<MuxService>) -> Arc<LockManager> {
-        let lm = Arc::new(LockManager::for_node(
-            Arc::clone(node.state_machine().metrics()),
-            node.id().0 as u64,
-        ));
+    fn mount_services(node: &Arc<RaftNode<TafShard>>, mux: &Arc<MuxService>) {
+        let lm = Arc::new(LockManager::new(node.id().0 as u64));
         let app = Arc::new(AppService {
             node: Arc::clone(node),
             locks: Arc::clone(&lm),
             prim_wait_ns: cfs_obs::metrics::node(node.id().0 as u64).histogram("prim_wait_ns"),
         });
-        let txn = Arc::new(TxnService::new(Arc::clone(node), Arc::clone(&lm)));
+        let txn = Arc::new(TxnService::new(Arc::clone(node), lm));
         mux.mount(CH_APP, app as Arc<dyn Service>);
         mux.mount(CH_TXN, txn as Arc<dyn Service>);
-        lm
     }
 
     /// Simulates kill −9 of replica `i`: the node and its services are torn
@@ -100,19 +92,17 @@ impl TafBackendGroup {
     /// collector has not drained yet stay available, its watch cursors stay
     /// valid, and log replay below the old applied index does not re-emit.
     pub fn restart_replica(&self, i: usize) -> Arc<RaftNode<TafShard>> {
-        let handoff = {
+        let sm = {
             let nodes = self.group.nodes();
             let old = nodes[i].state_machine();
-            old.cdc().map(|stream| CdcHandoff {
+            let handoff = old.cdc().map(|stream| CdcHandoff {
                 wal: stream.clone(),
                 emitted_through: old.applied_index(),
-            })
+            });
+            Self::new_shard(nodes[i].id(), handoff)
         };
-        let sm =
-            Arc::new(TafShard::new_with_cdc(KvConfig::default(), handoff).expect("shard init"));
         let (node, mux) = self.group.restart_replica(i, sm);
-        let lm = Self::mount_services(&node, &mux);
-        self.locks.write()[i] = lm;
+        Self::mount_services(&node, &mux);
         // Registration (which also revives the address) comes last, so the
         // replica never serves a request before its services exist.
         self.group
@@ -157,38 +147,9 @@ impl TafBackendGroup {
         &self.group
     }
 
-    /// Lock manager of replica `i` (tests and fault injection).
-    pub fn lock_manager(&self, i: usize) -> Arc<LockManager> {
-        Arc::clone(&self.locks.read()[i])
-    }
-
     /// Blocks until the group has a leader.
     pub fn wait_ready(&self, timeout: std::time::Duration) -> cfs_types::FsResult<()> {
         self.group.wait_for_leader(timeout).map(|_| ())
-    }
-
-    /// Aggregated metrics across replicas (each replica executes the same
-    /// applied commands; lock metrics accrue on leaders only).
-    pub fn metrics_snapshot(&self) -> crate::shard::ShardMetricsSnapshot {
-        let mut total = crate::shard::ShardMetricsSnapshot::default();
-        for node in self.group.nodes() {
-            let m = node.state_machine().metrics().snapshot();
-            total.lock_wait_ns += m.lock_wait_ns;
-            total.lock_hold_ns += m.lock_hold_ns;
-            total.lock_acquisitions += m.lock_acquisitions;
-            total.lock_contentions += m.lock_contentions;
-            total.primitives = total.primitives.max(m.primitives);
-            total.primitive_failures = total.primitive_failures.max(m.primitive_failures);
-            total.txn_commits = total.txn_commits.max(m.txn_commits);
-            total.txn_aborts = total.txn_aborts.max(m.txn_aborts);
-            // Migration counters accrue on every replica through the
-            // replicated commands; max avoids multiplying by replication.
-            total.ranges_donated = total.ranges_donated.max(m.ranges_donated);
-            total.ranges_received = total.ranges_received.max(m.ranges_received);
-            total.keys_streamed = total.keys_streamed.max(m.keys_streamed);
-            total.freeze_ns = total.freeze_ns.max(m.freeze_ns);
-        }
-        total
     }
 
     /// Stops the group's Raft nodes.
@@ -283,9 +244,6 @@ impl AppService {
             }
             TafRequest::Put(key, rec) => self.propose(ShardCmd::Put(key, rec)),
             TafRequest::Delete(key) => self.propose(ShardCmd::Delete(key)),
-            TafRequest::Metrics => {
-                TafResponse::Metrics(self.node.state_machine().metrics().snapshot())
-            }
             TafRequest::MigExport {
                 lo,
                 hi,

@@ -5,19 +5,19 @@
 //! writes records statement by statement across network round trips while the
 //! locks are held, and finally commits (optionally via two-phase commit for
 //! cross-shard transactions). Lock wait and hold times are recorded in the
-//! shard's [`ShardMetrics`] — that instrumentation regenerates the Figure 4
-//! breakdown showing locking at 52.91–93.86% of request time.
+//! replica's cfs-obs registry (`lock_wait_ns`, `lock_hold_ns`) — that
+//! instrumentation regenerates the Figure 4 breakdown showing locking at
+//! 52.91–93.86% of request time.
 //!
 //! Deadlock avoidance follows the baselines' practice of acquiring locks in a
 //! deterministic global key order; [`sort_lock_keys`] provides the order and
 //! the coordinator helpers in `cfs-baselines` use it.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cfs_obs::metrics::Histogram;
+use cfs_obs::metrics::{Counter, Histogram};
 use cfs_obs::{metrics as obs_metrics, trace};
 use cfs_rpc::Service;
 use cfs_types::codec::{Decode, Encode};
@@ -25,7 +25,7 @@ use cfs_types::{FsError, FsResult, Key, NodeId};
 use parking_lot::{Condvar, Mutex};
 
 use crate::api::{ShardCmd, TxnRequest, TxnResponse};
-use crate::shard::{ShardMetrics, TafShard};
+use crate::shard::TafShard;
 
 /// Sorts keys into the global lock-acquisition order (by `kID`, then by the
 /// string component, attribute records first).
@@ -45,10 +45,12 @@ struct LockTable {
 pub struct LockManager {
     table: Mutex<LockTable>,
     released: Condvar,
-    metrics: Arc<ShardMetrics>,
-    /// Per-acquisition wait-time distribution (`lock_wait_ns` histogram of
-    /// the owning node's registry; the `ShardMetrics` sums above only give
-    /// means, the histograms give p50/p99).
+    /// Row locks granted (`lock_acquisitions`), and how many of them had to
+    /// wait for another transaction first (`lock_contentions`).
+    acquisitions: Arc<Counter>,
+    contentions: Arc<Counter>,
+    /// Per-acquisition wait-time distribution (`lock_wait_ns`); its `sum`
+    /// is the total time spent waiting for row locks.
     wait_hist: Arc<Histogram>,
     /// Per-transaction hold-time distribution (`lock_hold_ns`).
     hold_hist: Arc<Histogram>,
@@ -58,15 +60,9 @@ pub struct LockManager {
 }
 
 impl LockManager {
-    /// Creates a lock manager reporting into `metrics` (histograms land in
-    /// the unattributed node-0 registry; prefer [`LockManager::for_node`]).
-    pub fn new(metrics: Arc<ShardMetrics>) -> LockManager {
-        LockManager::for_node(metrics, 0)
-    }
-
-    /// Creates a lock manager whose histograms report into `node`'s
-    /// registry (the shard replica the manager lives on).
-    pub fn for_node(metrics: Arc<ShardMetrics>, node: u64) -> LockManager {
+    /// Creates a lock manager reporting into `node`'s registry (the shard
+    /// replica the manager lives on).
+    pub fn new(node: u64) -> LockManager {
         let reg = obs_metrics::node(node);
         LockManager {
             table: Mutex::new(LockTable {
@@ -74,7 +70,8 @@ impl LockManager {
                 held: HashMap::new(),
             }),
             released: Condvar::new(),
-            metrics,
+            acquisitions: reg.counter("lock_acquisitions"),
+            contentions: reg.counter("lock_contentions"),
             wait_hist: reg.histogram("lock_wait_ns"),
             hold_hist: reg.histogram("lock_hold_ns"),
             wait_timeout: Duration::from_secs(10),
@@ -98,13 +95,9 @@ impl LockManager {
                 None => {
                     table.owners.insert(key.clone(), txn);
                     table.held.entry(txn).or_default().push(key.clone());
-                    self.metrics
-                        .lock_acquisitions
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.acquisitions.inc();
                     if contended {
-                        self.metrics
-                            .lock_contentions
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.contentions.inc();
                     }
                     self.record_wait(start);
                     return Ok(());
@@ -126,9 +119,7 @@ impl LockManager {
     }
 
     fn record_wait(&self, start: Instant) {
-        let ns = start.elapsed().as_nanos() as u64;
-        self.metrics.lock_wait_ns.fetch_add(ns, Ordering::Relaxed);
-        self.wait_hist.observe(ns);
+        self.wait_hist.observe(start.elapsed().as_nanos() as u64);
     }
 
     /// Releases every lock held by `txn` and credits the hold time.
@@ -143,9 +134,7 @@ impl LockManager {
         }
         drop(table);
         if let Some(since) = held_since {
-            let ns = since.elapsed().as_nanos() as u64;
-            self.metrics.lock_hold_ns.fetch_add(ns, Ordering::Relaxed);
-            self.hold_hist.observe(ns);
+            self.hold_hist.observe(since.elapsed().as_nanos() as u64);
         }
         self.released.notify_all();
     }
@@ -323,8 +312,9 @@ mod tests {
 
     #[test]
     fn lock_conflict_blocks_until_release() {
-        let metrics = Arc::new(ShardMetrics::default());
-        let lm = Arc::new(LockManager::new(Arc::clone(&metrics)));
+        // A node id of its own: the hub is process-global and the other
+        // tests' managers share node 0.
+        let lm = Arc::new(LockManager::new(770_101));
         let key = Key::attr(InodeId(1));
         lm.acquire(1, &key).unwrap();
         let lm2 = Arc::clone(&lm);
@@ -341,14 +331,16 @@ mod tests {
             waited >= Duration::from_millis(40),
             "waiter must block: {waited:?}"
         );
-        let m = metrics.snapshot();
-        assert_eq!(m.lock_contentions, 1);
-        assert!(m.lock_wait_ns > 30_000_000);
+        let reg = obs_metrics::node(770_101);
+        assert_eq!(reg.counter("lock_contentions").get(), 1);
+        assert_eq!(reg.counter("lock_acquisitions").get(), 2);
+        assert!(reg.histogram_snapshot("lock_wait_ns").sum > 30_000_000);
+        assert_eq!(reg.histogram_snapshot("lock_hold_ns").count, 1);
     }
 
     #[test]
     fn reentrant_acquire_by_owner_is_noop() {
-        let lm = LockManager::new(Arc::new(ShardMetrics::default()));
+        let lm = LockManager::new(0);
         let key = Key::attr(InodeId(1));
         lm.acquire(7, &key).unwrap();
         lm.acquire(7, &key).unwrap();
@@ -357,7 +349,7 @@ mod tests {
 
     #[test]
     fn release_all_frees_every_row_of_txn() {
-        let lm = LockManager::new(Arc::new(ShardMetrics::default()));
+        let lm = LockManager::new(0);
         lm.acquire(1, &Key::attr(InodeId(1))).unwrap();
         lm.acquire(1, &Key::entry(InodeId(1), "a")).unwrap();
         lm.acquire(2, &Key::attr(InodeId(2))).unwrap();
@@ -370,7 +362,7 @@ mod tests {
 
     #[test]
     fn release_wakes_contended_waiter_promptly() {
-        let lm = Arc::new(LockManager::new(Arc::new(ShardMetrics::default())));
+        let lm = Arc::new(LockManager::new(0));
         let key = Key::attr(InodeId(3));
         lm.acquire(1, &key).unwrap();
         let lm2 = Arc::clone(&lm);
@@ -393,8 +385,7 @@ mod tests {
 
     #[test]
     fn lock_timeout_returns_busy() {
-        let metrics = Arc::new(ShardMetrics::default());
-        let mut lm = LockManager::new(metrics);
+        let mut lm = LockManager::new(0);
         lm.wait_timeout = Duration::from_millis(30);
         let lm = Arc::new(lm);
         let key = Key::attr(InodeId(9));

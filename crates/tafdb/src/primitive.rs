@@ -121,7 +121,7 @@ pub struct Primitive {
     /// across replicas. Only legal when the quota record shares the
     /// primitive's shard; cross-shard callers reserve against the quota
     /// record with a separate primitive first.
-    pub quota: Option<UpdateSpec>,
+    pub quota: Option<Box<UpdateSpec>>,
 }
 
 impl Primitive {
@@ -173,7 +173,7 @@ impl Primitive {
     /// Attaches a volume-quota clause (admission predicate + usage deltas)
     /// to this primitive. The quota record must live on the same shard.
     pub fn with_quota(mut self, quota: UpdateSpec) -> Primitive {
-        self.quota = Some(quota);
+        self.quota = Some(Box::new(quota));
         self
     }
 
@@ -222,7 +222,7 @@ impl Decode for Primitive {
             inserts,
             deletes: Vec::<Cond>::decode(input)?,
             update: Option::<UpdateSpec>::decode(input)?,
-            quota: Option::<UpdateSpec>::decode(input)?,
+            quota: Option::<Box<UpdateSpec>>::decode(input)?,
         })
     }
 }

@@ -1,4 +1,5 @@
-//! The shard state machine: one range of the `inode_table` over an LSM store.
+//! The shard state machine: one range of the `inode_table` over an ordered
+//! in-memory store (`cfs-kvstore`: one map + WAL + checkpoint).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -6,6 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cfs_kvstore::{KvConfig, KvStore, WriteOp};
+use cfs_obs::metrics::{Counter, Histogram, Registry};
 use cfs_raft::StateMachine;
 use cfs_types::codec::{Decode, DecodeError, Encode};
 use cfs_types::{FsError, FsResult, InodeId, Key, Record};
@@ -15,126 +17,45 @@ use crate::api::{DirEntry, ResolveEnd, ResolveStep, Resolved, ShardCmd, TafRespo
 use crate::primitive::{self, PrimResult, Primitive, RecordStore};
 use cfs_types::FileType;
 
-/// Instrumentation counters of one shard (paper Figure 4's breakdown needs
-/// lock wait/hold times; §5 reports executed-primitive counts).
-#[derive(Debug, Default)]
-pub struct ShardMetrics {
-    /// Nanoseconds spent waiting for row locks (baseline engines).
-    pub lock_wait_ns: AtomicU64,
-    /// Nanoseconds locks were held (baseline engines).
-    pub lock_hold_ns: AtomicU64,
-    /// Row lock acquisitions.
-    pub lock_acquisitions: AtomicU64,
-    /// Lock acquisitions that had to wait.
-    pub lock_contentions: AtomicU64,
-    /// Primitives executed.
-    pub primitives: AtomicU64,
+/// One replica's instruments in its node's cfs-obs registry, resolved once
+/// when the shard is built. The counters are bumped inside replicated apply,
+/// so every replica of a shard reaches the same values: read one replica's,
+/// do not sum across the group.
+struct Instruments {
+    primitives: Arc<Counter>,
     /// Primitives whose checks failed.
-    pub primitive_failures: AtomicU64,
-    /// Interactive transactions committed.
-    pub txn_commits: AtomicU64,
-    /// Interactive transactions aborted.
-    pub txn_aborts: AtomicU64,
-    /// Key ranges donated to another shard by a completed migration.
-    pub ranges_donated: AtomicU64,
-    /// Key ranges received from another shard.
-    pub ranges_received: AtomicU64,
+    primitive_failures: Arc<Counter>,
+    txn_commits: Arc<Counter>,
+    txn_aborts: Arc<Counter>,
+    ranges_donated: Arc<Counter>,
+    ranges_received: Arc<Counter>,
     /// Raw kv entries ingested from migration streams.
-    pub keys_streamed: AtomicU64,
-    /// Nanoseconds the shard spent with a range frozen (the cutover window
-    /// in which in-range requests were refused).
-    pub freeze_ns: AtomicU64,
+    keys_streamed: Arc<Counter>,
+    /// Nanoseconds spent with a range frozen for cutover (in-range requests
+    /// refused).
+    freeze_ns: Arc<Counter>,
+    /// How long each applied primitive held the shard: the pruned critical
+    /// section the paper contrasts with baseline lock-hold times.
+    prim_hold_ns: Arc<Histogram>,
 }
 
-/// A point-in-time copy of [`ShardMetrics`], wire-encodable.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ShardMetricsSnapshot {
-    /// Nanoseconds spent waiting for row locks.
-    pub lock_wait_ns: u64,
-    /// Nanoseconds locks were held.
-    pub lock_hold_ns: u64,
-    /// Row lock acquisitions.
-    pub lock_acquisitions: u64,
-    /// Lock acquisitions that had to wait.
-    pub lock_contentions: u64,
-    /// Primitives executed.
-    pub primitives: u64,
-    /// Primitives whose checks failed.
-    pub primitive_failures: u64,
-    /// Interactive transactions committed.
-    pub txn_commits: u64,
-    /// Interactive transactions aborted.
-    pub txn_aborts: u64,
-    /// Key ranges donated away by completed migrations.
-    pub ranges_donated: u64,
-    /// Key ranges received from other shards.
-    pub ranges_received: u64,
-    /// Raw kv entries ingested from migration streams.
-    pub keys_streamed: u64,
-    /// Nanoseconds spent with a range frozen for cutover.
-    pub freeze_ns: u64,
-}
-
-impl ShardMetrics {
-    /// Takes a snapshot (relaxed loads).
-    pub fn snapshot(&self) -> ShardMetricsSnapshot {
-        ShardMetricsSnapshot {
-            lock_wait_ns: self.lock_wait_ns.load(Ordering::Relaxed),
-            lock_hold_ns: self.lock_hold_ns.load(Ordering::Relaxed),
-            lock_acquisitions: self.lock_acquisitions.load(Ordering::Relaxed),
-            lock_contentions: self.lock_contentions.load(Ordering::Relaxed),
-            primitives: self.primitives.load(Ordering::Relaxed),
-            primitive_failures: self.primitive_failures.load(Ordering::Relaxed),
-            txn_commits: self.txn_commits.load(Ordering::Relaxed),
-            txn_aborts: self.txn_aborts.load(Ordering::Relaxed),
-            ranges_donated: self.ranges_donated.load(Ordering::Relaxed),
-            ranges_received: self.ranges_received.load(Ordering::Relaxed),
-            keys_streamed: self.keys_streamed.load(Ordering::Relaxed),
-            freeze_ns: self.freeze_ns.load(Ordering::Relaxed),
+impl Instruments {
+    fn resolve(reg: &Registry) -> Instruments {
+        Instruments {
+            primitives: reg.counter("shard_primitives"),
+            primitive_failures: reg.counter("shard_primitive_failures"),
+            txn_commits: reg.counter("shard_txn_commits"),
+            txn_aborts: reg.counter("shard_txn_aborts"),
+            ranges_donated: reg.counter("shard_ranges_donated"),
+            ranges_received: reg.counter("shard_ranges_received"),
+            keys_streamed: reg.counter("shard_keys_streamed"),
+            freeze_ns: reg.counter("shard_freeze_ns"),
+            prim_hold_ns: reg.histogram("prim_hold_ns"),
         }
     }
 }
 
-impl Encode for ShardMetricsSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.lock_wait_ns.encode(buf);
-        self.lock_hold_ns.encode(buf);
-        self.lock_acquisitions.encode(buf);
-        self.lock_contentions.encode(buf);
-        self.primitives.encode(buf);
-        self.primitive_failures.encode(buf);
-        self.txn_commits.encode(buf);
-        self.txn_aborts.encode(buf);
-        self.ranges_donated.encode(buf);
-        self.ranges_received.encode(buf);
-        self.keys_streamed.encode(buf);
-        self.freeze_ns.encode(buf);
-    }
-}
-
-impl Decode for ShardMetricsSnapshot {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ShardMetricsSnapshot {
-            lock_wait_ns: u64::decode(input)?,
-            lock_hold_ns: u64::decode(input)?,
-            lock_acquisitions: u64::decode(input)?,
-            lock_contentions: u64::decode(input)?,
-            primitives: u64::decode(input)?,
-            primitive_failures: u64::decode(input)?,
-            txn_commits: u64::decode(input)?,
-            txn_aborts: u64::decode(input)?,
-            ranges_donated: u64::decode(input)?,
-            ranges_received: u64::decode(input)?,
-            keys_streamed: u64::decode(input)?,
-            freeze_ns: u64::decode(input)?,
-        })
-    }
-}
-
 /// A transaction staged by 2PC prepare, awaiting commit or abort.
-// `Primitive` outgrew the writes variant once records carried quota
-// limits; staged entries are few and short-lived, so no box.
-#[allow(clippy::large_enum_variant)]
 enum Staged {
     /// Raw writes (baseline locking engine).
     Writes(Vec<(Key, Option<Record>)>),
@@ -238,7 +159,7 @@ pub struct TafShard {
     /// (e.g. a directory rename whose source parent and moved directory both
     /// live here).
     prepared: Mutex<HashMap<u64, Vec<Staged>>>,
-    metrics: Arc<ShardMetrics>,
+    obs: Instruments,
     /// Logical change stream consumed by the garbage collector (§4.4), on
     /// the one replica of the group the collector watches: every replica
     /// applies every command, so one stream carries every event, and a
@@ -297,7 +218,8 @@ impl CdcHandoff {
 
 impl TafShard {
     /// Creates a shard over a store with the given config, publishing no
-    /// change stream.
+    /// change stream. It reports into the registry of the node the calling
+    /// thread is attributed to (`cfs_obs::trace::node_scope`).
     pub fn new(kv_config: KvConfig) -> FsResult<TafShard> {
         Self::new_with_cdc(kv_config, None)
     }
@@ -312,7 +234,7 @@ impl TafShard {
         Ok(TafShard {
             kv: KvStore::with_config(kv_config)?,
             prepared: Mutex::new(HashMap::new()),
-            metrics: Arc::new(ShardMetrics::default()),
+            obs: Instruments::resolve(&cfs_obs::metrics::local()),
             cdc,
             mig: Mutex::new(MigState::default()),
             dir_gens: Mutex::new(HashMap::new()),
@@ -349,11 +271,6 @@ impl TafShard {
             return;
         }
         let _ = cdc.append(event.to_bytes());
-    }
-
-    /// The shard's metrics handle (shared with the lock manager).
-    pub fn metrics(&self) -> &Arc<ShardMetrics> {
-        &self.metrics
     }
 
     /// Leader-local point read.
@@ -631,19 +548,16 @@ impl TafShard {
                 // contrasts with baseline lock-hold times.
                 let hold_started = std::time::Instant::now();
                 let result = self.execute_primitive(&prim);
-                cfs_obs::profiler::record_local_ns(
-                    "prim_hold_ns",
-                    hold_started.elapsed().as_nanos() as u64,
-                );
+                self.obs
+                    .prim_hold_ns
+                    .observe(hold_started.elapsed().as_nanos() as u64);
                 match result {
                     Ok(res) => {
-                        self.metrics.primitives.fetch_add(1, Ordering::Relaxed);
+                        self.obs.primitives.inc();
                         TafResponse::Executed(res)
                     }
                     Err(e) => {
-                        self.metrics
-                            .primitive_failures
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.obs.primitive_failures.inc();
                         TafResponse::Err(e)
                     }
                 }
@@ -698,7 +612,7 @@ impl TafShard {
                 let staged = self.prepared.lock().remove(&txn);
                 match staged {
                     Some(items) => {
-                        self.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);
+                        self.obs.txn_commits.inc();
                         let mut result = PrimResult::default();
                         for item in items {
                             let res = match item {
@@ -724,7 +638,7 @@ impl TafShard {
             }
             ShardCmd::Abort { txn } => {
                 self.prepared.lock().remove(&txn);
-                self.metrics.txn_aborts.fetch_add(1, Ordering::Relaxed);
+                self.obs.txn_aborts.inc();
                 TafResponse::Ok
             }
             ShardCmd::CommitWrites { writes } => {
@@ -734,7 +648,7 @@ impl TafShard {
                 {
                     return TafResponse::Err(e);
                 }
-                self.metrics.txn_commits.fetch_add(1, Ordering::Relaxed);
+                self.obs.txn_commits.inc();
                 match self.apply_writes(writes) {
                     Ok(()) => TafResponse::Ok,
                     Err(e) => TafResponse::Err(e),
@@ -785,13 +699,11 @@ impl TafShard {
                 match &mig.active {
                     Some(m) if m.lo == lo && m.hi == hi => {
                         if let Some(t0) = m.frozen_at {
-                            self.metrics
-                                .freeze_ns
-                                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                            self.obs.freeze_ns.add(t0.elapsed().as_nanos() as u64);
                         }
                         mig.active = None;
                         mig.moved.push((lo, hi, epoch));
-                        self.metrics.ranges_donated.fetch_add(1, Ordering::Relaxed);
+                        self.obs.ranges_donated.inc();
                         drop(mig);
                         match self.purge_range(lo, hi) {
                             Ok(()) => TafResponse::Ok,
@@ -816,14 +728,14 @@ impl TafShard {
                 let n = ops.len() as u64;
                 match self.commit_batch(ops) {
                     Ok(()) => {
-                        self.metrics.keys_streamed.fetch_add(n, Ordering::Relaxed);
+                        self.obs.keys_streamed.add(n);
                         TafResponse::Ok
                     }
                     Err(e) => TafResponse::Err(e),
                 }
             }
             ShardCmd::MigAccept { lo: _, hi: _ } => {
-                self.metrics.ranges_received.fetch_add(1, Ordering::Relaxed);
+                self.obs.ranges_received.inc();
                 TafResponse::Ok
             }
         }
@@ -1231,17 +1143,22 @@ mod tests {
 
     #[test]
     fn failed_primitive_counts_in_metrics() {
+        // The hub is process-global: a node id of its own keeps the counts
+        // exact beside the other tests' shards.
+        let _scope = cfs_obs::trace::node_scope(770_001);
         let shard = shard_with_root();
         create(&shard, cfs_types::ROOT_INODE, "dup", 1);
         let resp = create(&shard, cfs_types::ROOT_INODE, "dup", 2);
         assert_eq!(resp, TafResponse::Err(FsError::AlreadyExists));
-        let m = shard.metrics().snapshot();
-        assert_eq!(m.primitives, 1);
-        assert_eq!(m.primitive_failures, 1);
+        let reg = cfs_obs::metrics::node(770_001);
+        assert_eq!(reg.counter("shard_primitives").get(), 1);
+        assert_eq!(reg.counter("shard_primitive_failures").get(), 1);
+        assert_eq!(reg.histogram_snapshot("prim_hold_ns").count, 2);
     }
 
     #[test]
     fn migration_records_tail_then_freezes_and_redirects() {
+        let _scope = cfs_obs::trace::node_scope(770_002);
         let shard = shard_with_root();
         create(&shard, cfs_types::ROOT_INODE, "before", 100);
         // Start donating the whole root range.
@@ -1293,8 +1210,8 @@ mod tests {
             }),
             TafResponse::Ok
         );
-        let m = shard.metrics().snapshot();
-        assert_eq!(m.ranges_donated, 1);
+        let reg = cfs_obs::metrics::node(770_002);
+        assert_eq!(reg.counter("shard_ranges_donated").get(), 1);
     }
 
     #[test]
@@ -1391,6 +1308,7 @@ mod tests {
     #[test]
     fn ingest_applies_raw_ops_and_counts_keys() {
         let donor = shard_with_root();
+        let _scope = cfs_obs::trace::node_scope(770_003);
         let receiver = TafShard::new(KvConfig::default()).unwrap();
         let (ops, done) = donor.export_page(0, u64::MAX, None, 100);
         assert!(done);
@@ -1408,9 +1326,9 @@ mod tests {
             TafResponse::Ok
         );
         assert!(receiver.get(&Key::attr(cfs_types::ROOT_INODE)).is_some());
-        let m = receiver.metrics().snapshot();
-        assert_eq!(m.keys_streamed, n);
-        assert_eq!(m.ranges_received, 1);
+        let reg = cfs_obs::metrics::node(770_003);
+        assert_eq!(reg.counter("shard_keys_streamed").get(), n);
+        assert_eq!(reg.counter("shard_ranges_received").get(), 1);
     }
 
     /// Writes the id record of one directory entry (and, for directories,

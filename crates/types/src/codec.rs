@@ -220,6 +220,19 @@ impl Decode for Vec<u8> {
     }
 }
 
+/// A box is invisible on the wire.
+impl<T: Encode> Encode for Box<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (**self).encode(buf);
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
+        T::decode(input).map(Box::new)
+    }
+}
+
 impl<T: Encode> Encode for Option<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {

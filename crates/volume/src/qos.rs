@@ -6,8 +6,9 @@
 //! client (`CfsClient`) *before* any RPC is issued — throttled work never
 //! reaches the shards, which is what protects the shared Raft groups.
 //!
-//! Per-tenant counters are recorded through the cfs-obs registry of the
-//! node calling [`QosLimiter::admit`]:
+//! Per-tenant counters are recorded in the cfs-obs registry of the node
+//! whose thread built the limiter (a cluster builds its shared limiter
+//! unattributed, so node 0), through handles each bucket resolves once:
 //!
 //! * `tenant.vol<N>.ops` — admitted operations,
 //! * `tenant.vol<N>.throttle_waits` — admissions that had to wait,
@@ -15,8 +16,10 @@
 //! * `tenant.vol<N>.wait_us` — histogram of admission wait time.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cfs_obs::metrics::{Counter, Histogram, Registry};
 use cfs_types::{FsError, FsResult, VolumeId};
 use parking_lot::Mutex;
 
@@ -45,9 +48,27 @@ struct Bucket {
     tokens: f64,
     last_refill: Instant,
     cfg: QosConfig,
+    ops: Arc<Counter>,
+    throttle_waits: Arc<Counter>,
+    rejects: Arc<Counter>,
+    wait_us: Arc<Histogram>,
 }
 
 impl Bucket {
+    /// A full bucket for `vol`, its `tenant.vol<N>.*` instruments resolved.
+    fn new(vol: VolumeId, cfg: QosConfig, now: Instant, reg: &Registry) -> Bucket {
+        let name = |suffix: &str| format!("tenant.vol{}.{suffix}", vol.0);
+        Bucket {
+            tokens: cfg.burst,
+            last_refill: now,
+            cfg,
+            ops: reg.counter(&name("ops")),
+            throttle_waits: reg.counter(&name("throttle_waits")),
+            rejects: reg.counter(&name("rejects")),
+            wait_us: reg.histogram(&name("wait_us")),
+        }
+    }
+
     fn refill(&mut self, now: Instant) {
         let dt = now.duration_since(self.last_refill).as_secs_f64();
         self.tokens = (self.tokens + dt * self.cfg.ops_per_sec).min(self.cfg.burst);
@@ -59,6 +80,7 @@ impl Bucket {
 pub struct QosLimiter {
     default_cfg: QosConfig,
     buckets: Mutex<HashMap<u16, Bucket>>,
+    registry: Arc<Registry>,
 }
 
 impl QosLimiter {
@@ -67,70 +89,49 @@ impl QosLimiter {
         QosLimiter {
             default_cfg,
             buckets: Mutex::new(HashMap::new()),
+            registry: cfs_obs::metrics::local(),
         }
     }
 
     /// Overrides one volume's share.
     pub fn set_rate(&self, vol: VolumeId, cfg: QosConfig) {
-        let mut buckets = self.buckets.lock();
-        buckets.insert(
-            vol.0,
-            Bucket {
-                tokens: cfg.burst,
-                last_refill: Instant::now(),
-                cfg,
-            },
-        );
+        let bucket = Bucket::new(vol, cfg, Instant::now(), &self.registry);
+        self.buckets.lock().insert(vol.0, bucket);
     }
 
     /// Admits one operation for `vol`, blocking until a token is available
     /// or the volume's `max_wait` elapses (then `FsError::Busy`).
     pub fn admit(&self, vol: VolumeId) -> FsResult<()> {
         let start = Instant::now();
-        let metrics = cfs_obs::metrics::local();
-        let prefix = format!("tenant.vol{}", vol.0);
         let mut waited = false;
         loop {
             let now = Instant::now();
             let sleep_for = {
                 let mut buckets = self.buckets.lock();
-                let b = buckets.entry(vol.0).or_insert_with(|| Bucket {
-                    tokens: self.default_cfg.burst,
-                    last_refill: now,
-                    cfg: self.default_cfg,
-                });
+                let b = buckets
+                    .entry(vol.0)
+                    .or_insert_with(|| Bucket::new(vol, self.default_cfg, now, &self.registry));
                 b.refill(now);
                 if b.tokens >= 1.0 {
                     b.tokens -= 1.0;
-                    None
-                } else {
-                    // Time until one whole token has dripped in.
-                    let deficit = 1.0 - b.tokens;
-                    let max_wait = b.cfg.max_wait;
-                    let need = Duration::from_secs_f64(deficit / b.cfg.ops_per_sec.max(1e-9));
-                    if now.duration_since(start) + need > max_wait {
-                        metrics.counter(&format!("{prefix}.rejects")).inc();
-                        return Err(FsError::Busy);
-                    }
-                    Some(need)
-                }
-            };
-            match sleep_for {
-                None => {
-                    metrics.counter(&format!("{prefix}.ops")).inc();
-                    metrics
-                        .histogram(&format!("{prefix}.wait_us"))
-                        .observe(start.elapsed().as_micros() as u64);
+                    b.ops.inc();
+                    b.wait_us.observe(start.elapsed().as_micros() as u64);
                     return Ok(());
                 }
-                Some(need) => {
-                    if !waited {
-                        waited = true;
-                        metrics.counter(&format!("{prefix}.throttle_waits")).inc();
-                    }
-                    std::thread::sleep(need.max(Duration::from_micros(100)));
+                // Time until one whole token has dripped in.
+                let deficit = 1.0 - b.tokens;
+                let need = Duration::from_secs_f64(deficit / b.cfg.ops_per_sec.max(1e-9));
+                if now.duration_since(start) + need > b.cfg.max_wait {
+                    b.rejects.inc();
+                    return Err(FsError::Busy);
                 }
-            }
+                if !waited {
+                    waited = true;
+                    b.throttle_waits.inc();
+                }
+                need
+            };
+            std::thread::sleep(sleep_for.max(Duration::from_micros(100)));
         }
     }
 }

@@ -118,11 +118,15 @@ fn create_race_has_exactly_one_winner() {
     assert_eq!(losses.load(Ordering::Relaxed), 75);
     assert_eq!(fs.getattr("/race").unwrap().children, 25);
     // GC reclaims every loser's orphaned attribute.
+    // This binary's only collector; the hub is process-global, so count
+    // from where its node's counter stands.
     let gc = c.garbage_collector(Duration::from_millis(100));
+    let orphans = cfs_obs::metrics::node(gc.node().0 as u64).counter("gc_orphan_attrs_removed");
+    let before = orphans.get();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
         gc.run_once().unwrap();
-        let removed = gc.stats().orphan_attrs_removed.load(Ordering::Relaxed);
+        let removed = orphans.get() - before;
         if removed >= 75 {
             break;
         }

@@ -9,7 +9,8 @@
 //! (sweep base / single-seed target), `CFS_NEMESIS_OPS` (ops per thread).
 
 use cfs_harness::nemesis::{
-    canonical_log_for, run_nemesis, NemesisOptions, NemesisReport, NemesisSchedule,
+    canonical_log_for, run_nemesis, Fault, FaultFamily, NemesisOptions, NemesisReport,
+    NemesisSchedule,
 };
 use cfs_rpc::seed_from_env;
 
@@ -44,18 +45,23 @@ fn check_seed_with(seed: u64, opts: NemesisOptions) -> NemesisReport {
     report
 }
 
-fn check_seed(seed: u64) {
-    check_seed_with(seed, NemesisOptions::default());
-}
-
-/// The CI sweep: ~20 seeds, each a full boot → fault schedule → oracle run.
-#[test]
-fn seed_sweep_passes_divergence_oracle() {
-    let base = seed_from_env();
+/// One sweep: `CFS_NEMESIS_SEEDS` seeds (default 20) starting at the env
+/// base plus the sweep's own `salt`, each a full boot → fault schedule →
+/// oracle run under `opts`. `per_seed` sees every oracle-clean report; the
+/// sweep's width is returned for the caller's end-of-sweep check.
+fn sweep(salt: u64, opts: NemesisOptions, mut per_seed: impl FnMut(u64, &NemesisReport)) -> u64 {
+    let base = seed_from_env().wrapping_add(salt);
     let count = env_usize("CFS_NEMESIS_SEEDS", 20) as u64;
     for seed in base..base + count {
-        check_seed(seed);
+        per_seed(seed, &check_seed_with(seed, opts));
     }
+    count
+}
+
+/// The CI sweep: the base fault die, default options.
+#[test]
+fn seed_sweep_passes_divergence_oracle() {
+    sweep(0, NemesisOptions::default(), |_, _| {});
 }
 
 /// The scale-out sweep: each seed runs the full fault schedule with two
@@ -65,16 +71,12 @@ fn seed_sweep_passes_divergence_oracle() {
 /// not just its abort path — is exercised.
 #[test]
 fn split_nemesis_sweep_passes_divergence_oracle() {
-    let base = seed_from_env().wrapping_add(0x5117);
-    let count = env_usize("CFS_NEMESIS_SEEDS", 20) as u64;
     let opts = NemesisOptions {
         splits: 2,
         ..NemesisOptions::default()
     };
     let mut splits_ok = 0;
-    for seed in base..base + count {
-        splits_ok += check_seed_with(seed, opts).splits_ok;
-    }
+    let count = sweep(0x5117, opts, |_, report| splits_ok += report.splits_ok);
     assert!(
         splits_ok > 0,
         "no split completed across {count} seeds: the sweep never exercised a cutover"
@@ -89,15 +91,11 @@ fn split_nemesis_sweep_passes_divergence_oracle() {
 /// sweep: zero divergences allowed.
 #[test]
 fn read_index_nemesis_sweep_passes_divergence_oracle() {
-    let base = seed_from_env().wrapping_add(0x8ead);
-    let count = env_usize("CFS_NEMESIS_SEEDS", 20) as u64;
     let opts = NemesisOptions {
         read_index: true,
         ..NemesisOptions::default()
     };
-    for seed in base..base + count {
-        check_seed_with(seed, opts);
-    }
+    sweep(0x8ead, opts, |_, _| {});
 }
 
 /// The crash-restart recovery sweep: the base fault family extended with
@@ -110,15 +108,11 @@ fn read_index_nemesis_sweep_passes_divergence_oracle() {
 /// inter-compaction stride.
 #[test]
 fn restart_nemesis_sweep_passes_divergence_oracle() {
-    let base = seed_from_env().wrapping_add(0x08e5_7a87);
-    let count = env_usize("CFS_NEMESIS_SEEDS", 20) as u64;
     let opts = NemesisOptions {
-        restarts: true,
-        slow_fsync: true,
+        families: &[FaultFamily::Restart, FaultFamily::SlowFsync],
         ..NemesisOptions::default()
     };
-    for seed in base..base + count {
-        let report = check_seed_with(seed, opts);
+    sweep(0x08e5_7a87, opts, |seed, report| {
         assert!(
             report.max_taf_log_len < 96,
             "seed {seed}: a TafDB replica's raft log grew to {} entries — \
@@ -131,7 +125,7 @@ fn restart_nemesis_sweep_passes_divergence_oracle() {
              compaction is not bounding the log",
             report.max_fs_log_len
         );
-    }
+    });
 }
 
 /// The storage-fault sweep: disk-full budgets starving a replica's log
@@ -143,17 +137,16 @@ fn restart_nemesis_sweep_passes_divergence_oracle() {
 /// actually be drawn so none of them silently rides free.
 #[test]
 fn storage_nemesis_sweep_passes_divergence_oracle() {
-    use cfs_harness::nemesis::Fault;
-    let base = seed_from_env().wrapping_add(0x0d15_f417);
-    let count = env_usize("CFS_NEMESIS_SEEDS", 20) as u64;
     let opts = NemesisOptions {
-        disk_full: true,
-        torn_write: true,
-        snapshot_crash: true,
+        families: &[
+            FaultFamily::DiskFull,
+            FaultFamily::TornWrite,
+            FaultFamily::SnapshotCrash,
+        ],
         ..NemesisOptions::default()
     };
     let (mut disk, mut torn, mut snap) = (0, 0, 0);
-    for seed in base..base + count {
+    let count = sweep(0x0d15_f417, opts, |seed, _| {
         for w in NemesisSchedule::generate_with(seed, 2, 2, 3, &opts).windows {
             match w.fault {
                 Fault::DiskFull(..) => disk += 1,
@@ -162,8 +155,7 @@ fn storage_nemesis_sweep_passes_divergence_oracle() {
                 _ => {}
             }
         }
-        check_seed_with(seed, opts);
-    }
+    });
     assert!(
         disk > 0 && torn > 0 && snap > 0,
         "a storage fault family was never drawn across {count} seeds \
@@ -176,7 +168,7 @@ fn storage_nemesis_sweep_passes_divergence_oracle() {
 #[test]
 #[ignore = "reproduction helper; run explicitly with CFS_SIM_SEED set"]
 fn single_seed_from_env() {
-    check_seed(seed_from_env());
+    check_seed_with(seed_from_env(), NemesisOptions::default());
 }
 
 /// Two runs with the same seed must produce byte-identical canonical op
