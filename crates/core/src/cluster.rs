@@ -298,10 +298,10 @@ impl CfsCluster {
     /// [`cfs_raft::RaftStorage`] survives, playing the disk.
     pub fn crash_node(&self, id: NodeId) -> FsResult<()> {
         if let Ok((g, i)) = self.find_taf_replica(id) {
-            g.crash_replica(i);
+            g.raft().crash_replica(i);
         } else {
             let (g, i) = self.find_fs_replica(id)?;
-            g.crash_replica(i);
+            g.raft().crash_replica(i);
         }
         Ok(())
     }
@@ -352,10 +352,10 @@ impl CfsCluster {
     /// looked up across TafDB and FileStore groups alike.
     pub fn replica_faults(&self, id: NodeId) -> FsResult<Option<Arc<cfs_wal::FaultFs>>> {
         if let Ok((g, i)) = self.find_taf_replica(id) {
-            return Ok(g.replica_faults(i));
+            return Ok(g.raft().replica_faults(i));
         }
         let (g, i) = self.find_fs_replica(id)?;
-        Ok(g.replica_faults(i))
+        Ok(g.raft().replica_faults(i))
     }
 
     fn find_fs_replica(&self, id: NodeId) -> FsResult<(&FileStoreGroup, usize)> {
@@ -449,33 +449,18 @@ impl CfsCluster {
             .with_volume(vol)
     }
 
-    /// Builds the garbage collector wired to every component's change stream
-    /// (each group keeps one, on a replica that applies all committed
-    /// commands regardless of leadership). The collector is the streams' one
-    /// consumer and releases what it has ingested, so build one collector per
-    /// cluster; a cluster that never runs one keeps every event.
-    ///
-    /// Watchers cover the groups alive at call time; build the collector
-    /// after any planned [`CfsCluster::split_shard`] calls. (Split receivers
-    /// ingest moved keys without CDC events, so tombstone grace tracking is
-    /// unaffected by the migration itself.)
+    /// Builds the garbage collector: each cycle it reads the pending tables
+    /// of every TafDB shard in the authoritative partition map and of every
+    /// FileStore node, so groups added by [`CfsCluster::split_shard`] later
+    /// are covered too. Its reads are ReadIndex-confirmed, so a deposed
+    /// leader cannot feed it stale rows. Rows stay on the group that applied
+    /// them, so a cluster that never runs a collector keeps only its
+    /// unbalanced rows.
     pub fn garbage_collector(&self, grace: Duration) -> GarbageCollector {
-        let taf_watchers = self
-            .taf_groups
-            .read()
-            .iter()
-            .map(|g| g.cdc().watch_from_start())
-            .collect();
-        let fs_watchers = self
-            .fs_groups
-            .iter()
-            .map(|g| g.cdc().watch_from_start())
-            .collect();
         let me = NodeId(self.next_client.fetch_add(1, Ordering::Relaxed));
         GarbageCollector::new(
-            taf_watchers,
-            fs_watchers,
-            TafDbClient::new(Arc::clone(&self.net), me, Arc::clone(&self.pmap)),
+            TafDbClient::new(Arc::clone(&self.net), me, Arc::clone(&self.pmap))
+                .with_consistency(ReadConsistency::ReadIndex),
             FileStoreClient::new(Arc::clone(&self.net), me, Arc::clone(&self.fs_layout)),
             grace,
         )

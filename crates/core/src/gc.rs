@@ -2,20 +2,33 @@
 //!
 //! Because both TafDB and FileStore are Raft-protected, inconsistencies only
 //! arise when a *client* crashes (or is partitioned away) between the two
-//! phases of a metadata request. The collector watches the logical change
-//! streams both tiers publish alongside their WALs and performs the paper's
-//! *pairing analysis*:
+//! phases of a metadata request. The paper's collector watches both tiers'
+//! WALs and pairs their mutations. Here each TafDB shard and each FileStore
+//! node keeps the mutations nothing has paired yet as replicated state, its
+//! pending table ([`cfs_types::pending`]); the collector reads every current
+//! group's rows (ReadIndex-confirmed, so never from a deposed leader), merges
+//! them per inode, and performs the paper's *pairing analysis* on an inode
+//! once its merged rows have stayed unchanged for the grace period:
 //!
-//! * a FileStore `AttrPut` with no paired TafDB id-record insert after the
-//!   grace period is a crashed `create` — the orphaned attribute is deleted;
-//! * a TafDB id-record delete with no paired FileStore `AttrDeleted` (and no
-//!   re-insert, which is what a rename looks like) is a crashed
-//!   `unlink`/`rename` — the leftover attribute and blocks are deleted;
+//! * a FileStore attribute put with no TafDB link is a crashed `create` —
+//!   the orphaned attribute is deleted;
+//! * more TafDB unlinks than links (a rename unlinks and links once each) is
+//!   a crashed `unlink`/`rename` — the attribute the link left behind is
+//!   deleted: the file's in FileStore, with its blocks, or the directory's
+//!   in TafDB;
 //! * on-demand mode ([`repair_dangling_entry`]) handles the dangling id
 //!   records a crashed `rmdir`/`unlink` leaves behind, triggered when
 //!   `getattr`/`readdir` fail to fetch attribute records.
+//!
+//! Only once an inode's repair has succeeded does the collector drop its
+//! rows, with replicated trims per group that remove exactly the rows it read
+//! if they are still unchanged; a failed repair leaves them for the next
+//! cycle. A live file keeps its rows until they are trimmed, and the
+//! opposite event cancels a row, so no history is needed to tell a live
+//! file from an orphan — a replica that caught up by snapshot holds the same
+//! rows as one that applied every entry.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,61 +37,54 @@ use cfs_filestore::FileStoreClient;
 use cfs_obs::metrics::Counter;
 use cfs_tafdb::primitive::{Primitive, UpdateSpec};
 use cfs_tafdb::TafDbClient;
-use cfs_types::codec::Decode;
 use cfs_types::record::{FieldAssign, NumField, Pred};
-use cfs_types::{CdcEvent, Cond, FileType, FsResult, InodeId, Key};
-use cfs_wal::WalWatcher;
+use cfs_types::{Cond, FileType, FsResult, InodeId, Key, PendingEvent, PendingRow, ShardId};
 use parking_lot::Mutex;
 
-/// Per-inode pairing state.
-#[derive(Debug, Default)]
-struct InoState {
-    inserts: u32,
-    deletes: u32,
-    attr_put: bool,
-    attr_deleted: bool,
-    /// True when the inode is a directory (its attribute lives in TafDB).
-    dir_attr_put: bool,
-    dir_attr_deleted: bool,
-    last_event: Option<Instant>,
+/// The replicated group a pending row was read from.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Group {
+    Taf(ShardId),
+    /// A FileStore logical node, by index in the layout.
+    Fs(usize),
+}
+
+/// One inode's merged rows, as last read.
+type Rows = Vec<(Group, PendingRow)>;
+
+/// An inode's rows and when they last changed.
+struct Seen {
+    rows: Rows,
+    since: Instant,
 }
 
 /// The background collector.
 pub struct GarbageCollector {
-    taf_watchers: Mutex<Vec<WalWatcher>>,
-    fs_watchers: Mutex<Vec<WalWatcher>>,
     taf: TafDbClient,
     fs: FileStoreClient,
-    state: Mutex<HashMap<InodeId, InoState>>,
+    seen: Mutex<HashMap<InodeId, Seen>>,
     /// Counters in the registry of the collector's own node (its TafDB
-    /// client's address): `gc_events_processed`, `gc_orphan_attrs_removed`
+    /// client's address): `gc_rows_trimmed`, `gc_orphan_attrs_removed`
     /// (crashed creates) and `gc_stale_attrs_removed` (crashed unlinks).
-    events_processed: Arc<Counter>,
+    rows_trimmed: Arc<Counter>,
     orphan_attrs_removed: Arc<Counter>,
     stale_attrs_removed: Arc<Counter>,
-    /// How long an unpaired event must stay unpaired before being treated as
-    /// an orphan.
+    /// How long an inode's rows must stay unchanged before they are paired.
     pub grace: Duration,
 }
 
 impl GarbageCollector {
-    /// Creates a collector over the given change-stream watchers and repair
-    /// clients.
-    pub fn new(
-        taf_watchers: Vec<WalWatcher>,
-        fs_watchers: Vec<WalWatcher>,
-        taf: TafDbClient,
-        fs: FileStoreClient,
-        grace: Duration,
-    ) -> GarbageCollector {
+    /// Creates a collector that reads pending rows and repairs through the
+    /// given clients: every shard of the TafDB client's partition map and
+    /// every node of the FileStore client's layout, as they are at each
+    /// cycle.
+    pub fn new(taf: TafDbClient, fs: FileStoreClient, grace: Duration) -> GarbageCollector {
         let reg = cfs_obs::metrics::node(taf.node().0 as u64);
         GarbageCollector {
-            taf_watchers: Mutex::new(taf_watchers),
-            fs_watchers: Mutex::new(fs_watchers),
             taf,
             fs,
-            state: Mutex::new(HashMap::new()),
-            events_processed: reg.counter("gc_events_processed"),
+            seen: Mutex::new(HashMap::new()),
+            rows_trimmed: reg.counter("gc_rows_trimmed"),
             orphan_attrs_removed: reg.counter("gc_orphan_attrs_removed"),
             stale_attrs_removed: reg.counter("gc_stale_attrs_removed"),
             grace,
@@ -90,71 +96,128 @@ impl GarbageCollector {
         self.taf.node()
     }
 
-    fn ingest(&self) {
-        let now = Instant::now();
-        let mut events = Vec::new();
-        for watchers in [&self.taf_watchers, &self.fs_watchers] {
-            for w in watchers.lock().iter_mut() {
-                for entry in w.poll() {
-                    if let Ok(e) = CdcEvent::from_bytes(&entry.payload) {
-                        events.push(e);
-                    }
-                }
-                // The collector is the stream's one consumer: what it has
-                // ingested lives on in `state`, so the stream may forget it.
-                w.release_consumed();
+    /// Every current group's rows, read under a ReadIndex confirmation and
+    /// merged per inode. Fails if any group cannot be read: pairing half the
+    /// rows could take a live file for an orphan.
+    fn read_rows(&self) -> FsResult<BTreeMap<InodeId, Rows>> {
+        let mut shards: Vec<ShardId> = self
+            .taf
+            .partition_map()
+            .shards()
+            .into_iter()
+            .map(|s| s.id)
+            .collect();
+        shards.sort_unstable();
+        shards.dedup();
+        let mut merged: BTreeMap<InodeId, Rows> = BTreeMap::new();
+        let mut add = |group: Group, rows: Vec<PendingRow>| {
+            for row in rows {
+                merged.entry(row.ino).or_default().push((group, row));
             }
+        };
+        for shard in shards {
+            add(Group::Taf(shard), self.taf.pending(shard)?);
         }
-        let mut state = self.state.lock();
-        for e in events {
-            self.events_processed.inc();
-            let s = state.entry(e.ino()).or_default();
-            s.last_event = Some(now);
-            match e {
-                CdcEvent::TafInsertedId { .. } => s.inserts += 1,
-                CdcEvent::TafDeletedId { .. } => s.deletes += 1,
-                CdcEvent::TafPutDirAttr { .. } => s.dir_attr_put = true,
-                CdcEvent::TafDeletedDirAttr { .. } => s.dir_attr_deleted = true,
-                CdcEvent::AttrPut { .. } => s.attr_put = true,
-                CdcEvent::AttrDeleted { .. } => s.attr_deleted = true,
-            }
+        for node in 0..self.fs.layout().nodes.len() {
+            add(Group::Fs(node), self.fs.pending(node)?);
         }
+        Ok(merged)
     }
 
-    /// Runs one collection cycle: ingest fresh events, then sweep pairing
-    /// state that has been quiet for longer than the grace period.
+    /// Runs one collection cycle: read every group's rows, restart the grace
+    /// clock of every inode whose rows changed, repair the inodes whose rows
+    /// outlived the grace period, and trim the rows of those repaired. The
+    /// first error is returned after the rest of the cycle has run.
     pub fn run_once(&self) -> FsResult<()> {
-        self.ingest();
+        let merged = self.read_rows()?;
         let now = Instant::now();
-        let expired: Vec<(InodeId, InoState)> = {
-            let mut state = self.state.lock();
-            let keys: Vec<InodeId> = state
-                .iter()
-                .filter(|(_, s)| {
-                    s.last_event
-                        .is_some_and(|t| now.duration_since(t) >= self.grace)
-                })
-                .map(|(k, _)| *k)
-                .collect();
-            keys.into_iter()
-                .filter_map(|k| state.remove(&k).map(|s| (k, s)))
-                .collect()
+        let settled: Vec<(InodeId, Rows)> = {
+            let mut seen = self.seen.lock();
+            seen.retain(|ino, _| merged.contains_key(ino));
+            let mut settled = Vec::new();
+            for (ino, rows) in merged {
+                match seen.get(&ino) {
+                    Some(s) if s.rows == rows => {
+                        if now.duration_since(s.since) >= self.grace {
+                            settled.push((ino, rows));
+                        }
+                    }
+                    _ => {
+                        seen.insert(ino, Seen { rows, since: now });
+                    }
+                }
+            }
+            settled
         };
-        for (ino, s) in expired {
-            let net = i64::from(s.inserts) - i64::from(s.deletes);
-            if s.attr_put && s.inserts == 0 && !s.attr_deleted {
-                // Crashed create: the attribute was written but never linked.
+        let mut first_err = None;
+        let mut repaired = Vec::new();
+        for (ino, rows) in settled {
+            match self.repair(ino, &rows) {
+                Ok(()) => repaired.push((ino, rows)),
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        // A row whose partner is trimmed first can pass for a crash on its
+        // own: an attribute put or an unlink whose link is gone. So those
+        // rows, and directory-attribute puts, are trimmed first, and the
+        // rest of an inode's rows only once all of its first trims succeeded.
+        let first = |e| {
+            matches!(
+                e,
+                PendingEvent::AttrPut | PendingEvent::Unlinked | PendingEvent::DirAttrPut
+            )
+        };
+        let mut unsettled = HashSet::new();
+        for phase in [true, false] {
+            let mut trims: BTreeMap<Group, Vec<PendingRow>> = BTreeMap::new();
+            for (ino, rows) in &repaired {
+                if unsettled.contains(ino) {
+                    continue;
+                }
+                for (group, row) in rows.iter().filter(|(_, r)| first(r.event) == phase) {
+                    trims.entry(*group).or_default().push(row.clone());
+                }
+            }
+            for (group, rows) in trims {
+                let inos: Vec<InodeId> = rows.iter().map(|r| r.ino).collect();
+                let n = rows.len() as u64;
+                let trimmed = match group {
+                    Group::Taf(shard) => self.taf.gc_trim(shard, rows),
+                    Group::Fs(node) => self.fs.gc_trim(node, rows),
+                };
+                match trimmed {
+                    Ok(()) => self.rows_trimmed.add(n),
+                    Err(e) => {
+                        unsettled.extend(inos);
+                        first_err.get_or_insert(e);
+                    }
+                }
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Applies the pairing rules to one inode's settled rows. Deletions are
+    /// idempotent, so a repair retried after a failed trim is harmless.
+    fn repair(&self, ino: InodeId, rows: &Rows) -> FsResult<()> {
+        let has = |event| rows.iter().any(|(_, r)| r.event == event);
+        let count = |event| rows.iter().filter(|(_, r)| r.event == event).count();
+        let links = count(PendingEvent::Linked);
+        let unlinks = count(PendingEvent::Unlinked);
+        if has(PendingEvent::AttrPut) && links == 0 {
+            // Crashed create: the attribute was written but never linked.
+            self.fs.delete_file(ino)?;
+            self.orphan_attrs_removed.inc();
+        } else if unlinks > links {
+            // Crashed unlink / rename: the link is gone, its attribute may
+            // linger. A deleted attribute record means nothing lingers.
+            if has(PendingEvent::DirAttrPut) {
+                self.taf.delete(Key::attr(ino))?;
+                self.stale_attrs_removed.inc();
+            } else if !has(PendingEvent::AttrDeleted) && !has(PendingEvent::DirAttrDeleted) {
                 self.fs.delete_file(ino)?;
-                self.orphan_attrs_removed.inc();
-            } else if net < 0 {
-                // Crashed unlink / rename: the link is gone, attribute state
-                // may linger in either tier. All deletions are idempotent.
-                if !s.attr_deleted {
-                    self.fs.delete_file(ino)?;
-                }
-                if s.dir_attr_put && !s.dir_attr_deleted {
-                    self.taf.delete(Key::attr(ino))?;
-                }
                 self.stale_attrs_removed.inc();
             }
         }

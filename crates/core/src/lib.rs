@@ -12,7 +12,7 @@
 //!   group, range-partitioned Raft-replicated TafDB shards, hash-partitioned
 //!   Raft-replicated FileStore nodes, and the Renamer coordinator.
 //! * [`gc::GarbageCollector`] — the background pairing analysis of §4.4 over
-//!   the TafDB and FileStore change streams, plus the on-demand path used
+//!   the TafDB and FileStore pending tables, plus the on-demand path used
 //!   when `getattr`/`readdir` hit records orphaned by a crashed `rmdir`.
 //! * [`fsapi::FileSystem`] — the POSIX-style trait all three systems (CFS,
 //!   HopsFS-like, InfiniFS-like) implement, so the harness drives them

@@ -26,6 +26,40 @@ fn gc_counter(gc: &GarbageCollector, name: &str) -> u64 {
         .get()
 }
 
+/// Waits until every replica of `g` has applied what its leader committed.
+fn converge<S: cfs_raft::StateMachine>(g: &cfs_raft::RaftGroup<S>) {
+    let timeout = Duration::from_secs(10);
+    g.wait_quiescent(timeout).unwrap();
+    let commit = g.wait_for_leader(timeout).unwrap().commit_index();
+    let deadline = std::time::Instant::now() + timeout;
+    while g.nodes().iter().any(|n| n.applied_index() < commit) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "replicas never caught up"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Waits until every replica of every group has applied all it committed.
+fn quiesce(c: &CfsCluster) {
+    for g in c.taf_groups() {
+        converge(g.raft());
+    }
+    for g in c.fs_groups() {
+        converge(g.raft());
+    }
+}
+
+/// One collector pass over settled state: a cycle that sees every mutation
+/// made so far, then one past the grace period that pairs it.
+fn settle_and_sweep(c: &CfsCluster, gc: &GarbageCollector) {
+    quiesce(c);
+    gc.run_once().unwrap();
+    std::thread::sleep(gc.grace + Duration::from_millis(50));
+    gc.run_once().unwrap();
+}
+
 #[test]
 fn create_getattr_unlink_lifecycle() {
     let c = cluster();
@@ -291,8 +325,8 @@ fn gc_reclaims_orphaned_create_attr() {
     let _turn = gc_turn();
     let gc = c.garbage_collector(Duration::from_millis(100));
     let removed_before = gc_counter(&gc, "gc_orphan_attrs_removed");
-    // CDC events propagate through replica apply asynchronously; run cycles
-    // until the orphan is collected (bounded).
+    // Run cycles until the orphan's row has outlived the grace period and
+    // the orphan is collected (bounded).
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while fs.filestore().get_attr(orphan).unwrap().is_some() {
         assert!(
@@ -317,22 +351,10 @@ fn gc_reclaims_attr_after_crashed_unlink() {
     let ino = fs.create("/g2/doomed").unwrap();
     let _turn = gc_turn();
     let gc = c.garbage_collector(Duration::from_millis(100));
-    let events_before = gc_counter(&gc, "gc_events_processed");
-    // Settle deterministically: root seeding + mkdir + create produce 5 CDC
-    // events (TafPutDirAttr ×2, TafInsertedId ×2, AttrPut); wait until all
-    // are ingested, then let the grace period expire and sweep them.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while gc_counter(&gc, "gc_events_processed") - events_before < 5 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "cdc events not observed"
-        );
-        gc.run_once().unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    std::thread::sleep(Duration::from_millis(150));
-    gc.run_once().unwrap(); // sweep the settled create pairing
-                            // Crash after the TafDB unlink but before the FileStore deletion.
+    // Pair and trim the create's rows first, so the unlink below is the only
+    // thing left to pair.
+    settle_and_sweep(&c, &gc);
+    // Crash after the TafDB unlink but before the FileStore deletion.
     let gone = fs.unlink_crash_before_filestore("/g2/doomed").unwrap();
     assert_eq!(gone, ino);
     assert!(fs.filestore().get_attr(ino).unwrap().is_some());
@@ -376,124 +398,135 @@ fn rename_same_path_is_noop_and_missing_fails() {
 }
 
 #[test]
-fn cdc_stream_survives_replica_crash_restart_with_undrained_events() {
+fn plain_unlink_after_a_sweep_is_not_counted_as_a_repair() {
     let c = cluster();
     let fs = c.client();
-    fs.mkdir("/gcdc").unwrap();
-    // An orphaned attribute (client crash between the FileStore and TafDB
-    // phases): only the undrained CDC events can tell the collector that
-    // `ghost` has no id record while `alive` does.
-    let orphan = fs.create_crash_before_link("/gcdc/ghost").unwrap();
-    let live = fs.create("/gcdc/alive").unwrap();
-
-    // Subscribe the collector but do NOT poll yet — every event so far sits
-    // undrained in the watched replicas' CDC streams.
+    fs.mkdir("/pu").unwrap();
     let _turn = gc_turn();
     let gc = c.garbage_collector(Duration::from_millis(100));
+    let removed = |gc: &GarbageCollector| {
+        (
+            gc_counter(gc, "gc_orphan_attrs_removed"),
+            gc_counter(gc, "gc_stale_attrs_removed"),
+        )
+    };
+    let ino = fs.create("/pu/f").unwrap();
+    settle_and_sweep(&c, &gc);
+    let before = removed(&gc);
+    // The create was paired in an earlier cycle, so the unlink's two deletes
+    // pair with nothing — but both happened, and nothing needs repair.
+    fs.unlink("/pu/f").unwrap();
+    settle_and_sweep(&c, &gc);
+    assert_eq!(fs.filestore().get_attr(ino).unwrap(), None);
+    assert_eq!(removed(&gc), before, "a plain unlink repairs nothing");
+}
 
-    // kill −9 the exact replicas the collector watches (replica 0 of every
-    // TafDB group) and rebuild them from snapshot + log. The CDC stream is
-    // machine-local state that must survive the process kill: undrained
-    // events stay available and log replay must not re-emit duplicates.
-    for g in c.taf_groups() {
-        let id = g.raft().nodes()[0].id();
-        c.crash_node(id).expect("crash watched replica");
-        c.restart_node(id).expect("rebuild watched replica");
-    }
-    for g in c.taf_groups() {
+/// The pending rows on every replica of every group, by group.
+fn pending_by_replica(c: &CfsCluster) -> Vec<Vec<Vec<cfs_types::PendingRow>>> {
+    let taf = c.taf_groups().into_iter().map(|g| {
         g.raft()
-            .wait_quiescent(Duration::from_secs(10))
-            .expect("taf quiesce after rebuild");
+            .nodes()
+            .iter()
+            .map(|n| n.state_machine().pending_rows())
+            .collect()
+    });
+    let fs = c.fs_groups().iter().map(|g| {
+        g.raft()
+            .nodes()
+            .iter()
+            .map(|n| n.state_machine().pending_rows())
+            .collect()
+    });
+    taf.chain(fs).collect()
+}
+
+#[test]
+fn collector_survives_replica_zero_returning_by_install_snapshot() {
+    let c = cluster();
+    let threshold = c.config().raft.snapshot_threshold;
+    let fs = c.client();
+    fs.mkdir("/gis").unwrap();
+    // An orphaned attribute (client crash between the FileStore and TafDB
+    // phases) beside a healthy file.
+    let orphan = fs.create_crash_before_link("/gis/ghost").unwrap();
+    let mut live = vec![fs.create("/gis/alive").unwrap()];
+
+    // kill −9 replica 0 of every TafDB group and keep committing until the
+    // leaders have compacted past what it holds: it can only come back by
+    // InstallSnapshot, never applying the creates the image covers.
+    let victims: Vec<_> = c
+        .taf_groups()
+        .iter()
+        .map(|g| {
+            let n = &g.raft().nodes()[0];
+            (n.id(), n.applied_index())
+        })
+        .collect();
+    for (id, _) in &victims {
+        c.crash_node(*id).expect("crash replica 0");
+    }
+    for i in 0..2 * threshold + 20 {
+        live.push(fs.create(&format!("/gis/f{i}")).unwrap());
+    }
+    // Replica 0 was stopped, not dropped, so ask the two live replicas.
+    let by_snapshot = c.taf_groups().iter().zip(&victims).any(|(g, (_, at))| {
+        g.raft().nodes()[1..]
+            .iter()
+            .all(|n| n.snapshot_index() > *at)
+    });
+    assert!(by_snapshot, "a leader compacted past its crashed replica 0");
+    for (id, _) in &victims {
+        c.restart_node(*id).expect("restart replica 0");
+    }
+    quiesce(&c);
+    // The image carried the pending rows: every replica agrees.
+    for group in pending_by_replica(&c) {
+        assert!(group.windows(2).all(|w| w[0] == w[1]));
     }
 
-    // Post-rebuild mutations must keep flowing into the same stream.
-    let after = fs.create("/gcdc/after").unwrap();
-
-    // The orphan is still collected from the pre-crash events...
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let _turn = gc_turn();
+    let gc = c.garbage_collector(Duration::from_millis(100));
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while fs.filestore().get_attr(orphan).unwrap().is_some() {
         assert!(
             std::time::Instant::now() < deadline,
-            "orphan not collected: CDC events were lost across the rebuild"
+            "the orphan was never collected"
         );
         gc.run_once().unwrap();
         std::thread::sleep(Duration::from_millis(60));
     }
-    // ...while both healthy files survive: their id-record events were
-    // neither lost (which would orphan them) nor double-emitted.
-    std::thread::sleep(Duration::from_millis(150));
-    gc.run_once().unwrap();
-    assert!(fs.filestore().get_attr(live).unwrap().is_some());
-    assert!(fs.filestore().get_attr(after).unwrap().is_some());
-    fs.lookup("/gcdc/alive").unwrap();
-    fs.lookup("/gcdc/after").unwrap();
+    settle_and_sweep(&c, &gc);
+    for ino in &live {
+        assert!(
+            fs.filestore().get_attr(*ino).unwrap().is_some(),
+            "live file {ino:?} lost its attribute"
+        );
+    }
+    fs.lookup("/gis/alive").unwrap();
 }
 
 #[test]
-fn only_the_watched_replica_of_a_group_keeps_a_cdc_stream() {
-    let c = cluster();
-    for g in c.taf_groups() {
-        let streams: Vec<bool> = g
-            .raft()
-            .nodes()
-            .iter()
-            .map(|n| n.state_machine().cdc().is_some())
-            .collect();
-        assert_eq!(streams, [true, false, false]);
-    }
-    for g in c.fs_groups() {
-        let streams: Vec<bool> = g
-            .raft()
-            .nodes()
-            .iter()
-            .map(|n| n.state_machine().cdc().is_some())
-            .collect();
-        assert_eq!(streams, [true, false, false]);
-    }
-}
-
-#[test]
-fn collector_releases_the_cdc_events_it_has_ingested() {
+fn create_unlink_churn_leaves_no_pending_rows_without_a_collector() {
     let c = cluster();
     let fs = c.client();
     fs.mkdir("/churn").unwrap();
-    let _turn = gc_turn();
-    let gc = c.garbage_collector(Duration::from_millis(100));
-    let removed = |gc: &GarbageCollector| {
-        gc_counter(gc, "gc_orphan_attrs_removed") + gc_counter(gc, "gc_stale_attrs_removed")
-    };
-    let removed_before = removed(&gc);
-    let streams: Vec<cfs_wal::Wal> = c
-        .taf_groups()
-        .iter()
-        .map(|g| g.cdc())
-        .chain(c.fs_groups().iter().map(|g| g.cdc()))
-        .collect();
-    let released = || -> u64 { streams.iter().map(|s| s.first_seq() - 1).sum() };
-    let mut before = released();
+    quiesce(&c);
+    let before = pending_by_replica(&c);
     for round in 0..3 {
         for i in 0..40 {
             let path = format!("/churn/f{round}_{i}");
             fs.create(&path).unwrap();
             fs.unlink(&path).unwrap();
         }
-        // Followers apply behind the commit; let the watched replicas catch
-        // up before the cycle under test.
-        std::thread::sleep(Duration::from_millis(100));
-        gc.run_once().unwrap();
-        let after = released();
-        // create + unlink: two TafDB and two FileStore events each.
-        assert!(
-            after >= before + 4 * 40,
-            "round {round}: released {before} -> {after}"
-        );
-        before = after;
-        for s in &streams {
-            assert_eq!(s.first_seq(), s.last_seq() + 1, "ingested means released");
-        }
     }
-    // Churn pairs up, so nothing was collected — only forgotten.
-    assert_eq!(removed(&gc), removed_before);
+    quiesce(&c);
+    let after = pending_by_replica(&c);
+    // Every create is balanced by its unlink: not one row was added, and
+    // once applied indices agree every replica holds the same rows.
+    assert_eq!(after, before);
+    for group in &after {
+        assert!(group.windows(2).all(|w| w[0] == w[1]));
+    }
 }
 
 #[test]

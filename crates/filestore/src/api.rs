@@ -1,7 +1,7 @@
 //! Wire protocol of a FileStore node.
 
 use cfs_types::codec::{Decode, DecodeError, Encode};
-use cfs_types::{Attr, BlockId, FsError, InodeId, Timestamp};
+use cfs_types::{Attr, BlockId, FsError, InodeId, PendingRow, Timestamp};
 
 /// A partial attribute update (`setattr`), merged last-writer-wins using the
 /// TS-issued timestamp (paper §4.2's overwrite-attribute rule applied to file
@@ -82,6 +82,10 @@ pub enum FileStoreRequest {
     /// Delete a file's attribute record and all of its blocks in one
     /// replicated command (the write-back of `unlink`).
     DeleteFile(InodeId),
+    /// Read the node's GC pending table (leader-local).
+    Pending,
+    /// Drop the listed pending rows that are still unchanged (replicated).
+    GcTrim(Vec<PendingRow>),
 }
 
 impl Encode for FileStoreRequest {
@@ -129,6 +133,11 @@ impl Encode for FileStoreRequest {
                 buf.push(7);
                 i.encode(buf);
             }
+            FileStoreRequest::Pending => buf.push(8),
+            FileStoreRequest::GcTrim(rows) => {
+                buf.push(9);
+                rows.encode(buf);
+            }
         }
     }
 }
@@ -153,6 +162,8 @@ impl Decode for FileStoreRequest {
             5 => FileStoreRequest::ReadBlock(BlockId::decode(input)?),
             6 => FileStoreRequest::DeleteBlocks(InodeId::decode(input)?),
             7 => FileStoreRequest::DeleteFile(InodeId::decode(input)?),
+            8 => FileStoreRequest::Pending,
+            9 => FileStoreRequest::GcTrim(Vec::<PendingRow>::decode(input)?),
             t => return Err(DecodeError::InvalidTag(t)),
         })
     }
@@ -169,6 +180,8 @@ pub enum FileStoreResponse {
     Block(Option<Vec<u8>>),
     /// Failure.
     Err(FsError),
+    /// The node's GC pending table.
+    Pending(Vec<PendingRow>),
 }
 
 impl Encode for FileStoreResponse {
@@ -187,6 +200,10 @@ impl Encode for FileStoreResponse {
                 buf.push(3);
                 e.encode(buf);
             }
+            FileStoreResponse::Pending(rows) => {
+                buf.push(4);
+                rows.encode(buf);
+            }
         }
     }
 }
@@ -198,6 +215,7 @@ impl Decode for FileStoreResponse {
             1 => FileStoreResponse::Attr(Option::<Attr>::decode(input)?),
             2 => FileStoreResponse::Block(Option::<Vec<u8>>::decode(input)?),
             3 => FileStoreResponse::Err(FsError::decode(input)?),
+            4 => FileStoreResponse::Pending(Vec::<PendingRow>::decode(input)?),
             t => return Err(DecodeError::InvalidTag(t)),
         })
     }
@@ -236,6 +254,12 @@ mod tests {
                 index: 2,
             }),
             FileStoreRequest::DeleteBlocks(InodeId(5)),
+            FileStoreRequest::Pending,
+            FileStoreRequest::GcTrim(vec![PendingRow {
+                key: vec![0, 5],
+                ino: InodeId(5),
+                event: cfs_types::PendingEvent::AttrPut,
+            }]),
         ];
         for r in reqs {
             assert_eq!(FileStoreRequest::from_bytes(&r.to_bytes()).unwrap(), r);
@@ -250,6 +274,11 @@ mod tests {
             FileStoreResponse::Attr(None),
             FileStoreResponse::Block(Some(vec![9; 100])),
             FileStoreResponse::Err(FsError::NotFound),
+            FileStoreResponse::Pending(vec![PendingRow {
+                key: vec![0, 5],
+                ino: InodeId(5),
+                event: cfs_types::PendingEvent::AttrDeleted,
+            }]),
         ];
         for r in resps {
             assert_eq!(FileStoreResponse::from_bytes(&r.to_bytes()).unwrap(), r);

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use cfs_rpc::mux::{frame, CH_APP};
 use cfs_rpc::Network;
 use cfs_types::codec::{Decode, Encode};
-use cfs_types::{Attr, BlockId, FsError, FsResult, InodeId, NodeId, Timestamp};
+use cfs_types::{Attr, BlockId, FsError, FsResult, InodeId, NodeId, PendingRow, Timestamp};
 
 use crate::api::{FileStoreRequest, FileStoreResponse, SetAttrPatch};
 use crate::placement_hash;
@@ -64,7 +64,12 @@ impl FileStoreClient {
     }
 
     fn request(&self, ino: InodeId, req: &FileStoreRequest) -> FsResult<FileStoreResponse> {
-        let node_idx = self.layout.node_for(ino);
+        self.request_node(self.layout.node_for(ino), req)
+    }
+
+    /// Issues `req` to the leader of logical node `node_idx`, following
+    /// `NotLeader` redirects and rotating over replicas on timeouts.
+    fn request_node(&self, node_idx: usize, req: &FileStoreRequest) -> FsResult<FileStoreResponse> {
         let replicas = &self.layout.nodes[node_idx];
         let hints = &self.layout.leader_hints[node_idx];
         let payload = frame(CH_APP, &req.to_bytes());
@@ -185,6 +190,26 @@ impl FileStoreClient {
     /// Deletes all blocks of a file.
     pub fn delete_blocks(&self, ino: InodeId) -> FsResult<()> {
         match self.request(ino, &FileStoreRequest::DeleteBlocks(ino))? {
+            FileStoreResponse::Ok => Ok(()),
+            FileStoreResponse::Err(e) => Err(e),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Reads the GC pending table of logical node `node_idx` from its
+    /// leader.
+    pub fn pending(&self, node_idx: usize) -> FsResult<Vec<PendingRow>> {
+        match self.request_node(node_idx, &FileStoreRequest::Pending)? {
+            FileStoreResponse::Pending(rows) => Ok(rows),
+            FileStoreResponse::Err(e) => Err(e),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Drops the listed rows of node `node_idx`'s pending table that are
+    /// still unchanged (replicated).
+    pub fn gc_trim(&self, node_idx: usize, rows: Vec<PendingRow>) -> FsResult<()> {
+        match self.request_node(node_idx, &FileStoreRequest::GcTrim(rows))? {
             FileStoreResponse::Ok => Ok(()),
             FileStoreResponse::Err(e) => Err(e),
             other => Err(unexpected(other)),

@@ -9,8 +9,9 @@
 //! baselines hotspot on one metadata shard (paper §5.5).
 //!
 //! Each logical node is a Raft group (three-way replication by default).
-//! Every node publishes a logical CDC stream of attribute puts/deletes that
-//! the garbage collector pairs against TafDB's stream (§4.4).
+//! Every node keeps the attribute puts and deletes nothing has balanced yet
+//! in a replicated pending table that the garbage collector pairs against
+//! TafDB's (§4.4).
 
 pub mod api;
 pub mod client;

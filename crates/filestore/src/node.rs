@@ -1,6 +1,5 @@
 //! The FileStore node state machine and its replicated deployment.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cfs_kvstore::{KvStore, WriteOp};
@@ -8,8 +7,10 @@ use cfs_raft::{RaftConfig, RaftGroup, RaftNode, StateMachine};
 use cfs_rpc::mux::{MuxService, CH_APP};
 use cfs_rpc::{Network, Service};
 use cfs_types::codec::{Decode, Encode};
-use cfs_types::{Attr, BlockId, CdcEvent, FsError, FsResult, InodeId, NodeId};
-use cfs_wal::Wal;
+use cfs_types::{
+    Attr, BlockId, FsError, FsResult, InodeId, NodeId, PendingEvent, PendingRow, PendingTable,
+};
+use parking_lot::Mutex;
 
 use crate::api::{FileStoreRequest, FileStoreResponse, SetAttrPatch};
 
@@ -26,60 +27,43 @@ fn block_key(block: BlockId) -> Vec<u8> {
 
 /// One FileStore node's state: a local attribute store ("a local RocksDB to
 /// keep the attribute metadata of the corresponding files", §3.2) plus block
-/// storage, and — on the one replica the GC watches — the logical CDC stream.
+/// storage, and the GC pending table of attribute puts and deletes.
 pub struct FileStoreNode {
     attrs: KvStore,
     blocks: KvStore,
-    /// The change stream, on the watched replica only: every replica applies
-    /// every command, so one stream carries every event, and a stream nobody
-    /// reads would only grow.
-    cdc: Option<Wal>,
-    /// Raft index of the command being applied (`u64::MAX` outside the
-    /// replicated apply funnel), compared against `cdc_barrier`.
-    applying_index: AtomicU64,
-    /// Highest Raft index whose events a previous incarnation of this
-    /// replica already emitted onto `cdc`: replaying the log at or below it
-    /// must not emit them again.
-    cdc_barrier: u64,
+    /// The garbage collector's pairing input (§4.4): attribute records this
+    /// node created or deleted that nothing has balanced or trimmed yet.
+    /// Written in apply on every replica and carried in the snapshot image.
+    pending: Mutex<PendingTable>,
 }
 
 impl Default for FileStoreNode {
-    /// A node with no change stream.
     fn default() -> FileStoreNode {
         FileStoreNode {
             attrs: KvStore::new_in_memory(),
             blocks: KvStore::new_in_memory(),
-            cdc: None,
-            applying_index: AtomicU64::new(u64::MAX),
-            cdc_barrier: 0,
+            pending: Mutex::new(PendingTable::default()),
         }
     }
 }
 
 impl FileStoreNode {
-    /// A node publishing its changes onto `stream`. A fresh replica passes a
-    /// new stream and `emitted_through` 0; a replica rebuilt after a crash
-    /// passes the old incarnation's stream and applied index, so events the
-    /// GC has not drained survive, its cursors stay valid, and log replay
-    /// does not duplicate what was already emitted.
-    pub fn with_cdc(stream: Wal, emitted_through: u64) -> FileStoreNode {
-        FileStoreNode {
-            cdc: Some(stream),
-            cdc_barrier: emitted_through,
-            ..FileStoreNode::default()
-        }
+    /// The rows of the GC pending table, in key order.
+    pub fn pending_rows(&self) -> Vec<PendingRow> {
+        self.pending.lock().rows()
     }
 
-    /// The node's logical change stream, if this is the watched replica.
-    pub fn cdc(&self) -> Option<&Wal> {
-        self.cdc.as_ref()
-    }
-
-    fn emit(&self, event: CdcEvent) {
-        let Some(cdc) = &self.cdc else { return };
-        if self.applying_index.load(Ordering::Relaxed) > self.cdc_barrier {
-            let _ = cdc.append(event.to_bytes());
+    /// Deletes `ino`'s attribute record, recording the delete when there was
+    /// one to delete.
+    fn delete_attr(&self, ino: InodeId) -> FsResult<()> {
+        let existed = self.attrs.get(&attr_key(ino)).is_some();
+        self.attrs.delete(attr_key(ino))?;
+        if existed {
+            self.pending
+                .lock()
+                .record(Vec::new(), ino, PendingEvent::AttrDeleted);
         }
+        Ok(())
     }
 
     /// Leader-local attribute read.
@@ -94,8 +78,7 @@ impl FileStoreNode {
         self.blocks.get(&block_key(block))
     }
 
-    /// Lists all attribute inode ids currently stored (GC full-scan mode and
-    /// tests).
+    /// Lists all attribute inode ids currently stored (tests and benches).
     pub fn list_attr_inos(&self) -> Vec<InodeId> {
         self.attrs
             .scan_from(&[], None, usize::MAX)
@@ -124,9 +107,14 @@ impl FileStoreNode {
         match req {
             FileStoreRequest::PutAttr(attr) => {
                 let ino = attr.ino;
+                let existed = self.attrs.get(&attr_key(ino)).is_some();
                 match self.attrs.put(attr_key(ino), attr.to_bytes()) {
                     Ok(()) => {
-                        self.emit(CdcEvent::AttrPut { ino });
+                        if !existed {
+                            self.pending
+                                .lock()
+                                .record(Vec::new(), ino, PendingEvent::AttrPut);
+                        }
                         FileStoreResponse::Ok
                     }
                     Err(e) => FileStoreResponse::Err(e),
@@ -149,11 +137,8 @@ impl FileStoreNode {
                 }
                 None => FileStoreResponse::Err(FsError::NotFound),
             },
-            FileStoreRequest::DeleteAttr(ino) => match self.attrs.delete(attr_key(ino)) {
-                Ok(()) => {
-                    self.emit(CdcEvent::AttrDeleted { ino });
-                    FileStoreResponse::Ok
-                }
+            FileStoreRequest::DeleteAttr(ino) => match self.delete_attr(ino) {
+                Ok(()) => FileStoreResponse::Ok,
                 Err(e) => FileStoreResponse::Err(e),
             },
             FileStoreRequest::WriteBlock {
@@ -189,16 +174,19 @@ impl FileStoreNode {
                 if let Err(e) = self.delete_blocks_of(ino) {
                     return FileStoreResponse::Err(e);
                 }
-                match self.attrs.delete(attr_key(ino)) {
-                    Ok(()) => {
-                        self.emit(CdcEvent::AttrDeleted { ino });
-                        FileStoreResponse::Ok
-                    }
+                match self.delete_attr(ino) {
+                    Ok(()) => FileStoreResponse::Ok,
                     Err(e) => FileStoreResponse::Err(e),
                 }
             }
+            FileStoreRequest::GcTrim(rows) => {
+                self.pending.lock().trim(&rows);
+                FileStoreResponse::Ok
+            }
             // Reads are not replicated; they never reach apply.
-            FileStoreRequest::GetAttr(_) | FileStoreRequest::ReadBlock(_) => {
+            FileStoreRequest::GetAttr(_)
+            | FileStoreRequest::ReadBlock(_)
+            | FileStoreRequest::Pending => {
                 FileStoreResponse::Err(FsError::Invalid("read in replicated path".into()))
             }
         }
@@ -227,9 +215,8 @@ fn apply_patch(attr: &mut Attr, patch: &SetAttrPatch) {
 }
 
 impl FileStoreNode {
-    /// The snapshot image: attributes, then blocks, each in key order, so
-    /// equal state yields equal bytes. The CDC stream stays out of it — it is
-    /// replica-local plumbing to the GC, not replicated state.
+    /// The snapshot image: attributes, then blocks, each in key order, then
+    /// the pending table, so equal state yields equal bytes.
     fn encode_image(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         for store in [&self.attrs, &self.blocks] {
@@ -240,6 +227,7 @@ impl FileStoreNode {
                 v.encode(&mut buf);
             }
         }
+        self.pending.lock().encode(&mut buf);
         buf
     }
 
@@ -258,19 +246,18 @@ impl FileStoreNode {
             }
             stores.push(ops);
         }
+        let pending = PendingTable::decode(input)?;
         for (store, ops) in [&self.attrs, &self.blocks].into_iter().zip(stores) {
             store.reset();
             store.write_batch(ops)?;
         }
+        *self.pending.lock() = pending;
         Ok(())
     }
 }
 
 impl StateMachine for FileStoreNode {
-    fn apply(&self, index: u64, cmd: &[u8]) -> Vec<u8> {
-        // Published before the command runs so CDC emission can compare the
-        // in-flight index against the handoff barrier.
-        self.applying_index.store(index, Ordering::Relaxed);
+    fn apply(&self, _index: u64, cmd: &[u8]) -> Vec<u8> {
         let resp = match FileStoreRequest::from_bytes(cmd) {
             Ok(req) => self.apply_req(req),
             Err(e) => FileStoreResponse::Err(FsError::from(e)),
@@ -289,9 +276,6 @@ impl StateMachine for FileStoreNode {
             .expect("valid filestore snapshot image");
     }
 }
-
-/// The replica of every group that keeps the change stream the GC watches.
-const WATCHED_REPLICA: usize = 0;
 
 /// One logical FileStore node as deployed: a Raft group of replicas with the
 /// request service mounted.
@@ -319,13 +303,7 @@ impl FileStoreGroup {
             net,
             node_ids,
             raft_config,
-            |i| {
-                Arc::new(if i == WATCHED_REPLICA {
-                    FileStoreNode::with_cdc(Wal::new_in_memory(), 0)
-                } else {
-                    FileStoreNode::default()
-                })
-            },
+            |_| Arc::new(FileStoreNode::default()),
             &storages,
         );
         for (i, node) in group.nodes().iter().enumerate() {
@@ -341,65 +319,17 @@ impl FileStoreGroup {
         mux.mount(CH_APP, svc as Arc<dyn Service>);
     }
 
-    /// The change stream of this group: the watched replica's, which carries
-    /// every event because every replica applies every committed command.
-    pub fn cdc(&self) -> Wal {
-        self.group.nodes()[WATCHED_REPLICA]
-            .state_machine()
-            .cdc()
-            .expect("the watched replica keeps a stream")
-            .clone()
-    }
-
-    /// Simulates kill −9 of replica `i`: only its [`cfs_raft::RaftStorage`]
-    /// (and, on the watched replica, the change stream) survives.
-    pub fn crash_replica(&self, i: usize) {
-        self.group.crash_replica(i);
-    }
-
-    /// Rebuilds replica `i` after [`FileStoreGroup::crash_replica`]: an
+    /// Rebuilds replica `i` after [`RaftGroup::crash_replica`]: an
     /// empty node is restored from the persisted snapshot and log tail, its
-    /// service is remounted, and the address rejoins the network. The
-    /// watched replica carries its change stream across (see
-    /// [`FileStoreNode::with_cdc`]).
+    /// service is remounted, and the address rejoins the network.
     pub fn restart_replica(&self, i: usize) -> Arc<RaftNode<FileStoreNode>> {
-        let sm = {
-            let old = &self.group.nodes()[i];
-            match old.state_machine().cdc() {
-                Some(stream) => FileStoreNode::with_cdc(stream.clone(), old.applied_index()),
-                None => FileStoreNode::default(),
-            }
-        };
-        let (node, mux) = self.group.restart_replica(i, Arc::new(sm));
-        Self::mount_service(&node, &mux);
-        // Registration (which also revives the address) comes last, so the
-        // replica never serves a request before its service exists.
         self.group
-            .net()
-            .register(node.id(), mux as Arc<dyn Service>);
-        node
+            .restart_replica(i, Arc::new(FileStoreNode::default()), Self::mount_service)
     }
 
     /// The underlying Raft group.
     pub fn raft(&self) -> &RaftGroup<FileStoreNode> {
         &self.group
-    }
-
-    /// Injects extra per-fsync latency into every replica's Raft log WAL
-    /// (the `slow_fsync` nemesis fault); `Duration::ZERO` clears it.
-    pub fn set_fsync_latency(&self, extra: std::time::Duration) {
-        for i in 0..self.group.nodes().len() {
-            if let Some(s) = self.group.storage(i) {
-                s.set_extra_sync_latency(extra);
-            }
-        }
-    }
-
-    /// The simulated storage device under replica `i`'s log, for arming
-    /// disk-full / torn-write / fsync / bit-rot faults (`None` for
-    /// memory-only nodes).
-    pub fn replica_faults(&self, i: usize) -> Option<Arc<cfs_wal::FaultFs>> {
-        self.group.storage(i).map(|s| Arc::clone(s.faults()))
     }
 
     /// Blocks until the group has a leader.
@@ -426,6 +356,11 @@ impl FileStoreService {
             },
             FileStoreRequest::ReadBlock(b) => match self.node.read(|sm| sm.read_block(b)) {
                 Ok(d) => FileStoreResponse::Block(d),
+                Err(e) => FileStoreResponse::Err(e),
+            },
+            // The collector acts on what it reads: confirm leadership first.
+            FileStoreRequest::Pending => match self.node.read_index(|sm| sm.pending_rows()) {
+                Ok(rows) => FileStoreResponse::Pending(rows),
                 Err(e) => FileStoreResponse::Err(e),
             },
             write => match self.node.propose(write.to_bytes()) {
@@ -560,23 +495,27 @@ mod tests {
     }
 
     #[test]
-    fn cdc_records_attr_lifecycle() {
-        let n = FileStoreNode::with_cdc(Wal::new_in_memory(), 0);
-        let mut watcher = n.cdc().unwrap().watch();
+    fn pending_table_records_only_attr_lifecycle_changes() {
+        let n = node();
+        let row = |event| PendingRow {
+            key: Vec::new(),
+            ino: InodeId(5),
+            event,
+        };
         n.apply_req(FileStoreRequest::PutAttr(Attr::new_file(InodeId(5), 1)));
+        // Overwrites and deletes of a missing record change nothing.
+        n.apply_req(FileStoreRequest::PutAttr(Attr::new_file(InodeId(5), 2)));
+        n.apply_req(FileStoreRequest::DeleteAttr(InodeId(6)));
+        assert_eq!(n.pending_rows(), vec![row(PendingEvent::AttrPut)]);
+        // The delete balances the put: nothing is left to pair.
+        n.apply_req(FileStoreRequest::DeleteFile(InodeId(5)));
+        assert!(n.pending_rows().is_empty());
+        // Once trimmed, the put no longer balances a later delete.
+        n.apply_req(FileStoreRequest::PutAttr(Attr::new_file(InodeId(5), 1)));
+        n.apply_req(FileStoreRequest::GcTrim(vec![row(PendingEvent::AttrPut)]));
+        assert!(n.pending_rows().is_empty());
         n.apply_req(FileStoreRequest::DeleteAttr(InodeId(5)));
-        let events: Vec<CdcEvent> = watcher
-            .poll()
-            .iter()
-            .map(|e| CdcEvent::from_bytes(&e.payload).unwrap())
-            .collect();
-        assert_eq!(
-            events,
-            vec![
-                CdcEvent::AttrPut { ino: InodeId(5) },
-                CdcEvent::AttrDeleted { ino: InodeId(5) },
-            ]
-        );
+        assert_eq!(n.pending_rows(), vec![row(PendingEvent::AttrDeleted)]);
     }
 
     fn block_of(ino: u64, index: u32) -> BlockId {
@@ -620,6 +559,8 @@ mod tests {
             );
         }
         assert_eq!(fresh.read_block(block_of(9, 0)), None);
+        assert_eq!(fresh.pending_rows().len(), 3);
+        assert_eq!(fresh.pending_rows(), n.pending_rows());
         assert_eq!(fresh.snapshot().unwrap(), image);
 
         // A truncated image is rejected before anything is touched.
@@ -649,7 +590,7 @@ mod tests {
             .iter()
             .position(|n| n.id() != leader.id())
             .unwrap();
-        fs.crash_replica(victim);
+        fs.raft().crash_replica(victim);
         let disk = fs.raft().storage(victim).unwrap();
         disk.reset_to_snapshot(0, 0, Vec::new()).expect("wipe");
         disk.truncate_from(1);

@@ -961,10 +961,10 @@ pub(crate) fn apply_fault(cluster: &CfsCluster, start: Instant, w: &FaultWindow)
         }
         Fault::SlowFsync(us) => {
             for g in cluster.taf_groups() {
-                g.set_fsync_latency(Duration::from_micros(us));
+                g.raft().set_fsync_latency(Duration::from_micros(us));
             }
             for g in cluster.fs_groups() {
-                g.set_fsync_latency(Duration::from_micros(us));
+                g.raft().set_fsync_latency(Duration::from_micros(us));
             }
             ActiveFault::SlowFsync
         }
@@ -1017,10 +1017,10 @@ pub(crate) fn revert_fault(cluster: &CfsCluster, active: &ActiveFault) {
         }
         ActiveFault::SlowFsync => {
             for g in cluster.taf_groups() {
-                g.set_fsync_latency(Duration::ZERO);
+                g.raft().set_fsync_latency(Duration::ZERO);
             }
             for g in cluster.fs_groups() {
-                g.set_fsync_latency(Duration::ZERO);
+                g.raft().set_fsync_latency(Duration::ZERO);
             }
         }
         ActiveFault::DiskFull(id) => {
@@ -1063,9 +1063,9 @@ pub(crate) fn heal_cluster(cluster: &CfsCluster) {
     net.heal();
     net.set_drop_rate(0.0);
     for g in cluster.taf_groups() {
-        g.set_fsync_latency(Duration::ZERO);
+        g.raft().set_fsync_latency(Duration::ZERO);
         for (i, n) in g.raft().nodes().iter().enumerate() {
-            if let Some(f) = g.replica_faults(i) {
+            if let Some(f) = g.raft().replica_faults(i) {
                 f.clear();
             }
             net.revive(n.id());

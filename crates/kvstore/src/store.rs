@@ -88,7 +88,8 @@ enum CrashPoint {
     TornTmpWrite,
     /// Crash after the temp file is complete but before the atomic rename.
     BeforeRename,
-    /// Crash immediately after the rename (the checkpoint is installed).
+    /// Crash immediately after the rename and the directory fsync (the
+    /// checkpoint is installed).
     AfterRename,
 }
 
@@ -273,8 +274,17 @@ impl KvStore {
         }
         crashed(CrashPoint::BeforeRename)?;
         std::fs::rename(&tmp, &path)?;
+        // A rename is durable only once the directory entry is: until the
+        // parent directory is fsynced, a crash may still recover the old
+        // checkpoint (or none) on a real filesystem.
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => std::path::Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
         // The install point: everything before the rename recovers to the
-        // old checkpoint, everything after it to the new one.
+        // old checkpoint, everything after the directory fsync to the new
+        // one.
         let result = crashed(CrashPoint::AfterRename);
         // Entries at or below the cursor are now covered by the checkpoint;
         // drop them from WAL memory (the file is append-only — bounding
@@ -307,7 +317,7 @@ impl KvStore {
         self.map.write().clear();
     }
 
-    /// Returns the WAL, if configured (the GC watches it).
+    /// Returns the WAL, if configured.
     pub fn wal(&self) -> Option<&Wal> {
         self.wal.as_ref()
     }

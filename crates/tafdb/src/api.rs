@@ -3,7 +3,7 @@
 
 use cfs_kvstore::WriteOp;
 use cfs_types::codec::{Decode, DecodeError, Encode, EncodeListItem};
-use cfs_types::{FsError, InodeId, Key, Record};
+use cfs_types::{FsError, InodeId, Key, PendingRow, Record};
 
 use crate::primitive::{PrimResult, Primitive};
 
@@ -78,10 +78,14 @@ pub enum TafRequest {
         /// Last believed-owned id (inclusive).
         hi: u64,
     },
-    /// Serve the wrapped read (`Get`/`Scan`/`ResolvePrefix`) on whichever
-    /// replica receives it, after a ReadIndex confirmation round with the
-    /// group's leader (linearizable follower read).
+    /// Serve the wrapped read (`Get`/`Scan`/`ResolvePrefix`/`Pending`) on
+    /// whichever replica receives it, after a ReadIndex confirmation round
+    /// with the group's leader (linearizable follower read).
     ReadIndex(Box<TafRequest>),
+    /// Read the shard's GC pending table (the garbage collector's input).
+    Pending,
+    /// Drop the listed pending rows that are still unchanged (replicated).
+    GcTrim(Vec<PendingRow>),
 }
 
 impl Encode for TafRequest {
@@ -152,6 +156,11 @@ impl Encode for TafRequest {
                 buf.push(11);
                 inner.encode(buf);
             }
+            TafRequest::Pending => buf.push(12),
+            TafRequest::GcTrim(rows) => {
+                buf.push(13);
+                rows.encode(buf);
+            }
         }
     }
 }
@@ -189,6 +198,8 @@ impl Decode for TafRequest {
                 hi: u64::decode(input)?,
             },
             11 => TafRequest::ReadIndex(Box::new(TafRequest::decode(input)?)),
+            12 => TafRequest::Pending,
+            13 => TafRequest::GcTrim(Vec::<PendingRow>::decode(input)?),
             t => return Err(DecodeError::InvalidTag(t)),
         })
     }
@@ -359,6 +370,8 @@ pub enum TafResponse {
     SplitAt(Option<u64>),
     /// Result of a `ResolvePrefix`.
     Resolved(Resolved),
+    /// Result of a `Pending` read.
+    Pending(Vec<PendingRow>),
 }
 
 impl Encode for TafResponse {
@@ -399,6 +412,10 @@ impl Encode for TafResponse {
                 buf.push(9);
                 r.encode(buf);
             }
+            TafResponse::Pending(rows) => {
+                buf.push(10);
+                rows.encode(buf);
+            }
         }
     }
 }
@@ -418,6 +435,7 @@ impl Decode for TafResponse {
             7 => TafResponse::Tail(Vec::<WriteOp>::decode(input)?),
             8 => TafResponse::SplitAt(Option::<u64>::decode(input)?),
             9 => TafResponse::Resolved(Resolved::decode(input)?),
+            10 => TafResponse::Pending(Vec::<PendingRow>::decode(input)?),
             t => return Err(DecodeError::InvalidTag(t)),
         })
     }
@@ -513,6 +531,9 @@ pub enum ShardCmd {
         /// Last received kid (inclusive).
         hi: u64,
     },
+    /// Drop the listed GC pending rows that are still unchanged: the
+    /// collector settled them.
+    GcTrim(Vec<PendingRow>),
 }
 
 fn encode_writes(writes: &[(Key, Option<Record>)], buf: &mut Vec<u8>) {
@@ -600,6 +621,10 @@ impl Encode for ShardCmd {
                 lo.encode(buf);
                 hi.encode(buf);
             }
+            ShardCmd::GcTrim(rows) => {
+                buf.push(14);
+                rows.encode(buf);
+            }
         }
     }
 }
@@ -651,6 +676,7 @@ impl Decode for ShardCmd {
                 lo: u64::decode(input)?,
                 hi: u64::decode(input)?,
             },
+            14 => ShardCmd::GcTrim(Vec::<PendingRow>::decode(input)?),
             t => return Err(DecodeError::InvalidTag(t)),
         })
     }
@@ -825,7 +851,15 @@ impl Decode for TxnResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfs_types::{FileType, Timestamp};
+    use cfs_types::{FileType, PendingEvent, Timestamp};
+
+    fn row() -> PendingRow {
+        PendingRow {
+            key: Key::entry(InodeId(1), "f").to_sortable_bytes(),
+            ino: InodeId(2),
+            event: PendingEvent::Linked,
+        }
+    }
 
     #[test]
     fn taf_request_round_trip() {
@@ -871,6 +905,8 @@ mod tests {
                 lo: 0,
                 hi: 7,
             })),
+            TafRequest::Pending,
+            TafRequest::GcTrim(vec![row()]),
         ];
         for r in reqs {
             assert_eq!(TafRequest::from_bytes(&r.to_bytes()).unwrap(), r);
@@ -931,6 +967,8 @@ mod tests {
             TafResponse::SplitAt(Some(42)),
             TafResponse::SplitAt(None),
             TafResponse::Err(FsError::WrongShard(3)),
+            TafResponse::Pending(vec![row()]),
+            TafResponse::Pending(vec![]),
         ];
         for r in resps {
             assert_eq!(TafResponse::from_bytes(&r.to_bytes()).unwrap(), r);
@@ -970,6 +1008,7 @@ mod tests {
                 ops: vec![WriteOp::Put(vec![5], vec![6])],
             },
             ShardCmd::MigAccept { lo: 3, hi: 9 },
+            ShardCmd::GcTrim(vec![row()]),
         ];
         for c in cmds {
             assert_eq!(ShardCmd::from_bytes(&c.to_bytes()).unwrap(), c);

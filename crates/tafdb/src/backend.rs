@@ -11,17 +11,14 @@ use cfs_types::{FsError, NodeId, ShardId};
 
 use crate::api::{ShardCmd, TafRequest, TafResponse};
 use crate::locking::{LockManager, TxnService};
-use crate::shard::{CdcHandoff, TafShard};
-
-/// The replica of every group that keeps the change stream the GC watches.
-const WATCHED_REPLICA: usize = 0;
+use crate::shard::TafShard;
 
 /// One shard's replicated deployment: a Raft group of [`TafShard`] state
 /// machines with the client (`CH_APP`) and transaction (`CH_TXN`) services
 /// mounted on every replica's mux.
 ///
 /// Every replica writes through to a [`RaftStorage`], so a replica can be
-/// crash-killed ([`TafBackendGroup::crash_replica`]) and rebuilt from its
+/// crash-killed ([`RaftGroup::crash_replica`]) and rebuilt from its
 /// snapshot and log tail ([`TafBackendGroup::restart_replica`]).
 pub struct TafBackendGroup {
     shard_id: ShardId,
@@ -44,7 +41,7 @@ impl TafBackendGroup {
             net,
             node_ids,
             raft_config,
-            |i| Self::new_shard(node_ids[i], (i == WATCHED_REPLICA).then(CdcHandoff::fresh)),
+            |i| Self::new_shard(node_ids[i]),
             &storages,
         );
         for (i, node) in group.nodes().iter().enumerate() {
@@ -55,9 +52,9 @@ impl TafBackendGroup {
 
     /// Builds the state machine of the replica on `node`, reporting into
     /// that node's registry. Shared by spawn and restart.
-    fn new_shard(node: NodeId, stream: Option<CdcHandoff>) -> Arc<TafShard> {
+    fn new_shard(node: NodeId) -> Arc<TafShard> {
         let _scope = cfs_obs::trace::node_scope(node.0 as u64);
-        Arc::new(TafShard::new_with_cdc(KvConfig::default(), stream).expect("shard init"))
+        Arc::new(TafShard::new(KvConfig::default()).expect("shard init"))
     }
 
     /// Builds replica services (lock manager, app, txn) for `node` and
@@ -74,67 +71,15 @@ impl TafBackendGroup {
         mux.mount(CH_TXN, txn as Arc<dyn Service>);
     }
 
-    /// Simulates kill −9 of replica `i`: the node and its services are torn
-    /// down with all in-flight state (proposals, ReadIndex rounds, staged
-    /// lock waits); only the replica's [`RaftStorage`] survives.
-    pub fn crash_replica(&self, i: usize) {
-        self.group.crash_replica(i);
-    }
-
-    /// Rebuilds replica `i` from its storage after a crash: a fresh, empty
-    /// [`TafShard`] is restored from the persisted snapshot and log tail, a
-    /// fresh lock manager and service stack are mounted, and the address
-    /// rejoins the network.
-    ///
-    /// The watched replica's CDC stream is handed over to the rebuilt
-    /// shard (the stream, like the [`RaftStorage`], plays the role of
-    /// machine-local state that survives a process kill): events the garbage
-    /// collector has not drained yet stay available, its watch cursors stay
-    /// valid, and log replay below the old applied index does not re-emit.
+    /// Rebuilds replica `i` from its storage after a crash
+    /// ([`RaftGroup::crash_replica`] drops the node and its services with
+    /// all in-flight state: proposals, ReadIndex rounds, staged lock waits):
+    /// a fresh, empty [`TafShard`] is restored from the persisted snapshot
+    /// and log tail, a fresh lock manager and service stack are mounted, and
+    /// the address rejoins the network.
     pub fn restart_replica(&self, i: usize) -> Arc<RaftNode<TafShard>> {
-        let sm = {
-            let nodes = self.group.nodes();
-            let old = nodes[i].state_machine();
-            let handoff = old.cdc().map(|stream| CdcHandoff {
-                wal: stream.clone(),
-                emitted_through: old.applied_index(),
-            });
-            Self::new_shard(nodes[i].id(), handoff)
-        };
-        let (node, mux) = self.group.restart_replica(i, sm);
-        Self::mount_services(&node, &mux);
-        // Registration (which also revives the address) comes last, so the
-        // replica never serves a request before its services exist.
-        self.group
-            .net()
-            .register(node.id(), mux as Arc<dyn Service>);
-        node
-    }
-
-    /// Injects extra per-fsync latency into every replica's Raft log WAL
-    /// (the `slow_fsync` nemesis fault); `Duration::ZERO` clears it.
-    pub fn set_fsync_latency(&self, extra: std::time::Duration) {
-        for i in 0..self.group.nodes().len() {
-            if let Some(s) = self.group.storage(i) {
-                s.set_extra_sync_latency(extra);
-            }
-        }
-    }
-
-    /// The simulated storage device under replica `i`'s log, for arming
-    /// disk-full / torn-write / fsync faults (`None` for memory-only nodes).
-    pub fn replica_faults(&self, i: usize) -> Option<Arc<cfs_wal::FaultFs>> {
-        self.group.storage(i).map(|s| Arc::clone(s.faults()))
-    }
-
-    /// The change stream of this group: the watched replica's, which carries
-    /// every event because every replica applies every committed command.
-    pub fn cdc(&self) -> cfs_wal::Wal {
-        self.group.nodes()[WATCHED_REPLICA]
-            .state_machine()
-            .cdc()
-            .expect("the watched replica keeps a stream")
-            .clone()
+        let sm = Self::new_shard(self.group.nodes()[i].id());
+        self.group.restart_replica(i, sm, Self::mount_services)
     }
 
     /// The shard this group serves.
@@ -192,8 +137,9 @@ fn serve_read(sm: &TafShard, req: &TafRequest) -> TafResponse {
             Ok(r) => TafResponse::Resolved(r),
             Err(e) => TafResponse::Err(e),
         },
+        TafRequest::Pending => TafResponse::Pending(sm.pending_rows()),
         _ => TafResponse::Err(FsError::Invalid(
-            "ReadIndex wraps only Get/Scan/ResolvePrefix".into(),
+            "ReadIndex wraps only Get/Scan/ResolvePrefix/Pending".into(),
         )),
     }
 }
@@ -203,12 +149,11 @@ impl AppService {
         match req {
             req @ (TafRequest::Get(_)
             | TafRequest::Scan { .. }
-            | TafRequest::ResolvePrefix { .. }) => {
-                match self.node.read(|sm| serve_read(sm, &req)) {
-                    Ok(resp) => resp,
-                    Err(e) => TafResponse::Err(e),
-                }
-            }
+            | TafRequest::ResolvePrefix { .. }
+            | TafRequest::Pending) => match self.node.read(|sm| serve_read(sm, &req)) {
+                Ok(resp) => resp,
+                Err(e) => TafResponse::Err(e),
+            },
             TafRequest::ReadIndex(inner) => {
                 // Any replica may serve this: the node first obtains the
                 // leader's commit index through a confirmation round, waits
@@ -244,6 +189,7 @@ impl AppService {
             }
             TafRequest::Put(key, rec) => self.propose(ShardCmd::Put(key, rec)),
             TafRequest::Delete(key) => self.propose(ShardCmd::Delete(key)),
+            TafRequest::GcTrim(rows) => self.propose(ShardCmd::GcTrim(rows)),
             TafRequest::MigExport {
                 lo,
                 hi,

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use cfs_rpc::mux::{frame, CH_APP, CH_TXN};
 use cfs_rpc::Network;
 use cfs_types::codec::{Decode, Encode};
-use cfs_types::{FsError, FsResult, InodeId, Key, NodeId, Record, ShardId};
+use cfs_types::{FsError, FsResult, InodeId, Key, NodeId, PendingRow, Record, ShardId};
 
 use crate::api::{DirEntry, Resolved, TafRequest, TafResponse, TxnRequest, TxnResponse};
 use crate::primitive::{PrimResult, Primitive};
@@ -343,6 +343,26 @@ impl TafDbClient {
                 other => Err(unexpected(other)),
             }
         })
+    }
+
+    /// Reads the GC pending table of `shard`. Rows stay on the group that
+    /// applied them, so this is addressed by shard, not routed by key.
+    pub fn pending(&self, shard: ShardId) -> FsResult<Vec<PendingRow>> {
+        match self.read_request(shard, &TafRequest::Pending)? {
+            TafResponse::Pending(rows) => Ok(rows),
+            TafResponse::Err(e) => Err(e),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Drops the listed rows of `shard`'s pending table that are still
+    /// unchanged (replicated).
+    pub fn gc_trim(&self, shard: ShardId, rows: Vec<PendingRow>) -> FsResult<()> {
+        match self.request(shard, &TafRequest::GcTrim(rows))? {
+            TafResponse::Ok => Ok(()),
+            TafResponse::Err(e) => Err(e),
+            other => Err(unexpected(other)),
+        }
     }
 }
 

@@ -37,5 +37,5 @@ pub use backend::TafBackendGroup;
 pub use client::{ReadConsistency, TafDbClient};
 pub use primitive::{PrimResult, Primitive, UpdateSpec};
 pub use router::PartitionMap;
-pub use shard::{CdcHandoff, TafShard};
+pub use shard::TafShard;
 pub use tserver::{TimeService, TsClient};

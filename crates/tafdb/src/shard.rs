@@ -10,7 +10,7 @@ use cfs_kvstore::{KvConfig, KvStore, WriteOp};
 use cfs_obs::metrics::{Counter, Histogram, Registry};
 use cfs_raft::StateMachine;
 use cfs_types::codec::{Decode, DecodeError, Encode};
-use cfs_types::{FsError, FsResult, InodeId, Key, Record};
+use cfs_types::{FsError, FsResult, InodeId, Key, PendingEvent, PendingRow, PendingTable, Record};
 use parking_lot::Mutex;
 
 use crate::api::{DirEntry, ResolveEnd, ResolveStep, Resolved, ShardCmd, TafResponse};
@@ -160,11 +160,11 @@ pub struct TafShard {
     /// live here).
     prepared: Mutex<HashMap<u64, Vec<Staged>>>,
     obs: Instruments,
-    /// Logical change stream consumed by the garbage collector (§4.4), on
-    /// the one replica of the group the collector watches: every replica
-    /// applies every command, so one stream carries every event, and a
-    /// stream nobody reads would only grow.
-    cdc: Option<cfs_wal::Wal>,
+    /// The garbage collector's pairing input (§4.4): the id-record and
+    /// directory-attribute events this shard applied that nothing has
+    /// balanced or trimmed yet. Written in apply on every replica and
+    /// carried in the snapshot image; splits move none of it.
+    pending: Mutex<PendingTable>,
     /// Migration state (replicated through `ShardCmd`s).
     mig: Mutex<MigState>,
     /// Per-directory generation numbers, bumped whenever a replicated write
@@ -176,71 +176,21 @@ pub struct TafShard {
     /// Raft index of the last applied command; tags snapshot images with the
     /// log position they cover.
     applied_index: AtomicU64,
-    /// Raft index of the command *currently* being applied (set before
-    /// `apply_cmd` runs; `u64::MAX` outside the replicated apply funnel).
-    /// Compared against `cdc_barrier` to suppress duplicate CDC emission.
-    applying_index: AtomicU64,
-    /// Highest Raft index whose CDC events were already emitted by a
-    /// previous incarnation of this replica (see [`CdcHandoff`]): log replay
-    /// at or below the barrier must not re-emit onto the handed-over stream.
-    cdc_barrier: u64,
-}
-
-/// The CDC stream a shard publishes onto: a fresh one
-/// ([`CdcHandoff::fresh`]) for a new watched replica, or the one carried over
-/// from a crashed replica into its restarted incarnation.
-///
-/// The change stream is replica-local plumbing to the garbage collector, so
-/// it is excluded from snapshot images — but it must also never *lose* the
-/// events a crashed replica emitted that the GC has not drained yet. Handing
-/// the old incarnation's WAL (with `emitted_through`, its applied index at
-/// the crash) to [`TafShard::new_with_cdc`] keeps undrained events and the
-/// GC's cursors alive across the rebuild, while log replay below the barrier
-/// is suppressed so drained-or-pending events are never duplicated.
-pub struct CdcHandoff {
-    /// The crashed incarnation's CDC stream (shared handle; GC watchers keep
-    /// their positions).
-    pub wal: cfs_wal::Wal,
-    /// The crashed incarnation's applied index: every command at or below it
-    /// already emitted its events onto `wal`.
-    pub emitted_through: u64,
-}
-
-impl CdcHandoff {
-    /// An empty stream nothing was emitted onto yet.
-    pub fn fresh() -> CdcHandoff {
-        CdcHandoff {
-            wal: cfs_wal::Wal::new_in_memory(),
-            emitted_through: 0,
-        }
-    }
 }
 
 impl TafShard {
-    /// Creates a shard over a store with the given config, publishing no
-    /// change stream. It reports into the registry of the node the calling
-    /// thread is attributed to (`cfs_obs::trace::node_scope`).
+    /// Creates a shard over a store with the given config. It reports into
+    /// the registry of the node the calling thread is attributed to
+    /// (`cfs_obs::trace::node_scope`).
     pub fn new(kv_config: KvConfig) -> FsResult<TafShard> {
-        Self::new_with_cdc(kv_config, None)
-    }
-
-    /// Like [`TafShard::new`], but publishing its changes onto `stream`: a
-    /// fresh one, or a crashed replica's (see [`CdcHandoff`]).
-    pub fn new_with_cdc(kv_config: KvConfig, stream: Option<CdcHandoff>) -> FsResult<TafShard> {
-        let (cdc, cdc_barrier) = match stream {
-            Some(h) => (Some(h.wal), h.emitted_through),
-            None => (None, 0),
-        };
         Ok(TafShard {
             kv: KvStore::with_config(kv_config)?,
             prepared: Mutex::new(HashMap::new()),
             obs: Instruments::resolve(&cfs_obs::metrics::local()),
-            cdc,
+            pending: Mutex::new(PendingTable::default()),
             mig: Mutex::new(MigState::default()),
             dir_gens: Mutex::new(HashMap::new()),
             applied_index: AtomicU64::new(0),
-            applying_index: AtomicU64::new(u64::MAX),
-            cdc_barrier,
         })
     }
 
@@ -256,21 +206,38 @@ impl TafShard {
         mig.moved.iter().map(|&(_, _, e)| e).max().unwrap_or(0)
     }
 
-    /// The logical change stream (CDC) of this shard, if this is the
-    /// replica that publishes one.
-    pub fn cdc(&self) -> Option<&cfs_wal::Wal> {
-        self.cdc.as_ref()
+    /// The rows of the GC pending table, in key order.
+    pub fn pending_rows(&self) -> Vec<PendingRow> {
+        self.pending.lock().rows()
     }
 
-    fn emit(&self, event: cfs_types::CdcEvent) {
-        let Some(cdc) = &self.cdc else { return };
-        // Log replay at or below the handoff barrier re-applies commands
-        // whose events the crashed incarnation already emitted onto this
-        // same stream; emitting again would double-count GC work.
-        if self.applying_index.load(Ordering::Relaxed) <= self.cdc_barrier {
+    /// Records the structural events of one committed write of `key`,
+    /// judged against the record it replaced: an id record appearing or
+    /// changing target links its inode, one disappearing unlinks it, and a
+    /// directory attribute record appearing or disappearing is a put or a
+    /// delete. Field updates of an existing record are not structural.
+    fn record_write(&self, key: &Key, prior: Option<&Record>, new: Option<&Record>) {
+        let mut pending = self.pending.lock();
+        if key.is_attr() {
+            let event = match (prior, new) {
+                (None, Some(_)) => PendingEvent::DirAttrPut,
+                (Some(_), None) => PendingEvent::DirAttrDeleted,
+                _ => return,
+            };
+            pending.record(Vec::new(), key.kid, event);
             return;
         }
-        let _ = cdc.append(event.to_bytes());
+        let old = prior.and_then(|r| r.id);
+        let new = new.and_then(|r| r.id);
+        if old == new {
+            return;
+        }
+        if let Some(ino) = old {
+            pending.record(key.to_sortable_bytes(), ino, PendingEvent::Unlinked);
+        }
+        if let Some(ino) = new {
+            pending.record(key.to_sortable_bytes(), ino, PendingEvent::Linked);
+        }
     }
 
     /// Leader-local point read.
@@ -510,8 +477,8 @@ impl TafShard {
         entries.iter().map(|(k, _)| kid_of(k)).find(|&k| k > lo)
     }
 
-    /// Drops every key of a donated range from the local store (no CDC: the
-    /// records moved, they were not logically deleted).
+    /// Drops every key of a donated range from the local store (no pending
+    /// rows: the records moved, they were not logically deleted).
     fn purge_range(&self, lo: u64, hi: u64) -> FsResult<()> {
         let start = lo.to_be_bytes().to_vec();
         let end = hi.checked_add(1).map(|e| e.to_be_bytes().to_vec());
@@ -566,10 +533,13 @@ impl TafShard {
                 if let Err(e) = self.check_owner(key.kid.raw()) {
                     return TafResponse::Err(e);
                 }
-                self.emit_for_write(&key, Some(&rec));
+                let prior = self.get(&key);
                 let op = WriteOp::Put(key.to_sortable_bytes(), rec.to_bytes());
                 match self.commit_batch(vec![op]) {
-                    Ok(()) => TafResponse::Ok,
+                    Ok(()) => {
+                        self.record_write(&key, prior.as_ref(), Some(&rec));
+                        TafResponse::Ok
+                    }
                     Err(e) => TafResponse::Err(e),
                 }
             }
@@ -577,9 +547,12 @@ impl TafShard {
                 if let Err(e) = self.check_owner(key.kid.raw()) {
                     return TafResponse::Err(e);
                 }
-                self.emit_for_write(&key, None);
+                let prior = self.get(&key);
                 match self.commit_batch(vec![WriteOp::Delete(key.to_sortable_bytes())]) {
-                    Ok(()) => TafResponse::Ok,
+                    Ok(()) => {
+                        self.record_write(&key, prior.as_ref(), None);
+                        TafResponse::Ok
+                    }
                     Err(e) => TafResponse::Err(e),
                 }
             }
@@ -738,6 +711,10 @@ impl TafShard {
                 self.obs.ranges_received.inc();
                 TafResponse::Ok
             }
+            ShardCmd::GcTrim(rows) => {
+                self.pending.lock().trim(&rows);
+                TafResponse::Ok
+            }
         }
     }
 
@@ -755,59 +732,26 @@ impl TafShard {
         }
     }
 
-    /// Publishes the CDC event corresponding to one write. For deletions the
-    /// prior record is loaded to learn which inode the row pointed at.
-    fn emit_for_write(&self, key: &Key, new: Option<&Record>) {
-        use cfs_types::CdcEvent;
-        match new {
-            Some(rec) => {
-                if key.is_attr() {
-                    self.emit(CdcEvent::TafPutDirAttr { ino: key.kid });
-                } else if let Some(ino) = rec.id {
-                    self.emit(CdcEvent::TafInsertedId { ino });
-                }
-            }
-            None => {
-                if key.is_attr() {
-                    self.emit(CdcEvent::TafDeletedDirAttr { ino: key.kid });
-                } else if let Some(prior) = self.get(key) {
-                    if let Some(ino) = prior.id {
-                        self.emit(CdcEvent::TafDeletedId { ino });
-                    }
-                }
-            }
-        }
-    }
-
     fn apply_writes(&self, writes: Vec<(Key, Option<Record>)>) -> FsResult<()> {
-        for (k, r) in &writes {
-            // Only emit CDC for structural changes (id records and attr
-            // lifecycle), not for attr-record field updates.
-            match r {
-                Some(rec) if !k.is_attr() => self.emit_for_write(k, Some(rec)),
-                None => self.emit_for_write(k, None),
-                _ => {}
-            }
-        }
+        let priors: Vec<Option<Record>> = writes.iter().map(|(k, _)| self.get(k)).collect();
         let ops = writes
-            .into_iter()
+            .iter()
             .map(|(k, r)| match r {
                 Some(rec) => WriteOp::Put(k.to_sortable_bytes(), rec.to_bytes()),
                 None => WriteOp::Delete(k.to_sortable_bytes()),
             })
             .collect();
-        self.commit_batch(ops)
+        self.commit_batch(ops)?;
+        for ((k, r), prior) in writes.iter().zip(&priors) {
+            self.record_write(k, prior.as_ref(), r.as_ref());
+        }
+        Ok(())
     }
 
     /// Serializes the shard's full replicated state: live kv entries,
-    /// directory generations, migration bookkeeping, and staged 2PC
-    /// transactions, headed by the applied index and partition-map epoch.
-    ///
-    /// The CDC stream is deliberately excluded — it is replica-local
-    /// plumbing to the garbage collector, not replicated state. A replica
-    /// rebuilt in place carries its stream (and any undrained events) across
-    /// the restart via [`CdcHandoff`]; only a replica restored on a genuinely
-    /// fresh "machine" starts one empty.
+    /// directory generations, migration bookkeeping, staged 2PC
+    /// transactions and the GC pending table, headed by the applied index
+    /// and partition-map epoch.
     fn encode_image(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         self.applied_index().encode(&mut buf);
@@ -871,6 +815,7 @@ impl TafShard {
                 }
             }
         }
+        self.pending.lock().encode(&mut buf);
         buf
     }
 
@@ -945,12 +890,14 @@ impl TafShard {
             }
             prepared.insert(txn, items);
         }
+        let pending = PendingTable::decode(input)?;
 
         self.kv.reset();
         self.kv.write_batch(ops)?;
         *self.dir_gens.lock() = gens;
         *self.mig.lock() = MigState { active, moved };
         *self.prepared.lock() = prepared;
+        *self.pending.lock() = pending;
         self.applied_index.store(applied, Ordering::Relaxed);
         Ok(())
     }
@@ -963,21 +910,13 @@ impl TafShard {
         let result = primitive::execute(&mut staging, prim)?;
         let staged = std::mem::take(&mut staging.staged);
         self.commit_batch(staged)?;
-        // Publish the logical change stream for the GC's pairing analysis.
-        use cfs_types::CdcEvent;
+        // An insert replaces nothing: a record this primitive deleted under
+        // the same key counts as its own delete.
         for (key, rec) in &result.deleted {
-            if key.is_attr() {
-                self.emit(CdcEvent::TafDeletedDirAttr { ino: key.kid });
-            } else if let Some(ino) = rec.id {
-                self.emit(CdcEvent::TafDeletedId { ino });
-            }
+            self.record_write(key, Some(rec), None);
         }
         for (key, rec) in &prim.inserts {
-            if key.is_attr() {
-                self.emit(CdcEvent::TafPutDirAttr { ino: key.kid });
-            } else if let Some(ino) = rec.id {
-                self.emit(CdcEvent::TafInsertedId { ino });
-            }
+            self.record_write(key, None, Some(rec));
         }
         Ok(result)
     }
@@ -1008,9 +947,6 @@ impl RecordStore for StagingStore<'_> {
 
 impl StateMachine for TafShard {
     fn apply(&self, index: u64, cmd: &[u8]) -> Vec<u8> {
-        // Published before the command runs so CDC emission can compare the
-        // in-flight index against the handoff barrier.
-        self.applying_index.store(index, Ordering::Relaxed);
         let resp = match ShardCmd::from_bytes(cmd) {
             Ok(cmd) => self.apply_cmd(cmd),
             Err(e) => TafResponse::Err(FsError::from(e)),
@@ -1508,6 +1444,8 @@ mod tests {
         fresh.restore(&image);
 
         assert_eq!(fresh.applied_index(), 42);
+        assert!(!shard.pending_rows().is_empty());
+        assert_eq!(fresh.pending_rows(), shard.pending_rows());
         assert_eq!(fresh.epoch(), 3);
         // Kv contents and directory generations carried over.
         let r = fresh
@@ -1561,6 +1499,62 @@ mod tests {
             TafResponse::Err(_)
         ));
         assert_eq!(other.gen_of(cfs_types::ROOT_INODE.raw()), 0);
+        assert_eq!(other.pending_rows(), shard.pending_rows());
+    }
+
+    #[test]
+    fn pending_table_keeps_only_unbalanced_structural_events() {
+        let root = cfs_types::ROOT_INODE;
+        let shard = shard_with_root();
+        let base = shard.pending_rows();
+        assert_eq!(base.len(), 1, "the root attribute record was put");
+        create(&shard, root, "f", 100);
+        let unlink = |name: &str| {
+            shard.apply_cmd(ShardCmd::Execute(Primitive::delete_with_update(
+                Cond::require(Key::entry(root, name), Vec::new()),
+                UpdateSpec::new(
+                    Cond::require(Key::attr(root), Vec::new()),
+                    vec![FieldAssign::Delta {
+                        field: NumField::Children,
+                        delta: -1,
+                    }],
+                ),
+            )))
+        };
+        assert!(matches!(unlink("f"), TafResponse::Executed(_)));
+        assert_eq!(shard.pending_rows(), base, "the unlink balances the create");
+        // Neither a field update of an existing record nor migrated-in keys
+        // are structural events of this group.
+        shard.apply_cmd(ShardCmd::Put(
+            Key::attr(root),
+            Record::dir_attr_record(3, Timestamp(2)),
+        ));
+        shard.apply_cmd(ShardCmd::MigIngest {
+            ops: vec![WriteOp::Put(
+                Key::entry(InodeId(7), "m").to_sortable_bytes(),
+                Record::id_record(InodeId(8), FileType::File).to_bytes(),
+            )],
+        });
+        assert_eq!(shard.pending_rows(), base);
+        // Once trimmed, a link no longer balances its unlink.
+        create(&shard, root, "g", 101);
+        let linked = PendingRow {
+            key: Key::entry(root, "g").to_sortable_bytes(),
+            ino: InodeId(101),
+            event: PendingEvent::Linked,
+        };
+        assert_eq!(
+            shard.pending_rows(),
+            [base.clone(), vec![linked.clone()]].concat()
+        );
+        shard.apply_cmd(ShardCmd::GcTrim(vec![linked.clone()]));
+        assert_eq!(shard.pending_rows(), base);
+        shard.apply_cmd(ShardCmd::Delete(Key::entry(root, "g")));
+        let unlinked = PendingRow {
+            event: PendingEvent::Unlinked,
+            ..linked
+        };
+        assert_eq!(shard.pending_rows(), [base, vec![unlinked]].concat());
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! Write-ahead log with change-data-capture watch cursors.
+//! Write-ahead log.
 //!
 //! Both TafDB backends and FileStore nodes persist every metadata mutation to
-//! a WAL before applying it (paper §3.2), and the garbage collector of §4.4
-//! "watches the write ahead logs of TafDB and FileStore to learn recent
-//! metadata mutations, similar to the widely used change data capture
-//! service". [`Wal::watch`] provides exactly that: a cursor that observes
-//! every appended entry in order, without blocking writers.
+//! a WAL before applying it (paper §3.2): each replica's Raft log and the
+//! kvstore's own log are a [`Wal`] on a simulated storage device
+//! ([`FaultFs`]).
 //!
 //! Entries are CRC-protected; recovery of a file-backed log stops at the
 //! first torn or corrupt entry, discarding the unsynced tail like production
@@ -16,4 +14,4 @@ pub mod fault;
 pub mod log;
 
 pub use fault::{FaultFs, SyncVerdict, WriteVerdict};
-pub use log::{Wal, WalConfig, WalEntry, WalWatcher};
+pub use log::{Wal, WalConfig, WalEntry};

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cfs_types::{FsError, FsResult};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::crc32::crc32;
 use crate::fault::{FaultFs, SyncVerdict, WriteVerdict};
@@ -53,7 +53,6 @@ struct State {
 
 struct Inner {
     state: Mutex<State>,
-    appended: Condvar,
     config: WalConfig,
     /// Runtime-adjustable *extra* sync latency in nanoseconds, added on top
     /// of [`WalConfig::sync_latency`]. The `slow_fsync` nemesis fault raises
@@ -63,7 +62,7 @@ struct Inner {
     faults: Arc<FaultFs>,
 }
 
-/// An append-only, CRC-protected, watchable write-ahead log.
+/// An append-only, CRC-protected write-ahead log.
 ///
 /// Cloning is cheap and shares the underlying log (the clone is another
 /// handle to the same device, entries, and cursors).
@@ -142,7 +141,6 @@ impl Wal {
                     synced_seq: last_seq,
                     writer,
                 }),
-                appended: Condvar::new(),
                 config,
                 extra_sync_ns: AtomicU64::new(0),
                 faults,
@@ -219,9 +217,6 @@ impl Wal {
             w.write_all(&file_buf)?;
         }
         drop(st);
-        if seq >= first {
-            self.inner.appended.notify_all();
-        }
         if keep.is_some() {
             return Err(FsError::Io("simulated torn write".into()));
         }
@@ -269,11 +264,6 @@ impl Wal {
     /// Highest appended sequence (0 when empty).
     pub fn last_seq(&self) -> u64 {
         self.inner.state.lock().last_seq
-    }
-
-    /// Sequence of the first retained entry (`last_seq + 1` when empty).
-    pub fn first_seq(&self) -> u64 {
-        self.inner.state.lock().first_seq
     }
 
     /// Highest durable sequence.
@@ -346,85 +336,6 @@ impl Wal {
             .map_or(st.first_seq.saturating_sub(1), |e| e.seq);
         st.synced_seq = st.synced_seq.min(st.last_seq);
         removed
-    }
-
-    /// Creates a change-data-capture cursor positioned *after* the current
-    /// tail: it observes only entries appended from now on.
-    pub fn watch(&self) -> WalWatcher {
-        let next = self.inner.state.lock().last_seq + 1;
-        WalWatcher {
-            inner: Arc::clone(&self.inner),
-            next,
-        }
-    }
-
-    /// Creates a cursor positioned at the beginning of retained history.
-    pub fn watch_from_start(&self) -> WalWatcher {
-        let next = self.inner.state.lock().first_seq;
-        WalWatcher {
-            inner: Arc::clone(&self.inner),
-            next,
-        }
-    }
-}
-
-/// A change-data-capture cursor over a [`Wal`].
-///
-/// Poll with [`WalWatcher::poll`] (non-blocking) or
-/// [`WalWatcher::wait_next`] (blocking with timeout).
-pub struct WalWatcher {
-    inner: Arc<Inner>,
-    next: u64,
-}
-
-impl WalWatcher {
-    /// Returns all entries appended since the last poll.
-    pub fn poll(&mut self) -> Vec<WalEntry> {
-        let st = self.inner.state.lock();
-        let out: Vec<WalEntry> = st
-            .entries
-            .iter()
-            .filter(|e| e.seq >= self.next)
-            .cloned()
-            .collect();
-        if let Some(last) = out.last() {
-            self.next = last.seq + 1;
-        }
-        out
-    }
-
-    /// Blocks until at least one new entry is available or `timeout` elapses.
-    pub fn wait_next(&mut self, timeout: Duration) -> Vec<WalEntry> {
-        let mut st = self.inner.state.lock();
-        if st.last_seq < self.next {
-            self.inner.appended.wait_for(&mut st, timeout);
-        }
-        let out: Vec<WalEntry> = st
-            .entries
-            .iter()
-            .filter(|e| e.seq >= self.next)
-            .cloned()
-            .collect();
-        if let Some(last) = out.last() {
-            self.next = last.seq + 1;
-        }
-        out
-    }
-
-    /// The sequence number this cursor will observe next.
-    pub fn position(&self) -> u64 {
-        self.next
-    }
-
-    /// Drops from the log every entry this cursor has already returned
-    /// ([`Wal::truncate_prefix`] behind the cursor): how a stream's one
-    /// consumer keeps it bounded. Other cursors behind this one lose the
-    /// released entries.
-    pub fn release_consumed(&self) {
-        let log = Wal {
-            inner: Arc::clone(&self.inner),
-        };
-        log.truncate_prefix(self.next - 1);
     }
 }
 
@@ -537,35 +448,6 @@ mod tests {
         assert_eq!(wal.last_seq(), 5);
         assert_eq!(wal.append(vec![42]).unwrap(), 6);
         assert_eq!(wal.get(6).unwrap().payload, vec![42]);
-    }
-
-    #[test]
-    fn watcher_sees_only_new_entries() {
-        let wal = Wal::new_in_memory();
-        wal.append(vec![1]).unwrap();
-        let mut w = wal.watch();
-        assert!(w.poll().is_empty());
-        wal.append(vec![2]).unwrap();
-        wal.append(vec![3]).unwrap();
-        let got = w.poll();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].seq, 2);
-        assert!(w.poll().is_empty(), "poll must not re-deliver");
-    }
-
-    #[test]
-    fn watcher_wait_wakes_on_append() {
-        let wal = Arc::new(Wal::new_in_memory());
-        let mut w = wal.watch();
-        let wal2 = Arc::clone(&wal);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            wal2.append(vec![7]).unwrap();
-        });
-        let got = w.wait_next(Duration::from_secs(2));
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].payload, vec![7]);
-        t.join().unwrap();
     }
 
     #[test]
@@ -920,95 +802,12 @@ mod tests {
         );
     }
 
-    // ---- CDC cursor semantics (consumed by `cfs_core::gc`) ---------------
-
     #[test]
-    fn watcher_delivers_a_group_commit_as_one_atomic_batch() {
-        // The GC's change stream must never observe half a group commit: the
-        // batch is appended under one lock acquisition, so a single wake
-        // delivers the whole batch in order.
-        let wal = Arc::new(Wal::new_in_memory());
-        let mut w = wal.watch();
-        let wal2 = Arc::clone(&wal);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            wal2.append_batch(vec![b"g1".to_vec(), b"g2".to_vec(), b"g3".to_vec()])
-                .unwrap();
-        });
-        let got = w.wait_next(Duration::from_secs(2));
-        t.join().unwrap();
-        assert_eq!(got.len(), 3, "one wake must return the whole batch");
-        assert_eq!(got.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(w.position(), 4);
-        assert!(w.poll().is_empty(), "no re-delivery across the batch");
-    }
-
-    #[test]
-    fn watcher_straddling_a_group_commit_boundary_resumes_mid_batch() {
-        // A cursor positioned inside an already-appended batch (e.g. the GC
-        // restarted from a persisted position) picks up the batch's suffix.
-        let wal = Wal::new_in_memory();
-        wal.append_batch(vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()])
-            .unwrap();
-        let mut w = wal.watch_from_start();
-        w.next = 2; // resume mid-batch
-        let got = w.poll();
-        assert_eq!(got.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(w.position(), 4);
-    }
-
-    #[test]
-    fn watcher_skips_prefix_truncated_history() {
-        // Compaction racing the cursor: entries the log dropped before the
-        // cursor reached them are gone — the cursor lands on the retained
-        // suffix instead of blocking on sequences that will never return.
-        let wal = Wal::new_in_memory();
-        for i in 1..=10u8 {
-            wal.append(vec![i]).unwrap();
-        }
-        let mut w = wal.watch_from_start();
-        wal.truncate_prefix(5);
-        let got = w.poll();
-        assert_eq!(
-            got.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9, 10]
-        );
-        assert_eq!(w.position(), 11);
-    }
-
-    #[test]
-    fn watcher_does_not_redeliver_sequences_reused_after_suffix_truncation() {
-        // Raft conflict resolution rewinds the log tail and reuses the cut
-        // sequence numbers. A cursor that already consumed the old tail must
-        // not see the replacement entries as "new" (their seqs are below its
-        // position) — the replicated state machine re-delivers them through
-        // the apply path instead.
-        let wal = Wal::new_in_memory();
-        for i in 1..=5u8 {
-            wal.append(vec![i]).unwrap();
-        }
-        let mut w = wal.watch_from_start();
-        assert_eq!(w.poll().len(), 5);
-        assert_eq!(w.position(), 6);
-        wal.truncate_suffix(4); // drop 4, 5
-        wal.append(b"new4".to_vec()).unwrap();
-        wal.append(b"new5".to_vec()).unwrap();
-        assert!(w.poll().is_empty(), "reused seqs 4,5 are behind the cursor");
-        wal.append(b"six".to_vec()).unwrap();
-        let got = w.poll();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].seq, 6);
-        assert_eq!(got[0].payload, b"six");
-    }
-
-    #[test]
-    fn saved_cursor_position_resumes_correctly_across_torn_tail_recovery() {
-        // A consumer persists `position()` and crashes together with the log;
-        // the tail entry is torn and recovery truncates it. Resuming at the
-        // saved position must deliver the *re-written* entry at the reused
-        // sequence, not skip it.
-        let path = tmp("cursor-torn");
-        let saved_pos;
+    fn torn_tail_sequence_is_reused_by_the_retried_append() {
+        // The tail entry is torn and recovery truncates it. Reading from the
+        // first sequence past the surviving prefix must deliver the
+        // *re-written* entry at the reused sequence, not skip it.
+        let path = tmp("seq-torn");
         {
             let wal = Wal::with_config(WalConfig {
                 path: Some(path.clone()),
@@ -1017,9 +816,6 @@ mod tests {
             .unwrap();
             wal.append(b"one".to_vec()).unwrap();
             wal.append(b"two".to_vec()).unwrap();
-            let mut w = wal.watch_from_start();
-            assert_eq!(w.poll().len(), 2);
-            saved_pos = w.position(); // 3: next expected sequence
             wal.append(b"three-torn".to_vec()).unwrap();
             wal.sync().unwrap();
         }
@@ -1037,17 +833,14 @@ mod tests {
         assert_eq!(wal.last_seq(), 2, "torn entry truncated on recovery");
         // The writer retries; sequence 3 is reused for different content.
         assert_eq!(wal.append(b"three-retry".to_vec()).unwrap(), 3);
-        let resumed = wal.read_from(saved_pos);
+        let resumed = wal.read_from(3);
         assert_eq!(resumed.len(), 1);
         assert_eq!(resumed[0].seq, 3);
         assert_eq!(
             resumed[0].payload, b"three-retry",
-            "resumed cursor must see the surviving write at the reused seq"
+            "a reader must see the surviving write at the reused seq"
         );
-        // A fresh tail watcher starts after the retried entry.
-        let mut w = wal.watch();
-        assert_eq!(w.position(), 4);
-        assert!(w.poll().is_empty());
+        assert_eq!(wal.last_seq(), 3);
         let _ = std::fs::remove_file(&path);
     }
 }

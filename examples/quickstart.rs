@@ -55,7 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The background garbage collector pairs TafDB/FileStore change streams.
+    // The background garbage collector pairs the TafDB and FileStore pending
+    // tables.
     let gc = std::sync::Arc::new(cluster.garbage_collector(std::time::Duration::from_millis(200)));
     let _handle = gc.start(std::time::Duration::from_millis(100));
 
