@@ -19,7 +19,7 @@ use cfs_types::{
     VolumeId, ROOT_INODE,
 };
 use cfs_volume::QosLimiter;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use cfs_obs::metrics::Gauge;
 use cfs_obs::trace;
@@ -31,11 +31,47 @@ use crate::path;
 /// Page size used by `readdir` scans.
 const READDIR_PAGE: u32 = 1024;
 
-/// Asynchronous write-back work (paper §5.2: unlink's FileStore deletion is
-/// asynchronous, hiding its latency).
-enum Writeback {
-    DeleteFile(InodeId),
-    Stop,
+/// A job run on one of the client's background threads.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A named background thread that runs its jobs in order; dropping it lets
+/// the queued jobs finish and joins the thread.
+struct Worker {
+    tx: Option<Sender<Job>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Worker {
+    fn spawn(name: &str) -> Worker {
+        let (tx, rx) = unbounded::<Job>();
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || {
+                while let Ok(job) = rx.recv() {
+                    job();
+                }
+            })
+            .expect("spawn client worker thread");
+        Worker {
+            tx: Some(tx),
+            thread: Some(thread),
+        }
+    }
+
+    fn run(&self, job: impl FnOnce() + Send + 'static) {
+        if let Some(tx) = &self.tx {
+            let _ = tx.send(Box::new(job));
+        }
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        self.tx = None;
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
 }
 
 /// The CFS client: implements [`FileSystem`] against a running cluster.
@@ -60,8 +96,13 @@ pub struct CfsClient {
     /// Per-tenant fair-share admission, shared by every client of a cluster.
     /// `None` = QoS off (no admission control).
     qos: Option<Arc<QosLimiter>>,
-    writeback_tx: Sender<Writeback>,
-    writeback_thread: Option<std::thread::JoinHandle<()>>,
+    /// Asynchronous write-back (paper §5.2: unlink's FileStore deletion is
+    /// asynchronous, hiding its latency).
+    writeback: Worker,
+    /// Writes a new file's FileStore attribute while the creating thread
+    /// links it into TafDB, so a `create` waits on the two replicated
+    /// commits at once rather than one after the other.
+    attr_writer: Worker,
 }
 
 impl CfsClient {
@@ -74,25 +115,9 @@ impl CfsClient {
         renamer: RenamerClient,
         block_size: u64,
     ) -> CfsClient {
-        let fs = Arc::new(fs);
-        let (tx, rx) = unbounded::<Writeback>();
-        let fs_bg = Arc::clone(&fs);
-        let writeback_thread = std::thread::Builder::new()
-            .name("cfs-writeback".into())
-            .spawn(move || {
-                while let Ok(op) = rx.recv() {
-                    match op {
-                        Writeback::DeleteFile(ino) => {
-                            let _ = fs_bg.delete_file(ino);
-                        }
-                        Writeback::Stop => return,
-                    }
-                }
-            })
-            .expect("spawn writeback thread");
         CfsClient {
             taf,
-            fs,
+            fs: Arc::new(fs),
             ts,
             renamer,
             dcache: DentryCache::new(crate::dcache::DEFAULT_CAPACITY),
@@ -101,8 +126,8 @@ impl CfsClient {
             root: ROOT_INODE,
             usage: None,
             qos: None,
-            writeback_tx: tx,
-            writeback_thread: Some(writeback_thread),
+            writeback: Worker::spawn("cfs-writeback"),
+            attr_writer: Worker::spawn("cfs-attr-writer"),
         }
     }
 
@@ -326,6 +351,88 @@ impl CfsClient {
         )
     }
 
+    // ---- creation ---------------------------------------------------------
+
+    /// Figure 7's two writes of a new file or symlink, issued at once: the
+    /// FileStore attribute on the attribute writer, the namespace link on
+    /// the calling thread. Acks once both have committed.
+    ///
+    /// An abandoned create leaves nothing, an orphaned attribute, a link
+    /// whose attribute is missing, or both. The collector reclaims an
+    /// orphaned attribute; a link whose attribute write failed is removed
+    /// here, and if that removal fails as well, by the collector.
+    fn link_new_inode(
+        &self,
+        parent: InodeId,
+        name: &str,
+        attr: Attr,
+        rec: Record,
+        ts: Timestamp,
+    ) -> FsResult<InodeId> {
+        let ino = attr.ino;
+        let put = self.put_attr_async(attr);
+        let prim = Self::insert_entry_prim(parent, name, rec, 0, ts.raw(), ts);
+        let linked = self.execute_charged(prim, parent, 1, 0);
+        let put = put
+            .recv()
+            .unwrap_or_else(|_| Err(FsError::Io("attribute writer stopped".into())));
+        match (linked, put) {
+            (Ok(_), Ok(())) => {
+                // The create bumped the parent's generation server-side; a
+                // cached negative for this name is now stale.
+                self.cache_forget(parent, name);
+                Ok(ino)
+            }
+            (Ok(_), Err(e)) => {
+                self.unlink_failed_create(parent, name, ino, ts);
+                Err(e)
+            }
+            // Whatever became of the attribute, the namespace shows no new
+            // name (or not yet, for an indeterminate error); an orphaned
+            // attribute is the collector's.
+            (Err(e), _) => Err(e),
+        }
+    }
+
+    /// Hands `attr`'s FileStore write to the attribute writer, under the
+    /// calling op's trace context and node, and returns where its result
+    /// arrives.
+    fn put_attr_async(&self, attr: Attr) -> Receiver<FsResult<()>> {
+        let (tx, rx) = bounded(1);
+        let fs = Arc::clone(&self.fs);
+        let ctx = trace::current();
+        let node = trace::current_node();
+        self.attr_writer.run(move || {
+            let _ctx = trace::ctx_scope(ctx);
+            let _node = trace::node_scope(node);
+            let _ = tx.send(fs.put_attr(attr));
+        });
+        rx
+    }
+
+    /// Best-effort removal of the link of a create whose attribute write
+    /// failed. The inode-id guard keeps it from removing anything another
+    /// op has put under the name since.
+    fn unlink_failed_create(&self, parent: InodeId, name: &str, ino: InodeId, ts: Timestamp) {
+        let prim = Primitive::delete_with_update(
+            Cond::require(Key::entry(parent, name), vec![Pred::IdEq(ino)]),
+            Self::parent_update(parent, -1, 0, ts.raw(), ts),
+        );
+        if self.taf.execute(prim).is_ok() {
+            self.quota_release(1, 0);
+        }
+        self.cache_forget(parent, name);
+    }
+
+    /// Queues the deletion of an unlinked file's FileStore attribute and
+    /// data blocks on the write-back thread.
+    fn delete_file_async(&self, ino: InodeId) {
+        let fs = Arc::clone(&self.fs);
+        self.writeback.run(move || {
+            let _ = fs.delete_file(ino);
+        });
+    }
+
     // ---- volume quota ----------------------------------------------------
 
     /// Whether namespace mutations are metered against a quota record.
@@ -437,9 +544,10 @@ impl CfsClient {
 
     // ---- internal op used by tests to model a crashed client -------------
 
-    /// First phase of `create` only: writes the FileStore attribute but never
-    /// links it into TafDB. Models a client crash between the two tiers of
-    /// Figure 7; the garbage collector must clean the orphan up.
+    /// The FileStore half of `create` only: writes the attribute but never
+    /// links it into TafDB. Models a client crash while a create's two
+    /// writes are in flight, after the attribute landed; the garbage
+    /// collector must delete the orphaned attribute.
     #[doc(hidden)]
     pub fn create_crash_before_link(&self, p: &str) -> FsResult<InodeId> {
         let (_parent, _name) = self.resolve_parent_of(p)?;
@@ -449,9 +557,25 @@ impl CfsClient {
         Ok(ino)
     }
 
-    /// First phase of `rmdir` only (unlink from parent), never deleting the
-    /// directory's `/_ATTR` record. Models the crash that the on-demand GC
-    /// path repairs.
+    /// The TafDB half of `create` only: links a new file into the namespace
+    /// but never writes its FileStore attribute. Models a client crash
+    /// while a create's two writes are in flight, after the link landed;
+    /// the garbage collector must remove the dangling link.
+    #[doc(hidden)]
+    pub fn create_crash_before_attr(&self, p: &str) -> FsResult<InodeId> {
+        let (parent, name) = self.resolve_parent_of(p)?;
+        let ino = self.ts.alloc_id_in(self.volume)?;
+        let ts = self.ts.timestamp()?;
+        let rec = Record::id_record(ino, FileType::File);
+        let prim = Self::insert_entry_prim(parent, &name, rec, 0, ts.raw(), ts);
+        self.execute_charged(prim, parent, 1, 0)?;
+        self.cache_forget(parent, &name);
+        Ok(ino)
+    }
+
+    /// First phase of `unlink` only (unlink from parent), never deleting the
+    /// file's FileStore attribute. Models the crash whose leftover attribute
+    /// the garbage collector deletes.
     #[doc(hidden)]
     pub fn unlink_crash_before_filestore(&self, p: &str) -> FsResult<InodeId> {
         let (parent, name) = self.resolve_parent_of(p)?;
@@ -473,15 +597,6 @@ impl CfsClient {
     }
 }
 
-impl Drop for CfsClient {
-    fn drop(&mut self) {
-        let _ = self.writeback_tx.send(Writeback::Stop);
-        if let Some(t) = self.writeback_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 impl FileSystem for CfsClient {
     fn create(&self, p: &str) -> FsResult<InodeId> {
         let _op = self.op_scope("fs.create");
@@ -489,31 +604,9 @@ impl FileSystem for CfsClient {
         let (parent, name) = self.resolve_parent_of(p)?;
         let ino = self.ts.alloc_id_in(self.volume)?;
         let ts = self.ts.timestamp()?;
-        let now = ts.raw();
-        // Figure 7: creation writes FileStore first, namespace link last, so
-        // a crash in between leaves only an invisible orphaned attribute.
-        self.fs.put_attr(Attr::new_file(ino, now))?;
-        let prim = Self::insert_entry_prim(
-            parent,
-            &name,
-            Record::id_record(ino, FileType::File),
-            0,
-            now,
-            ts,
-        );
-        match self.execute_charged(prim, parent, 1, 0) {
-            Ok(_) => {
-                // The create bumped the parent's generation server-side; a
-                // cached negative for this name is now stale.
-                self.cache_forget(parent, &name);
-                Ok(ino)
-            }
-            Err(e) => {
-                // The FileStore attribute is now orphaned; the GC's pairing
-                // analysis will reclaim it. Surface the original error.
-                Err(e)
-            }
-        }
+        let attr = Attr::new_file(ino, ts.raw());
+        let rec = Record::id_record(ino, FileType::File);
+        self.link_new_inode(parent, &name, attr, rec, ts)
     }
 
     fn mkdir(&self, p: &str) -> FsResult<InodeId> {
@@ -568,7 +661,7 @@ impl FileSystem for CfsClient {
             } else {
                 0
             };
-            let _ = self.writeback_tx.send(Writeback::DeleteFile(ino));
+            self.delete_file_async(ino);
             self.quota_release(1, bytes);
         }
         Ok(())
@@ -590,8 +683,9 @@ impl FileSystem for CfsClient {
         // The emptiness check runs on the attr shard; deleting the parent
         // link first would orphan a non-empty directory, so the attr record
         // (and its emptiness check) must go first here: the orphan left by a
-        // crash in between is the *link* (dangling id record), which the
-        // on-demand GC path reclaims when lookups fail (§4.4).
+        // crash in between is the *link* (dangling id record): `getattr`
+        // reports it NotFound, and the collector removes it while the
+        // directory's `Linked` row is still pending (§4.4).
         let purge = Primitive {
             deletes: vec![Cond::require(
                 Key::attr(ino),
@@ -629,22 +723,10 @@ impl FileSystem for CfsClient {
                 let rec = self.taf.get(&Key::attr(ino))?.ok_or(FsError::NotFound)?;
                 rec.to_dir_attr(ino)
             }
-            FileType::File | FileType::Symlink => {
-                match self.fs.get_attr(ino)? {
-                    Some(a) => Ok(a),
-                    None => {
-                        // Dangling id record (crashed unlink/rename): repair
-                        // on demand, then report NotFound (§4.4).
-                        if !comps.is_empty() {
-                            let parent = self.resolve_dir(&comps[..comps.len() - 1])?;
-                            let name = comps[comps.len() - 1];
-                            self.cache_forget(parent, name);
-                            let _ = crate::gc::repair_dangling_entry(&self.taf, parent, name, ino);
-                        }
-                        Err(FsError::NotFound)
-                    }
-                }
-            }
+            // A link whose attribute is missing belongs to a create still in
+            // flight (its two writes run at once) or to one a crash
+            // abandoned; the collector, not a reader, tells the two apart.
+            FileType::File | FileType::Symlink => self.fs.get_attr(ino)?.ok_or(FsError::NotFound),
         }
     }
 
@@ -807,7 +889,7 @@ impl FileSystem for CfsClient {
                                 } else {
                                     0
                                 };
-                                let _ = self.writeback_tx.send(Writeback::DeleteFile(ino));
+                                self.delete_file_async(ino);
                                 if self.metered() {
                                     self.quota_release(1, bytes);
                                 }
@@ -848,14 +930,10 @@ impl FileSystem for CfsClient {
         let (parent, name) = self.resolve_parent_of(linkpath)?;
         let ino = self.ts.alloc_id_in(self.volume)?;
         let ts = self.ts.timestamp()?;
-        let now = ts.raw();
-        self.fs.put_attr(Attr::new_symlink(ino, now, target))?;
+        let attr = Attr::new_symlink(ino, ts.raw(), target);
         let mut rec = Record::id_record(ino, FileType::Symlink);
         rec.symlink_target = Some(target.to_string());
-        let prim = Self::insert_entry_prim(parent, &name, rec, 0, now, ts);
-        self.execute_charged(prim, parent, 1, 0)?;
-        self.cache_forget(parent, &name);
-        Ok(ino)
+        self.link_new_inode(parent, &name, attr, rec, ts)
     }
 
     fn readlink(&self, p: &str) -> FsResult<String> {

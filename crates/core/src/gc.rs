@@ -16,9 +16,18 @@
 //!   a crashed `unlink`/`rename` — the attribute the link left behind is
 //!   deleted: the file's in FileStore, with its blocks, or the directory's
 //!   in TafDB;
-//! * on-demand mode ([`repair_dangling_entry`]) handles the dangling id
-//!   records a crashed `rmdir`/`unlink` leaves behind, triggered when
-//!   `getattr`/`readdir` fail to fetch attribute records.
+//! * more TafDB links than unlinks with no attribute put is a crashed
+//!   `create` whose link landed but whose attribute did not (a create
+//!   writes the two at once), or a crashed `rmdir` — if the attribute is
+//!   absent from both FileStore and TafDB when read back, each entry the
+//!   inode's `Linked` rows name is unlinked. The read-back is what keeps a
+//!   live inode whose attribute row was trimmed before its link row safe.
+//!
+//! Readers never repair: `getattr` on a link whose attribute is missing
+//! reports `NotFound` and leaves the link alone, since it cannot tell a
+//! crashed create from one still in flight. Grace is what tells them apart
+//! here — a create whose attribute write stalls past it loses its link, as
+//! one whose link stalls past it loses its attribute.
 //!
 //! Only once an inode's repair has succeeded does the collector drop its
 //! rows, with replicated trims per group that remove exactly the rows it read
@@ -38,7 +47,9 @@ use cfs_obs::metrics::Counter;
 use cfs_tafdb::primitive::{Primitive, UpdateSpec};
 use cfs_tafdb::TafDbClient;
 use cfs_types::record::{FieldAssign, NumField, Pred};
-use cfs_types::{Cond, FileType, FsResult, InodeId, Key, PendingEvent, PendingRow, ShardId};
+use cfs_types::{
+    Cond, FileType, FsError, FsResult, InodeId, Key, PendingEvent, PendingRow, ShardId,
+};
 use parking_lot::Mutex;
 
 /// The replicated group a pending row was read from.
@@ -65,10 +76,12 @@ pub struct GarbageCollector {
     seen: Mutex<HashMap<InodeId, Seen>>,
     /// Counters in the registry of the collector's own node (its TafDB
     /// client's address): `gc_rows_trimmed`, `gc_orphan_attrs_removed`
-    /// (crashed creates) and `gc_stale_attrs_removed` (crashed unlinks).
+    /// (crashed creates), `gc_stale_attrs_removed` (crashed unlinks) and
+    /// `gc_dangling_entries_repaired` (links left without an attribute).
     rows_trimmed: Arc<Counter>,
     orphan_attrs_removed: Arc<Counter>,
     stale_attrs_removed: Arc<Counter>,
+    dangling_entries_repaired: Arc<Counter>,
     /// How long an inode's rows must stay unchanged before they are paired.
     pub grace: Duration,
 }
@@ -87,6 +100,7 @@ impl GarbageCollector {
             rows_trimmed: reg.counter("gc_rows_trimmed"),
             orphan_attrs_removed: reg.counter("gc_orphan_attrs_removed"),
             stale_attrs_removed: reg.counter("gc_stale_attrs_removed"),
+            dangling_entries_repaired: reg.counter("gc_dangling_entries_repaired"),
             grace,
         }
     }
@@ -220,8 +234,55 @@ impl GarbageCollector {
                 self.fs.delete_file(ino)?;
                 self.stale_attrs_removed.inc();
             }
+        } else if links > unlinks
+            && !has(PendingEvent::AttrPut)
+            && !has(PendingEvent::DirAttrPut)
+            && self.fs.get_attr(ino)?.is_none()
+            && self.taf.get(&Key::attr(ino))?.is_none()
+        {
+            // Crashed create (link without attribute) or rmdir (attribute
+            // deleted, link kept): every entry still naming the inode dangles.
+            for (_, row) in rows.iter().filter(|(_, r)| r.event == PendingEvent::Linked) {
+                let entry = Key::from_sortable_bytes(&row.key)
+                    .map_err(|e| FsError::Corrupted(format!("pending link key: {e:?}")))?;
+                if self.unlink_dangling(entry, ino)? {
+                    self.dangling_entries_repaired.inc();
+                }
+            }
         }
         Ok(())
+    }
+
+    /// Unlinks the entry at `entry` if it still names `ino`; false when it
+    /// is already gone or names another inode.
+    fn unlink_dangling(&self, entry: Key, ino: InodeId) -> FsResult<bool> {
+        let Some(rec) = self.taf.get(&entry)?.filter(|r| r.id == Some(ino)) else {
+            return Ok(false);
+        };
+        let parent = entry.kid;
+        let mut assigns = vec![FieldAssign::Delta {
+            field: NumField::Children,
+            delta: -1,
+        }];
+        if rec.ftype == Some(FileType::Dir) {
+            // A child directory holds a link on its parent.
+            assigns.push(FieldAssign::Delta {
+                field: NumField::Links,
+                delta: -1,
+            });
+        }
+        let prim = Primitive::delete_with_update(
+            Cond::require(entry, vec![Pred::IdEq(ino)]),
+            UpdateSpec::new(
+                Cond::require(Key::attr(parent), vec![Pred::TypeIs(FileType::Dir)]),
+                assigns,
+            ),
+        );
+        match self.taf.execute(prim) {
+            Ok(_) => Ok(true),
+            Err(FsError::NotFound) => Ok(false),
+            Err(e) => Err(e),
+        }
     }
 
     /// Starts the interval mode in a background thread.
@@ -256,47 +317,5 @@ impl Drop for GcHandle {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-    }
-}
-
-/// On-demand repair of a dangling id record: called when `getattr` finds an
-/// id record whose attribute no longer exists anywhere (crashed `rmdir` or a
-/// crash between the id-record removal and attribute cleanup).
-///
-/// Verifies the attribute truly is gone from TafDB before unlinking the
-/// record — a merely-slow create is left alone because its id record points
-/// at an attribute that exists. A repair counts in `gc_dangling_entries_repaired`
-/// of the calling client's node.
-pub fn repair_dangling_entry(
-    taf: &TafDbClient,
-    parent: InodeId,
-    name: &str,
-    ino: InodeId,
-) -> FsResult<bool> {
-    // A directory's attribute record lives in TafDB.
-    if taf.get(&Key::attr(ino))?.is_some() {
-        return Ok(false);
-    }
-    let prim = Primitive::delete_with_update(
-        Cond::require(Key::entry(parent, name), vec![Pred::IdEq(ino)]),
-        UpdateSpec::new(
-            Cond::require(Key::attr(parent), vec![Pred::TypeIs(FileType::Dir)]),
-            vec![FieldAssign::Delta {
-                field: NumField::Children,
-                delta: -1,
-            }],
-        ),
-    );
-    match taf.execute(prim) {
-        Ok(_) => {
-            // A rare repair path: the one lookup per repair is not worth a
-            // cached handle in every client.
-            cfs_obs::metrics::node(taf.node().0 as u64)
-                .counter("gc_dangling_entries_repaired")
-                .inc();
-            Ok(true)
-        }
-        Err(cfs_types::FsError::NotFound) | Err(cfs_types::FsError::Conflict) => Ok(false),
-        Err(e) => Err(e),
     }
 }

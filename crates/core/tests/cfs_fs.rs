@@ -370,6 +370,127 @@ fn gc_reclaims_attr_after_crashed_unlink() {
 }
 
 #[test]
+fn in_flight_create_survives_a_concurrent_getattr() {
+    // Elections slow enough that a 200 ms fsync cannot set one off.
+    let mut config = CfsConfig::test_small();
+    config.raft.election_timeout_min = Duration::from_millis(1_000);
+    config.raft.election_timeout_max = Duration::from_millis(1_500);
+    let c = CfsCluster::start(config).expect("cluster boot");
+    let (writer, reader) = (c.client(), c.client());
+    writer.mkdir("/race").unwrap();
+    // Every FileStore commit now waits on a slow disk, so the create's
+    // attribute lands long after its link.
+    for g in c.fs_groups() {
+        g.raft().set_fsync_latency(Duration::from_millis(200));
+    }
+    let (ino, seen_in_flight) = std::thread::scope(|s| {
+        let create = s.spawn(|| writer.create("/race/f"));
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !reader
+            .readdir("/race")
+            .unwrap()
+            .iter()
+            .any(|e| e.name == "f")
+        {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the link never showed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Linked, attribute still in flight: the reader sees NotFound and
+        // must not take the link for a crashed create's.
+        let got = reader.getattr("/race/f");
+        let in_flight = !create.is_finished();
+        if in_flight {
+            assert_eq!(got.unwrap_err(), FsError::NotFound);
+        }
+        (create.join().unwrap().unwrap(), in_flight)
+    });
+    assert!(seen_in_flight, "the getattr ran after the create returned");
+    for g in c.fs_groups() {
+        g.raft().set_fsync_latency(Duration::ZERO);
+    }
+    assert_eq!(reader.lookup("/race/f").unwrap(), ino);
+    assert_eq!(reader.getattr("/race/f").unwrap().ino, ino);
+    assert_eq!(reader.getattr("/race").unwrap().children, 1);
+}
+
+#[test]
+fn create_whose_attribute_write_fails_leaves_no_entry() {
+    let c = cluster();
+    let fs = c.client();
+    fs.mkdir("/full").unwrap();
+    let fs_ids: Vec<_> = c
+        .fs_groups()
+        .iter()
+        .flat_map(|g| g.raft().nodes())
+        .map(|n| n.id())
+        .collect();
+    for &id in &fs_ids {
+        c.set_disk_budget(id, Some(0)).unwrap();
+    }
+    // The link commits; the attribute write backs off on ENOSPC until the
+    // client gives up, and the create then removes its own link.
+    assert!(fs.create("/full/f").is_err());
+    assert!(fs.readdir("/full").unwrap().is_empty());
+    assert_eq!(fs.getattr("/full").unwrap().children, 0);
+    for &id in &fs_ids {
+        c.clear_storage_faults(id).unwrap();
+    }
+    fs.create("/full/f").unwrap();
+    assert_eq!(fs.readdir("/full").unwrap().len(), 1);
+}
+
+#[test]
+fn gc_unlinks_a_create_whose_attribute_never_landed() {
+    let c = cluster();
+    let fs = c.client();
+    fs.mkdir("/gd").unwrap();
+    // A client crash while a create's two writes were in flight, after the
+    // link landed and before the attribute did.
+    let ghost = fs.create_crash_before_attr("/gd/ghost").unwrap();
+    // A live file left holding only its `Linked` row: its attribute row was
+    // trimmed, as by a collector whose second trim failed.
+    let live = fs.create("/gd/alive").unwrap();
+    quiesce(&c);
+    let node = fs.filestore().layout().node_for(live);
+    let attr_rows: Vec<_> = fs
+        .filestore()
+        .pending(node)
+        .unwrap()
+        .into_iter()
+        .filter(|r| r.ino == live)
+        .collect();
+    assert_eq!(attr_rows.len(), 1);
+    fs.filestore().gc_trim(node, attr_rows).unwrap();
+
+    // A reader reports the dangling link NotFound and leaves it alone.
+    assert_eq!(fs.getattr("/gd/ghost").unwrap_err(), FsError::NotFound);
+    assert_eq!(fs.lookup("/gd/ghost").unwrap(), ghost);
+
+    let _turn = gc_turn();
+    let gc = c.garbage_collector(Duration::from_millis(100));
+    let repaired_before = gc_counter(&gc, "gc_dangling_entries_repaired");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while fs.readdir("/gd").unwrap().iter().any(|e| e.name == "ghost") {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the dangling link must be collected"
+        );
+        gc.run_once().unwrap();
+        std::thread::sleep(Duration::from_millis(60));
+    }
+    settle_and_sweep(&c, &gc);
+    assert_eq!(
+        gc_counter(&gc, "gc_dangling_entries_repaired") - repaired_before,
+        1
+    );
+    assert_eq!(fs.getattr("/gd/alive").unwrap().ino, live);
+    assert_eq!(fs.getattr("/gd").unwrap().children, 1);
+}
+
+#[test]
 fn survives_taf_shard_leader_failover() {
     let c = cluster();
     let fs = c.client();

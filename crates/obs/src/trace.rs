@@ -421,8 +421,16 @@ pub fn spans_to_json(spans: &[SpanRecord]) -> crate::Json {
 mod tests {
     use super::*;
 
-    // Tests share the process-global sink; each drains only spans from
-    // trace ids it created itself so parallel tests don't interfere.
+    // Tests share the process-global sink and on/off switch. Each test that
+    // records or switches holds this turn: a sibling's `disable()` would
+    // stop its spans from being recorded, and a sibling's `drain()` holds
+    // them out of the sink until it requeues them.
+    fn ring_turn() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    // Each drains only spans from trace ids it created itself.
     fn spans_of(all: &[SpanRecord], trace_id: u64) -> Vec<SpanRecord> {
         all.iter()
             .filter(|s| s.trace_id == trace_id)
@@ -432,6 +440,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _turn = ring_turn();
         disable();
         let g = span("noop");
         assert_eq!(g.trace_id(), 0);
@@ -440,6 +449,7 @@ mod tests {
 
     #[test]
     fn nesting_builds_parent_links() {
+        let _turn = ring_turn();
         enable();
         let tid;
         {
@@ -484,6 +494,7 @@ mod tests {
 
     #[test]
     fn ctx_crosses_threads_via_wire() {
+        let _turn = ring_turn();
         enable();
         let root = root_span("sender");
         let ctx = root.ctx().unwrap();

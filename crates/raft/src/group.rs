@@ -165,12 +165,20 @@ impl<S: StateMachine> RaftGroup<S> {
         self.storage(i).map(|s| Arc::clone(s.faults()))
     }
 
-    /// Returns the current leader node, if any member believes it leads.
+    /// Whether replica `n` believes it leads and is running and reachable:
+    /// a crashed or killed leader keeps its role until it hears a higher
+    /// term, but serves nothing.
+    fn live_leader(&self, n: &RaftNode<S>) -> bool {
+        n.role() == Role::Leader && !n.is_stopped() && !self.net.is_dead(n.id())
+    }
+
+    /// Returns the current leader node, if any running, reachable member
+    /// believes it leads.
     pub fn leader(&self) -> Option<Arc<RaftNode<S>>> {
         self.nodes
             .read()
             .iter()
-            .find(|n| n.role() == Role::Leader)
+            .find(|n| self.live_leader(n))
             .cloned()
     }
 
@@ -218,10 +226,11 @@ impl<S: StateMachine> RaftGroup<S> {
 
     /// Blocks until the group has converged on a *single* leader that can
     /// commit, by committing a no-op barrier and then requiring exactly one
-    /// node to claim the role. After a kill or partition heals, the deposed
-    /// leader keeps claiming leadership — and serving stale leader-local
-    /// reads — until a higher-term message reaches it; waiting out that
-    /// window is what makes a subsequent read linearizable.
+    /// running, reachable node to claim the role. After a kill or partition
+    /// heals, the deposed leader keeps claiming leadership — and serving
+    /// stale leader-local reads — until a higher-term message reaches it;
+    /// waiting out that window is what makes a subsequent read
+    /// linearizable.
     pub fn wait_quiescent(&self, timeout: Duration) -> FsResult<()> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -233,7 +242,7 @@ impl<S: StateMachine> RaftGroup<S> {
                     .nodes
                     .read()
                     .iter()
-                    .filter(|n| n.role() == Role::Leader)
+                    .filter(|n| self.live_leader(n))
                     .count();
                 if claimants == 1 {
                     return Ok(());
@@ -1319,6 +1328,75 @@ mod tests {
         assert_eq!(reader.join().unwrap(), Ok(1));
         assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!(leader.read_index(|sm| sm.applied.lock().len()), Ok(1));
+        group.shutdown();
+    }
+
+    #[test]
+    fn follower_read_index_survives_a_lost_request() {
+        let net = Network::new(NetConfig::default());
+        let config = RaftConfig {
+            // Elections slow enough that the brief partition below cannot
+            // start one; a request that is never re-sent gives up after
+            // this long.
+            election_timeout_min: Duration::from_millis(400),
+            election_timeout_max: Duration::from_millis(600),
+            heartbeat_interval: Duration::from_millis(15),
+            propose_timeout: Duration::from_secs(2),
+            ..Default::default()
+        };
+        let group = RaftGroup::spawn(&net, &ids(1150, 3), config, |_| RecorderSm::new());
+        let leader = group.wait_for_leader(Duration::from_secs(5)).unwrap();
+        leader.propose(b"x".to_vec()).unwrap();
+        let follower = group
+            .nodes()
+            .into_iter()
+            .find(|n| n.id() != leader.id())
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while follower.leader_hint() != Some(leader.id()) || follower.applied_index() == 0 {
+            assert!(Instant::now() < deadline, "follower never caught up");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let rest: Vec<NodeId> = group
+            .nodes()
+            .iter()
+            .map(|n| n.id())
+            .filter(|&n| n != follower.id())
+            .collect();
+        // The follower's ReadIndexReq leaves into a partition and is lost.
+        net.partition(vec![vec![follower.id()], rest]);
+        let reader = {
+            let follower = Arc::clone(&follower);
+            std::thread::spawn(move || follower.read_index(|sm| sm.applied.lock().len()))
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        net.heal();
+        // The follower re-sends the request every heartbeat interval instead
+        // of waiting out the whole propose timeout.
+        let started = Instant::now();
+        assert_eq!(reader.join().unwrap(), Ok(1));
+        assert!(started.elapsed() < Duration::from_secs(1));
+        group.shutdown();
+    }
+
+    #[test]
+    fn a_crashed_leader_is_not_reported_as_leader() {
+        let net = Network::new(NetConfig::default());
+        let group = RaftGroup::spawn(&net, &ids(1160, 3), fast_config(), |_| RecorderSm::new());
+        let old = group.wait_for_leader(Duration::from_secs(5)).unwrap();
+        let i = group
+            .nodes()
+            .iter()
+            .position(|n| n.id() == old.id())
+            .unwrap();
+        group.crash_replica(i);
+        // Stopped, the crashed replica keeps claiming the role it had.
+        assert_eq!(old.role(), Role::Leader);
+        let new = group.wait_for_leader(Duration::from_secs(5)).unwrap();
+        assert_ne!(new.id(), old.id(), "the crashed leader was returned");
+        assert_ne!(group.leader().map(|n| n.id()), Some(old.id()));
+        // One live claimant is quiescent, whatever the dead one claims.
+        group.wait_quiescent(Duration::from_secs(5)).unwrap();
         group.shutdown();
     }
 

@@ -394,6 +394,12 @@ impl<S: StateMachine> RaftNode<S> {
         st.commit - st.applied
     }
 
+    /// Whether [`RaftNode::stop`] has run. A stopped node keeps the role it
+    /// had, so a crashed leader still reports [`Role::Leader`].
+    pub fn is_stopped(&self) -> bool {
+        self.st.lock().stopped
+    }
+
     /// Stops the pump thread; the node no longer participates.
     pub fn stop(&self) {
         let mut st = self.st.lock();
@@ -511,20 +517,39 @@ impl<S: StateMachine> RaftNode<S> {
             st.ri_waiters.insert(id, tx);
             (id, target)
         };
-        if target == self.id {
-            self.handle(self.id, RaftMsg::ReadIndexReq { id });
-        } else {
-            self.send_one(target, RaftMsg::ReadIndexReq { id });
-        }
-        let index = match rx.recv_timeout(self.config.propose_timeout) {
-            Ok(res) => res?,
-            Err(_) => {
-                // The confirmation round never completed: leadership (ours,
-                // or the leader's we asked) could not be confirmed.
-                let mut st = self.st.lock();
-                st.ri_waiters.remove(&id);
-                let hint = st.leader_hint.filter(|&l| l != self.id).map(|n| n.0);
-                return Err(FsError::NotLeader(hint));
+        // A lost request or response is re-sent, under the same id, every
+        // heartbeat interval — to whoever leads by then — until one answer
+        // arrives; the rest find no waiter and are ignored.
+        let mut target = Some(target);
+        let index = loop {
+            match target {
+                Some(t) if t == self.id => self.handle(self.id, RaftMsg::ReadIndexReq { id }),
+                Some(t) => self.send_one(t, RaftMsg::ReadIndexReq { id }),
+                None => {}
+            }
+            let wait = deadline
+                .saturating_duration_since(Instant::now())
+                .min(self.config.heartbeat_interval);
+            match rx.recv_timeout(wait) {
+                Ok(res) => break res?,
+                Err(_) if Instant::now() < deadline => {
+                    // (Stopping the node answers the waiter with `Timeout`.)
+                    let st = self.st.lock();
+                    target = if st.role == Role::Leader {
+                        Some(self.id)
+                    } else {
+                        st.leader_hint
+                    };
+                }
+                Err(_) => {
+                    // The confirmation round never completed: leadership
+                    // (ours, or the leader's we asked) could not be
+                    // confirmed.
+                    let mut st = self.st.lock();
+                    st.ri_waiters.remove(&id);
+                    let hint = st.leader_hint.filter(|&l| l != self.id).map(|n| n.0);
+                    return Err(FsError::NotLeader(hint));
+                }
             }
         };
         // Wait until the local apply catches up with the read index.

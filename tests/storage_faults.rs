@@ -137,9 +137,9 @@ fn enospc_filestore_degrades_data_path_and_recovers() {
         );
 
         // The metadata plane stays readable: the TafDB volumes are healthy.
-        // (Creates are *supposed* to stall too — creation writes FileStore
-        // first, namespace link last, so the starved data plane backs that
-        // path off as well.)
+        // (Creates are *supposed* to stall too — a create acks only once its
+        // FileStore attribute has committed, so the starved data plane backs
+        // that path off as well.)
         client.lookup("/f").expect("lookup while fs degraded");
         assert!(
             client
