@@ -2,14 +2,13 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use cfs_core::CfsConfig;
-use cfs_filestore::{FileStoreClient, FileStoreGroup, FileStoreLayout};
+use cfs_core::{CfsConfig, Tiers};
+use cfs_filestore::FileStoreClient;
+use cfs_raft::ReplicaSet;
 use cfs_rpc::Network;
-use cfs_tafdb::router::{PartitionMap, ShardInfo};
-use cfs_tafdb::{TafBackendGroup, TafDbClient, TimeService, TsClient};
-use cfs_types::{FsResult, NodeId, ShardId};
+use cfs_tafdb::{TafDbClient, TafShard, TsClient};
+use cfs_types::{FsResult, NodeId};
 
 use crate::engine::{AttrSchema, EngineConfig, EntryCache, InodeLocks, MetaEngine, Placement};
 use crate::proxy::{BaselineFs, ProxyService};
@@ -96,12 +95,7 @@ const CLIENT_BASE: u32 = 2_000_000;
 pub struct BaselineCluster {
     variant: Variant,
     config: CfsConfig,
-    net: Arc<Network>,
-    pmap: Arc<PartitionMap>,
-    fs_layout: Arc<FileStoreLayout>,
-    taf_groups: Vec<TafBackendGroup>,
-    fs_groups: Vec<FileStoreGroup>,
-    _time_service: Arc<TimeService>,
+    tiers: Tiers,
     proxies: Vec<NodeId>,
     proxy_engines: Vec<Arc<MetaEngine>>,
     coord: Arc<InodeLocks>,
@@ -114,55 +108,13 @@ impl BaselineCluster {
     /// Boots a baseline deployment. `proxies` controls how many proxy nodes
     /// serve clients (ignored for [`Variant::NoProxy`]).
     pub fn start(variant: Variant, config: CfsConfig, proxies: usize) -> FsResult<BaselineCluster> {
-        let net = Network::new(config.net.clone());
-        let shard_infos: Vec<ShardInfo> = (0..config.taf_shards)
-            .map(|s| ShardInfo {
-                id: ShardId(s as u32),
-                replicas: (0..config.replication)
-                    .map(|r| NodeId(TAF_BASE + (s * config.replication + r) as u32))
-                    .collect(),
-            })
-            .collect();
-        let pmap = Arc::new(PartitionMap::new(shard_infos.clone()));
-        let time_service = TimeService::new(Arc::clone(&pmap));
-        time_service.register(&net, TS_NODE);
-        let mut taf_groups = Vec::new();
-        for info in &shard_infos {
-            taf_groups.push(TafBackendGroup::spawn(
-                &net,
-                info.id,
-                &info.replicas,
-                config.raft.clone(),
-            ));
-        }
-        let mut fs_groups = Vec::new();
-        let mut fs_nodes = Vec::new();
-        for n in 0..config.filestore_nodes {
-            let ids: Vec<NodeId> = (0..config.replication)
-                .map(|r| NodeId(FS_BASE + (n * config.replication + r) as u32))
-                .collect();
-            fs_nodes.push(ids.clone());
-            fs_groups.push(FileStoreGroup::spawn(&net, &ids, config.raft.clone()));
-        }
-        let fs_layout = Arc::new(FileStoreLayout::new(fs_nodes));
-        for g in &taf_groups {
-            g.wait_ready(Duration::from_secs(30))?;
-        }
-        for g in &fs_groups {
-            g.wait_ready(Duration::from_secs(30))?;
-        }
-
+        let tiers = Tiers::start(&config, TS_NODE, TAF_BASE, FS_BASE)?;
         let coord = Arc::new(InodeLocks::default());
         let cache = Arc::new(EntryCache::default());
         let mut cluster = BaselineCluster {
             variant,
             config,
-            net,
-            pmap,
-            fs_layout,
-            taf_groups,
-            fs_groups,
-            _time_service: time_service,
+            tiers,
             proxies: Vec::new(),
             proxy_engines: Vec::new(),
             coord,
@@ -182,7 +134,7 @@ impl BaselineCluster {
                 let svc = ProxyService::new(Arc::clone(&engine));
                 let mux = cfs_rpc::MuxService::new();
                 mux.mount(cfs_rpc::mux::CH_APP, svc as Arc<dyn cfs_rpc::Service>);
-                cluster.net.register(node, mux);
+                cluster.network().register(node, mux);
                 cluster.proxies.push(node);
                 cluster.proxy_engines.push(engine);
             }
@@ -194,10 +146,14 @@ impl BaselineCluster {
         let instance = u64::from(self.next_engine.fetch_add(1, Ordering::Relaxed));
         MetaEngine::new(
             self.variant.engine_config(),
-            TafDbClient::new(Arc::clone(&self.net), me, Arc::clone(&self.pmap)),
-            FileStoreClient::new(Arc::clone(&self.net), me, Arc::clone(&self.fs_layout)),
+            TafDbClient::new(Arc::clone(self.network()), me, Arc::clone(&self.tiers.pmap)),
+            FileStoreClient::new(
+                Arc::clone(self.network()),
+                me,
+                Arc::clone(&self.tiers.fs_layout),
+            ),
             TsClient::new(
-                Arc::clone(&self.net),
+                Arc::clone(self.network()),
                 me,
                 TS_NODE,
                 self.config.ts_block,
@@ -217,37 +173,21 @@ impl BaselineCluster {
 
     /// The simulated network.
     pub fn network(&self) -> &Arc<Network> {
-        &self.net
+        &self.tiers.net
     }
 
     /// The TafDB backend groups.
-    pub fn taf_groups(&self) -> &[TafBackendGroup] {
-        &self.taf_groups
+    pub fn taf_groups(&self) -> Vec<Arc<ReplicaSet<TafShard>>> {
+        self.tiers.taf_groups()
     }
 
     /// Creates a file system handle for a new client.
     pub fn client(&self) -> BaselineFs {
         let me = NodeId(self.next_client.fetch_add(1, Ordering::Relaxed));
         if self.variant.uses_proxy() {
-            BaselineFs::via_proxy(Arc::clone(&self.net), me, self.proxies.clone())
+            BaselineFs::via_proxy(Arc::clone(self.network()), me, self.proxies.clone())
         } else {
             BaselineFs::direct(Arc::new(self.make_engine(me)))
         }
-    }
-
-    /// Stops every group.
-    pub fn shutdown(&self) {
-        for g in &self.taf_groups {
-            g.shutdown();
-        }
-        for g in &self.fs_groups {
-            g.shutdown();
-        }
-    }
-}
-
-impl Drop for BaselineCluster {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }

@@ -20,9 +20,10 @@ use cfs_harness::bench_scale;
 use cfs_harness::metrics::{fmt_ns, fmt_ops};
 use cfs_harness::runner::run_clients;
 use cfs_harness::workload::{prepare_op_workload, run_op_bench, MetaOp, WorkloadOptions};
+use cfs_raft::{ReplicaSet, Replicas};
 use cfs_tafdb::api::{TxnRequest, TxnResponse};
 use cfs_tafdb::router::{PartitionMap, ShardInfo};
-use cfs_tafdb::{TafBackendGroup, TafDbClient, TimeService, TsClient};
+use cfs_tafdb::{TafDbClient, TafShard, TimeService, TsClient};
 use cfs_types::record::{FieldAssign, LwwField, NumField};
 use cfs_types::{FileType, FsError, InodeId, Key, NodeId, Record, ShardId, Timestamp};
 
@@ -87,9 +88,9 @@ fn main() {
         let pmap = Arc::new(PartitionMap::new(shard_infos.clone()));
         let ts_svc = TimeService::new(Arc::clone(&pmap));
         ts_svc.register(&net, NodeId(499));
-        let groups: Vec<TafBackendGroup> = shard_infos
+        let groups: Vec<ReplicaSet<TafShard>> = shard_infos
             .iter()
-            .map(|info| TafBackendGroup::spawn(&net, info.id, &info.replicas, config.raft.clone()))
+            .map(|info| ReplicaSet::spawn(&net, &info.replicas, config.raft.clone()))
             .collect();
         for g in &groups {
             g.wait_ready(Duration::from_secs(30)).expect("ready");
@@ -183,6 +184,7 @@ fn main() {
         for g in &groups {
             g.shutdown();
         }
+        net.unregister_all();
         let ops = r.ops.max(1);
         let lock = lock_ns.load(Ordering::Relaxed) / ops;
         let exec = exec_ns.load(Ordering::Relaxed) / ops;

@@ -12,9 +12,10 @@ use std::time::Duration;
 
 use cfs_core::CfsConfig;
 use cfs_harness::bench_scale;
+use cfs_raft::ReplicaSet;
 use cfs_rpc::mux::CH_APP;
 use cfs_rpc::{NetConfig, Service, SimLatency};
-use cfs_tafdb::TafBackendGroup;
+use cfs_tafdb::TafShard;
 use cfs_types::NodeId;
 use parking_lot::Mutex;
 
@@ -61,7 +62,7 @@ impl ServiceTime {
     /// Puts the gate in front of every replica of `groups` that does not
     /// have it yet, so calling it again after a split covers exactly the
     /// split-born groups.
-    pub fn mount(&mut self, groups: &[Arc<TafBackendGroup>]) {
+    pub fn mount(&mut self, groups: &[Arc<ReplicaSet<TafShard>>]) {
         for group in groups {
             for (i, node) in group.raft().nodes().iter().enumerate() {
                 if !self.mounted.insert(node.id()) {

@@ -4,13 +4,13 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cfs_filestore::{FileStoreClient, FileStoreGroup, FileStoreLayout};
+use cfs_filestore::{FileStoreClient, FileStoreLayout, FileStoreNode};
 use cfs_placement::{PlacementClient, PlacementDriver, SplitStats};
-use cfs_raft::RaftConfig;
+use cfs_raft::{RaftConfig, ReplicaSet, Replicas};
 use cfs_renamer::{RenamerClient, RenamerService};
 use cfs_rpc::{NetConfig, Network};
 use cfs_tafdb::router::{PartitionMap, ShardInfo};
-use cfs_tafdb::{ReadConsistency, TafBackendGroup, TafDbClient, TimeService, TsClient};
+use cfs_tafdb::{ReadConsistency, TafDbClient, TafShard, TimeService, TsClient};
 use cfs_types::{FsError, FsResult, NodeId, Record, ShardId, Timestamp, VolumeId, ROOT_INODE};
 use cfs_volume::{QosConfig, QosLimiter, VolumeRegistry};
 use parking_lot::RwLock;
@@ -95,17 +95,119 @@ impl CfsConfig {
     }
 }
 
+/// The TS, TafDB and FileStore tiers of one deployment on a network of its
+/// own, booted and elected: the part [`CfsCluster`] and the baseline systems
+/// share. Dropping it shuts the tiers down and frees the network.
+pub struct Tiers {
+    /// The deployment's network.
+    pub net: Arc<Network>,
+    /// The authoritative partition map of the TafDB shards.
+    pub pmap: Arc<PartitionMap>,
+    /// The FileStore nodes' replica addresses.
+    pub fs_layout: Arc<FileStoreLayout>,
+    taf_groups: RwLock<Vec<Arc<ReplicaSet<TafShard>>>>,
+    fs_groups: Vec<Arc<ReplicaSet<FileStoreNode>>>,
+    _time_service: Arc<TimeService>,
+}
+
+impl Tiers {
+    /// Boots the tiers `config` describes, the TS at `ts` and replica `r` of
+    /// TafDB shard (FileStore node) `g` at `taf_base` (`fs_base`)
+    /// `+ g × replication + r`, and waits for every group to elect.
+    pub fn start(config: &CfsConfig, ts: NodeId, taf_base: u32, fs_base: u32) -> FsResult<Tiers> {
+        let net = Network::new(config.net.clone());
+        let replicas = |base: u32, g: usize| -> Vec<NodeId> {
+            (0..config.replication)
+                .map(|r| NodeId(base + (g * config.replication + r) as u32))
+                .collect()
+        };
+        let shard_infos: Vec<ShardInfo> = (0..config.taf_shards)
+            .map(|s| ShardInfo {
+                id: ShardId(s as u32),
+                replicas: replicas(taf_base, s),
+            })
+            .collect();
+        let fs_nodes: Vec<Vec<NodeId>> = (0..config.filestore_nodes)
+            .map(|n| replicas(fs_base, n))
+            .collect();
+        let pmap = Arc::new(PartitionMap::new(shard_infos.clone()));
+        let time_service = TimeService::new(Arc::clone(&pmap));
+        time_service.register(&net, ts);
+        let taf_groups = shard_infos
+            .iter()
+            .map(|info| Arc::new(ReplicaSet::spawn(&net, &info.replicas, config.raft.clone())))
+            .collect();
+        let fs_groups = fs_nodes
+            .iter()
+            .map(|ids| Arc::new(ReplicaSet::spawn(&net, ids, config.raft.clone())))
+            .collect();
+        let tiers = Tiers {
+            pmap,
+            fs_layout: Arc::new(FileStoreLayout::new(fs_nodes)),
+            taf_groups: RwLock::new(taf_groups),
+            fs_groups,
+            _time_service: time_service,
+            net,
+        };
+        for g in tiers.replica_sets() {
+            g.wait_ready(Duration::from_secs(30))?;
+        }
+        Ok(tiers)
+    }
+
+    /// The TafDB shard groups, split receivers included (a snapshot: the
+    /// set grows when a split lands).
+    pub fn taf_groups(&self) -> Vec<Arc<ReplicaSet<TafShard>>> {
+        self.taf_groups.read().clone()
+    }
+
+    /// Every group of both tiers, TafDB first.
+    fn replica_sets(&self) -> Vec<Arc<dyn Replicas>> {
+        let taf = self
+            .taf_groups()
+            .into_iter()
+            .map(|g| g as Arc<dyn Replicas>);
+        let fs = self
+            .fs_groups
+            .iter()
+            .map(|g| Arc::clone(g) as Arc<dyn Replicas>);
+        taf.chain(fs).collect()
+    }
+
+    /// The group serving the replica at `id`, and the replica's index in it.
+    fn replica(&self, id: NodeId) -> FsResult<(Arc<dyn Replicas>, usize)> {
+        self.replica_sets()
+            .into_iter()
+            .find_map(|g| {
+                let i = g.ids().iter().position(|&n| n == id)?;
+                Some((g, i))
+            })
+            .ok_or_else(|| FsError::Invalid(format!("no replica at node {}", id.0)))
+    }
+
+    /// Stops every group and unregisters every service on the network,
+    /// which breaks the services → nodes → network cycle so the network
+    /// and its workers are freed once the last handle goes.
+    pub fn shutdown(&self) {
+        for g in self.replica_sets() {
+            g.shutdown();
+        }
+        self.net.unregister_all();
+    }
+}
+
+impl Drop for Tiers {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
 /// A fully wired CFS deployment on a simulated network.
 pub struct CfsCluster {
     config: CfsConfig,
-    net: Arc<Network>,
-    pmap: Arc<PartitionMap>,
-    fs_layout: Arc<FileStoreLayout>,
-    taf_groups: RwLock<Vec<Arc<TafBackendGroup>>>,
-    fs_groups: Vec<FileStoreGroup>,
+    tiers: Tiers,
     driver: Arc<PlacementDriver>,
     qos: Arc<QosLimiter>,
-    _time_service: Arc<TimeService>,
     _renamer: Arc<RenamerService>,
     next_client: AtomicU32,
     /// First unused TafDB replica node id (split receivers allocate here).
@@ -117,64 +219,20 @@ pub struct CfsCluster {
 impl CfsCluster {
     /// Boots the whole deployment and waits for every group to elect.
     pub fn start(config: CfsConfig) -> FsResult<CfsCluster> {
-        let net = Network::new(config.net.clone());
-
-        // Partition map over the TafDB shards.
-        let shard_infos: Vec<ShardInfo> = (0..config.taf_shards)
-            .map(|s| ShardInfo {
-                id: ShardId(s as u32),
-                replicas: (0..config.replication)
-                    .map(|r| NodeId(TAF_BASE + (s * config.replication + r) as u32))
-                    .collect(),
-            })
-            .collect();
-        let pmap = Arc::new(PartitionMap::new(shard_infos.clone()));
+        let tiers = Tiers::start(&config, TS_NODE, TAF_BASE, FS_BASE)?;
+        let net = &tiers.net;
 
         // Placement driver: owns the authoritative map and serves it to
         // clients chasing `WrongShard` redirects.
         let driver = PlacementDriver::new(
-            Arc::clone(&net),
+            Arc::clone(net),
             PLACEMENT_NODE,
             PLACEMENT_CTL_NODE,
-            Arc::clone(&pmap),
+            Arc::clone(&tiers.pmap),
         );
 
-        // TS service.
-        let time_service = TimeService::new(Arc::clone(&pmap));
-        time_service.register(&net, TS_NODE);
-
-        // TafDB backend groups.
-        let mut taf_groups = Vec::new();
-        for info in &shard_infos {
-            taf_groups.push(Arc::new(TafBackendGroup::spawn(
-                &net,
-                info.id,
-                &info.replicas,
-                config.raft.clone(),
-            )));
-        }
-
-        // FileStore groups.
-        let mut fs_groups = Vec::new();
-        let mut fs_nodes = Vec::new();
-        for n in 0..config.filestore_nodes {
-            let ids: Vec<NodeId> = (0..config.replication)
-                .map(|r| NodeId(FS_BASE + (n * config.replication + r) as u32))
-                .collect();
-            fs_nodes.push(ids.clone());
-            fs_groups.push(FileStoreGroup::spawn(&net, &ids, config.raft.clone()));
-        }
-        let fs_layout = Arc::new(FileStoreLayout::new(fs_nodes));
-
-        for g in &taf_groups {
-            g.wait_ready(Duration::from_secs(30))?;
-        }
-        for g in &fs_groups {
-            g.wait_ready(Duration::from_secs(30))?;
-        }
-
         // Seed the root directory (parent pointer = itself).
-        let boot_taf = TafDbClient::new(Arc::clone(&net), NodeId(90), Arc::clone(&pmap));
+        let boot_taf = TafDbClient::new(Arc::clone(net), NodeId(90), Arc::clone(&tiers.pmap));
         let mut root = Record::dir_attr_record(0, Timestamp(0));
         root.id = Some(ROOT_INODE);
         boot_taf.put(cfs_types::Key::attr(ROOT_INODE), root)?;
@@ -184,31 +242,26 @@ impl CfsCluster {
 
         // Renamer coordinator with its own component clients.
         let renamer = RenamerService::new(
-            TafDbClient::new(Arc::clone(&net), NodeId(91), Arc::clone(&pmap)),
-            FileStoreClient::new(Arc::clone(&net), NodeId(92), Arc::clone(&fs_layout)),
+            TafDbClient::new(Arc::clone(net), NodeId(91), Arc::clone(&tiers.pmap)),
+            FileStoreClient::new(Arc::clone(net), NodeId(92), Arc::clone(&tiers.fs_layout)),
             TsClient::new(
-                Arc::clone(&net),
+                Arc::clone(net),
                 NodeId(93),
                 TS_NODE,
                 config.ts_block,
                 config.id_block,
             ),
         );
-        renamer.register(&net, RENAMER_NODE);
+        renamer.register(net, RENAMER_NODE);
 
         let next_taf_node =
             AtomicU32::new(TAF_BASE + (config.taf_shards * config.replication) as u32);
         let next_shard_id = AtomicU32::new(config.taf_shards as u32);
         Ok(CfsCluster {
             config,
-            net,
-            pmap,
-            fs_layout,
-            taf_groups: RwLock::new(taf_groups),
-            fs_groups,
+            tiers,
             driver,
             qos: Arc::new(QosLimiter::new(QosConfig::default())),
-            _time_service: time_service,
             _renamer: renamer,
             next_client: AtomicU32::new(CLIENT_BASE),
             next_taf_node,
@@ -218,7 +271,7 @@ impl CfsCluster {
 
     /// The simulated network (fault injection, stats).
     pub fn network(&self) -> &Arc<Network> {
-        &self.net
+        &self.tiers.net
     }
 
     /// The deployment configuration.
@@ -229,8 +282,18 @@ impl CfsCluster {
     /// The TafDB backend groups (metrics, fault injection). The set grows
     /// when [`CfsCluster::split_shard`] adds receivers, so a snapshot is
     /// returned rather than a borrow.
-    pub fn taf_groups(&self) -> Vec<Arc<TafBackendGroup>> {
-        self.taf_groups.read().clone()
+    pub fn taf_groups(&self) -> Vec<Arc<ReplicaSet<TafShard>>> {
+        self.tiers.taf_groups()
+    }
+
+    /// The FileStore groups.
+    pub fn fs_groups(&self) -> &[Arc<ReplicaSet<FileStoreNode>>] {
+        &self.tiers.fs_groups
+    }
+
+    /// Every group of both tiers, TafDB first, split receivers included.
+    pub fn replica_sets(&self) -> Vec<Arc<dyn Replicas>> {
+        self.tiers.replica_sets()
     }
 
     /// The placement driver (authoritative map, split orchestration).
@@ -266,17 +329,15 @@ impl CfsCluster {
         let replicas: Vec<NodeId> = (0..self.config.replication as u32)
             .map(|r| NodeId(base + r))
             .collect();
-        let info = ShardInfo { id, replicas };
-        let group = Arc::new(TafBackendGroup::spawn(
-            &self.net,
-            info.id,
-            &info.replicas,
+        let group = Arc::new(ReplicaSet::<TafShard>::spawn(
+            self.network(),
+            &replicas,
             self.config.raft.clone(),
         ));
         group.wait_ready(Duration::from_secs(30))?;
-        match self.driver.split(src, at, info) {
+        match self.driver.split(src, at, ShardInfo { id, replicas }) {
             Ok(stats) => {
-                self.taf_groups.write().push(group);
+                self.tiers.taf_groups.write().push(group);
                 Ok(stats)
             }
             Err(e) => {
@@ -287,22 +348,13 @@ impl CfsCluster {
         }
     }
 
-    /// The FileStore groups.
-    pub fn fs_groups(&self) -> &[FileStoreGroup] {
-        &self.fs_groups
-    }
-
     /// Simulates kill −9 of the TafDB or FileStore replica at `id`: the node
     /// object and every piece of in-flight state it held (proposals,
     /// ReadIndex rounds, lock-manager waits) are dropped; only its durable
     /// [`cfs_raft::RaftStorage`] survives, playing the disk.
     pub fn crash_node(&self, id: NodeId) -> FsResult<()> {
-        if let Ok((g, i)) = self.find_taf_replica(id) {
-            g.raft().crash_replica(i);
-        } else {
-            let (g, i) = self.find_fs_replica(id)?;
-            g.raft().crash_replica(i);
-        }
+        let (g, i) = self.tiers.replica(id)?;
+        g.crash_replica(i);
         Ok(())
     }
 
@@ -311,12 +363,8 @@ impl CfsCluster {
     /// gauges are re-derived, services are remounted, and the replica
     /// rejoins its Raft group.
     pub fn restart_node(&self, id: NodeId) -> FsResult<()> {
-        if let Ok((g, i)) = self.find_taf_replica(id) {
-            g.restart_replica(i);
-        } else {
-            let (g, i) = self.find_fs_replica(id)?;
-            g.restart_replica(i);
-        }
+        let (g, i) = self.tiers.replica(id)?;
+        g.restart_replica(i);
         Ok(())
     }
 
@@ -324,59 +372,29 @@ impl CfsCluster {
     /// write to its log volume before `ENOSPC` (`None` lifts the cap): the
     /// `disk_full` nemesis fault.
     pub fn set_disk_budget(&self, id: NodeId, budget: Option<u64>) -> FsResult<()> {
-        if let Some(f) = self.replica_faults(id)? {
-            f.set_byte_budget(budget);
-        }
+        self.replica_faults(id)?.set_byte_budget(budget);
         Ok(())
     }
 
     /// Arms a one-shot torn write on the replica at `id`'s log volume
     /// (the device wedges after the tear; pair with [`CfsCluster::crash_node`]).
     pub fn arm_torn_write(&self, id: NodeId, ppm: u32) -> FsResult<()> {
-        if let Some(f) = self.replica_faults(id)? {
-            f.arm_torn_write(ppm);
-        }
+        self.replica_faults(id)?.arm_torn_write(ppm);
         Ok(())
     }
 
     /// Heals the replica at `id`'s simulated log volume (lifts the byte
     /// budget, disarms tears and bit-rot, un-wedges).
     pub fn clear_storage_faults(&self, id: NodeId) -> FsResult<()> {
-        if let Some(f) = self.replica_faults(id)? {
-            f.clear();
-        }
+        self.replica_faults(id)?.clear();
         Ok(())
     }
 
     /// The simulated storage device under the replica at `id`'s log volume,
     /// looked up across TafDB and FileStore groups alike.
-    pub fn replica_faults(&self, id: NodeId) -> FsResult<Option<Arc<cfs_wal::FaultFs>>> {
-        if let Ok((g, i)) = self.find_taf_replica(id) {
-            return Ok(g.raft().replica_faults(i));
-        }
-        let (g, i) = self.find_fs_replica(id)?;
-        Ok(g.raft().replica_faults(i))
-    }
-
-    fn find_fs_replica(&self, id: NodeId) -> FsResult<(&FileStoreGroup, usize)> {
-        for g in &self.fs_groups {
-            if let Some(i) = g.raft().nodes().iter().position(|n| n.id() == id) {
-                return Ok((g, i));
-            }
-        }
-        Err(FsError::Invalid(format!("no replica at node {}", id.0)))
-    }
-
-    fn find_taf_replica(&self, id: NodeId) -> FsResult<(Arc<TafBackendGroup>, usize)> {
-        for g in self.taf_groups.read().iter() {
-            if let Some(i) = g.raft().nodes().iter().position(|n| n.id() == id) {
-                return Ok((Arc::clone(g), i));
-            }
-        }
-        Err(FsError::Invalid(format!(
-            "no TafDB replica at node {}",
-            id.0
-        )))
+    pub fn replica_faults(&self, id: NodeId) -> FsResult<Arc<cfs_wal::FaultFs>> {
+        let (g, i) = self.tiers.replica(id)?;
+        Ok(g.replica_faults(i))
     }
 
     /// Creates a new client with a unique address. Each client caches its
@@ -392,25 +410,31 @@ impl CfsCluster {
     /// one cluster.
     pub fn client_with_consistency(&self, consistency: ReadConsistency) -> CfsClient {
         let me = NodeId(self.next_client.fetch_add(1, Ordering::Relaxed));
-        let client_map = Arc::new(PartitionMap::from_version(self.pmap.current_version()));
-        let taf = TafDbClient::new(Arc::clone(&self.net), me, client_map)
+        let client_map = Arc::new(PartitionMap::from_version(
+            self.tiers.pmap.current_version(),
+        ));
+        let taf = TafDbClient::new(Arc::clone(self.network()), me, client_map)
             .with_consistency(consistency)
             .with_map_source(Arc::new(PlacementClient::new(
-                Arc::clone(&self.net),
+                Arc::clone(self.network()),
                 me,
                 PLACEMENT_NODE,
             )));
         CfsClient::new(
             taf,
-            FileStoreClient::new(Arc::clone(&self.net), me, Arc::clone(&self.fs_layout)),
+            FileStoreClient::new(
+                Arc::clone(self.network()),
+                me,
+                Arc::clone(&self.tiers.fs_layout),
+            ),
             TsClient::new(
-                Arc::clone(&self.net),
+                Arc::clone(self.network()),
                 me,
                 TS_NODE,
                 self.config.ts_block,
                 self.config.id_block,
             ),
-            RenamerClient::new(Arc::clone(&self.net), me, RENAMER_NODE),
+            RenamerClient::new(Arc::clone(self.network()), me, RENAMER_NODE),
             self.config.block_size,
         )
     }
@@ -427,9 +451,9 @@ impl CfsCluster {
     pub fn volumes(&self) -> VolumeRegistry {
         let me = NodeId(self.next_client.fetch_add(1, Ordering::Relaxed));
         VolumeRegistry::new(TafDbClient::new(
-            Arc::clone(&self.net),
+            Arc::clone(self.network()),
             me,
-            Arc::clone(&self.pmap),
+            Arc::clone(&self.tiers.pmap),
         ))
     }
 
@@ -459,26 +483,19 @@ impl CfsCluster {
     pub fn garbage_collector(&self, grace: Duration) -> GarbageCollector {
         let me = NodeId(self.next_client.fetch_add(1, Ordering::Relaxed));
         GarbageCollector::new(
-            TafDbClient::new(Arc::clone(&self.net), me, Arc::clone(&self.pmap))
+            TafDbClient::new(Arc::clone(self.network()), me, Arc::clone(&self.tiers.pmap))
                 .with_consistency(ReadConsistency::ReadIndex),
-            FileStoreClient::new(Arc::clone(&self.net), me, Arc::clone(&self.fs_layout)),
+            FileStoreClient::new(
+                Arc::clone(self.network()),
+                me,
+                Arc::clone(&self.tiers.fs_layout),
+            ),
             grace,
         )
     }
 
-    /// Stops every Raft group.
+    /// Stops every Raft group and unregisters every service.
     pub fn shutdown(&self) {
-        for g in self.taf_groups.read().iter() {
-            g.shutdown();
-        }
-        for g in &self.fs_groups {
-            g.shutdown();
-        }
-    }
-}
-
-impl Drop for CfsCluster {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.tiers.shutdown();
     }
 }

@@ -26,7 +26,7 @@ pub mod path;
 
 pub use cfs_tafdb::ReadConsistency;
 pub use client::CfsClient;
-pub use cluster::{CfsCluster, CfsConfig};
+pub use cluster::{CfsCluster, CfsConfig, Tiers};
 pub use dcache::DentryCache;
 pub use fsapi::{DirEntryInfo, FileSystem};
 pub use gc::GarbageCollector;

@@ -5,6 +5,7 @@ use std::time::Duration;
 
 use cfs_core::{CfsCluster, CfsConfig, FileSystem, GarbageCollector};
 use cfs_filestore::SetAttrPatch;
+use cfs_raft::Replicas;
 use cfs_types::{FileType, FsError};
 
 fn cluster() -> CfsCluster {
@@ -381,7 +382,7 @@ fn in_flight_create_survives_a_concurrent_getattr() {
     // Every FileStore commit now waits on a slow disk, so the create's
     // attribute lands long after its link.
     for g in c.fs_groups() {
-        g.raft().set_fsync_latency(Duration::from_millis(200));
+        g.set_fsync_latency(Duration::from_millis(200));
     }
     let (ino, seen_in_flight) = std::thread::scope(|s| {
         let create = s.spawn(|| writer.create("/race/f"));
@@ -409,7 +410,7 @@ fn in_flight_create_survives_a_concurrent_getattr() {
     });
     assert!(seen_in_flight, "the getattr ran after the create returned");
     for g in c.fs_groups() {
-        g.raft().set_fsync_latency(Duration::ZERO);
+        g.set_fsync_latency(Duration::ZERO);
     }
     assert_eq!(reader.lookup("/race/f").unwrap(), ino);
     assert_eq!(reader.getattr("/race/f").unwrap().ino, ino);
@@ -502,6 +503,50 @@ fn survives_taf_shard_leader_failover() {
     fs.create("/ha/after").unwrap();
     assert!(fs.lookup("/ha/before").is_ok());
     assert!(fs.lookup("/ha/after").is_ok());
+}
+
+/// Crash/restart and storage faults reach a replica by its address alone,
+/// whichever group serves it: a split receiver, a FileStore group or an
+/// original shard. An address no group serves is rejected.
+#[test]
+fn replica_controls_reach_every_tier_and_split_receivers() {
+    let c = cluster();
+    let fs = c.client();
+    fs.mkdir("/rc").unwrap();
+    for i in 0..40 {
+        fs.create(&format!("/rc/f{i}")).unwrap();
+    }
+    c.split_shard(cfs_types::ShardId(0)).expect("split");
+    let groups: [Arc<dyn Replicas>; 3] = [
+        c.taf_groups().last().unwrap().clone(),
+        c.fs_groups()[0].clone(),
+        c.taf_groups()[0].clone(),
+    ];
+    for g in groups {
+        let id = g.ids()[1];
+        c.crash_node(id).unwrap();
+        assert!(c.network().is_dead(id));
+        c.restart_node(id).unwrap();
+        assert!(!c.network().is_dead(id));
+        c.set_disk_budget(id, Some(0)).unwrap();
+        let capped = c.replica_faults(id).unwrap();
+        assert!(Arc::ptr_eq(&capped, &g.replica_faults(1)));
+        c.clear_storage_faults(id).unwrap();
+    }
+    quiesce(&c);
+    assert_eq!(fs.readdir("/rc").unwrap().len(), 40);
+
+    let unknown = cfs_types::NodeId(7);
+    assert!(matches!(c.crash_node(unknown), Err(FsError::Invalid(_))));
+    assert!(matches!(c.restart_node(unknown), Err(FsError::Invalid(_))));
+    assert!(matches!(
+        c.set_disk_budget(unknown, None),
+        Err(FsError::Invalid(_))
+    ));
+    assert!(matches!(
+        c.clear_storage_faults(unknown),
+        Err(FsError::Invalid(_))
+    ));
 }
 
 #[test]

@@ -224,8 +224,8 @@ fn unexpected(resp: FileStoreResponse) -> FsError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::FileStoreGroup;
-    use cfs_raft::RaftConfig;
+    use crate::node::FileStoreNode;
+    use cfs_raft::{RaftConfig, ReplicaSet, Replicas};
     use cfs_rpc::NetConfig;
 
     fn fast_raft() -> RaftConfig {
@@ -237,14 +237,20 @@ mod tests {
         }
     }
 
-    fn boot(n_nodes: u32) -> (Arc<Network>, Vec<FileStoreGroup>, FileStoreClient) {
+    fn boot(
+        n_nodes: u32,
+    ) -> (
+        Arc<Network>,
+        Vec<ReplicaSet<FileStoreNode>>,
+        FileStoreClient,
+    ) {
         let net = Network::new(NetConfig::default());
         let mut groups = Vec::new();
         let mut layout_nodes = Vec::new();
         for n in 0..n_nodes {
             let ids: Vec<NodeId> = (0..3).map(|i| NodeId(100 + n * 10 + i)).collect();
             layout_nodes.push(ids.clone());
-            groups.push(FileStoreGroup::spawn(&net, &ids, fast_raft()));
+            groups.push(ReplicaSet::spawn(&net, &ids, fast_raft()));
         }
         for g in &groups {
             g.wait_ready(Duration::from_secs(5)).unwrap();

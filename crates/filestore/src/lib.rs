@@ -19,7 +19,7 @@ pub mod node;
 
 pub use api::{FileStoreRequest, FileStoreResponse, SetAttrPatch};
 pub use client::{FileStoreClient, FileStoreLayout};
-pub use node::{FileStoreGroup, FileStoreNode};
+pub use node::FileStoreNode;
 
 /// Hash used to place an inode's attributes and blocks on a node
 /// (SplitMix64 finalizer — well distributed, stable across the codebase).

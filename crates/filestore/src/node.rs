@@ -1,11 +1,12 @@
-//! The FileStore node state machine and its replicated deployment.
+//! The FileStore node state machine and the services a
+//! [`cfs_raft::ReplicaSet`] mounts on each of its replicas.
 
 use std::sync::Arc;
 
 use cfs_kvstore::{KvStore, WriteOp};
-use cfs_raft::{RaftConfig, RaftGroup, RaftNode, StateMachine};
+use cfs_raft::{Hosted, RaftNode, StateMachine};
 use cfs_rpc::mux::{MuxService, CH_APP};
-use cfs_rpc::{Network, Service};
+use cfs_rpc::Service;
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::{
     Attr, BlockId, FsError, FsResult, InodeId, NodeId, PendingEvent, PendingRow, PendingTable,
@@ -277,69 +278,21 @@ impl StateMachine for FileStoreNode {
     }
 }
 
-/// One logical FileStore node as deployed: a Raft group of replicas with the
-/// request service mounted.
-///
-/// Every replica writes through a [`cfs_raft::RaftStorage`], so the same
-/// simulated storage device ([`cfs_wal::FaultFs`]) that covers TafDB volumes
-/// sits under the FileStore path too: disk-full, torn-write, fsync, and
-/// bit-rot faults can be armed per replica.
-pub struct FileStoreGroup {
-    group: RaftGroup<FileStoreNode>,
-}
-
-impl FileStoreGroup {
-    /// Spawns the replicated node on `node_ids`.
-    pub fn spawn(
-        net: &Arc<Network>,
-        node_ids: &[NodeId],
-        raft_config: RaftConfig,
-    ) -> FileStoreGroup {
-        let storages: Vec<_> = node_ids
-            .iter()
-            .map(|_| cfs_raft::RaftStorage::new_in_memory())
-            .collect();
-        let group = RaftGroup::spawn_durable(
-            net,
-            node_ids,
-            raft_config,
-            |_| Arc::new(FileStoreNode::default()),
-            &storages,
-        );
-        for (i, node) in group.nodes().iter().enumerate() {
-            Self::mount_service(node, &group.mux(i));
-        }
-        FileStoreGroup { group }
+/// A logical FileStore node is hosted on a [`cfs_raft::ReplicaSet`]: every
+/// replica writes through a [`cfs_raft::RaftStorage`], so the same simulated
+/// storage device ([`cfs_wal::FaultFs`]) that covers TafDB volumes sits under
+/// the FileStore path too: disk-full, torn-write, fsync, and bit-rot faults
+/// can be armed per replica.
+impl Hosted for FileStoreNode {
+    fn empty(_node: NodeId) -> Arc<FileStoreNode> {
+        Arc::new(FileStoreNode::default())
     }
 
-    fn mount_service(node: &Arc<RaftNode<FileStoreNode>>, mux: &Arc<MuxService>) {
+    fn mount(node: &Arc<RaftNode<FileStoreNode>>, mux: &Arc<MuxService>) {
         let svc = Arc::new(FileStoreService {
             node: Arc::clone(node),
         });
         mux.mount(CH_APP, svc as Arc<dyn Service>);
-    }
-
-    /// Rebuilds replica `i` after [`RaftGroup::crash_replica`]: an
-    /// empty node is restored from the persisted snapshot and log tail, its
-    /// service is remounted, and the address rejoins the network.
-    pub fn restart_replica(&self, i: usize) -> Arc<RaftNode<FileStoreNode>> {
-        self.group
-            .restart_replica(i, Arc::new(FileStoreNode::default()), Self::mount_service)
-    }
-
-    /// The underlying Raft group.
-    pub fn raft(&self) -> &RaftGroup<FileStoreNode> {
-        &self.group
-    }
-
-    /// Blocks until the group has a leader.
-    pub fn wait_ready(&self, timeout: std::time::Duration) -> FsResult<()> {
-        self.group.wait_for_leader(timeout).map(|_| ())
-    }
-
-    /// Stops the group.
-    pub fn shutdown(&self) {
-        self.group.shutdown();
     }
 }
 
@@ -385,6 +338,7 @@ impl Service for FileStoreService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfs_raft::{RaftConfig, ReplicaSet, Replicas};
     use cfs_types::Timestamp;
 
     fn node() -> FileStoreNode {
@@ -572,7 +526,7 @@ mod tests {
     fn install_snapshot_reseeds_an_empty_replica() {
         // A replica that lost its disk rejoins after the leader compacted:
         // only InstallSnapshot can bring its attributes and blocks back.
-        let net = Network::new(cfs_rpc::NetConfig::default());
+        let net = cfs_rpc::Network::new(cfs_rpc::NetConfig::default());
         let ids = [NodeId(7001), NodeId(7002), NodeId(7003)];
         let config = RaftConfig {
             election_timeout_min: std::time::Duration::from_millis(50),
@@ -581,7 +535,7 @@ mod tests {
             snapshot_threshold: 8,
             ..Default::default()
         };
-        let fs = FileStoreGroup::spawn(&net, &ids, config);
+        let fs = ReplicaSet::<FileStoreNode>::spawn(&net, &ids, config);
         let timeout = std::time::Duration::from_secs(10);
         let leader = fs.raft().wait_for_leader(timeout).unwrap();
         let victim = fs
@@ -610,7 +564,8 @@ mod tests {
         // What the victim needs first is gone from the leader's log, so
         // whatever it ends up holding came by snapshot.
         assert!(leader.snapshot_index() >= 32, "leader compacted");
-        let fresh = fs.restart_replica(victim);
+        fs.restart_replica(victim);
+        let fresh = Arc::clone(&fs.raft().nodes()[victim]);
         let deadline = std::time::Instant::now() + timeout;
         while fresh.applied_index() < leader.commit_index() {
             assert!(std::time::Instant::now() < deadline, "never converged");

@@ -670,14 +670,12 @@ pub struct NemesisReport {
     /// Splits that completed their cutover (≤ `NemesisOptions::splits`; the
     /// rest aborted against a fault window, which is also a valid outcome).
     pub splits_ok: usize,
-    /// Largest Raft log length across all TafDB replicas after the post-run
-    /// quiesce. With snapshots enabled ([`cfs_raft::RaftConfig::snapshot_threshold`])
-    /// this stays bounded near the threshold no matter how many ops ran —
-    /// the compaction half of the durability loop, asserted by the sweeps.
-    pub max_taf_log_len: u64,
-    /// The same bound over all FileStore replicas: their state machine
-    /// snapshots too, so their logs compact like TafDB's.
-    pub max_fs_log_len: u64,
+    /// Largest Raft log length across every TafDB and FileStore replica
+    /// after the post-run quiesce. With snapshots enabled
+    /// ([`cfs_raft::RaftConfig::snapshot_threshold`]) this stays bounded near
+    /// the threshold no matter how many ops ran — the compaction half of the
+    /// durability loop, asserted by the sweeps.
+    pub max_log_len: u64,
     /// First divergence found, if any.
     pub divergence: Option<Divergence>,
     /// Forensic dump written on divergence: per-node metrics snapshots and
@@ -834,18 +832,10 @@ pub fn run_nemesis(seed: u64, opts: NemesisOptions) -> NemesisReport {
     // The compaction oracle's input: with snapshots on, no replica's log
     // may have grown past the snapshot threshold (plus the entries applied
     // since the last compaction point).
-    let max_taf_log_len = cluster
-        .taf_groups()
+    let max_log_len = cluster
+        .replica_sets()
         .iter()
-        .flat_map(|g| g.raft().nodes())
-        .map(|n| n.log_len())
-        .max()
-        .unwrap_or(0);
-    let max_fs_log_len = cluster
-        .fs_groups()
-        .iter()
-        .flat_map(|g| g.raft().nodes())
-        .map(|n| n.log_len())
+        .map(|g| g.max_log_len())
         .max()
         .unwrap_or(0);
 
@@ -889,8 +879,7 @@ pub fn run_nemesis(seed: u64, opts: NemesisOptions) -> NemesisReport {
         seed,
         results,
         splits_ok,
-        max_taf_log_len,
-        max_fs_log_len,
+        max_log_len,
         divergence,
         dump_path,
         canonical,
@@ -921,14 +910,18 @@ fn resolve_target(cluster: &CfsCluster, tgt: Target) -> NodeId {
 }
 
 fn all_raft_node_ids(cluster: &CfsCluster) -> Vec<NodeId> {
-    let mut ids = Vec::new();
-    for g in cluster.taf_groups() {
-        ids.extend(g.raft().nodes().iter().map(|n| n.id()));
+    cluster
+        .replica_sets()
+        .iter()
+        .flat_map(|g| g.ids().to_vec())
+        .collect()
+}
+
+/// Sets every replica's extra log-fsync latency, both tiers alike.
+fn set_fsync_latency(cluster: &CfsCluster, extra: Duration) {
+    for g in cluster.replica_sets() {
+        g.set_fsync_latency(extra);
     }
-    for g in cluster.fs_groups() {
-        ids.extend(g.raft().nodes().iter().map(|n| n.id()));
-    }
-    ids
 }
 
 /// Opens `w.fault` against the live cluster (called at the window's start;
@@ -960,12 +953,7 @@ pub(crate) fn apply_fault(cluster: &CfsCluster, start: Instant, w: &FaultWindow)
             ActiveFault::Restart(id)
         }
         Fault::SlowFsync(us) => {
-            for g in cluster.taf_groups() {
-                g.raft().set_fsync_latency(Duration::from_micros(us));
-            }
-            for g in cluster.fs_groups() {
-                g.raft().set_fsync_latency(Duration::from_micros(us));
-            }
+            set_fsync_latency(cluster, Duration::from_micros(us));
             ActiveFault::SlowFsync
         }
         Fault::DiskFull(t, budget) => {
@@ -1015,14 +1003,7 @@ pub(crate) fn revert_fault(cluster: &CfsCluster, active: &ActiveFault) {
         ActiveFault::Restart(id) => {
             cluster.restart_node(*id).expect("restart taf replica");
         }
-        ActiveFault::SlowFsync => {
-            for g in cluster.taf_groups() {
-                g.raft().set_fsync_latency(Duration::ZERO);
-            }
-            for g in cluster.fs_groups() {
-                g.raft().set_fsync_latency(Duration::ZERO);
-            }
-        }
+        ActiveFault::SlowFsync => set_fsync_latency(cluster, Duration::ZERO),
         ActiveFault::DiskFull(id) => {
             cluster.clear_storage_faults(*id).expect("lift disk budget");
         }
@@ -1062,29 +1043,16 @@ pub(crate) fn heal_cluster(cluster: &CfsCluster) {
     let net = cluster.network();
     net.heal();
     net.set_drop_rate(0.0);
-    for g in cluster.taf_groups() {
-        g.raft().set_fsync_latency(Duration::ZERO);
-        for (i, n) in g.raft().nodes().iter().enumerate() {
-            if let Some(f) = g.raft().replica_faults(i) {
-                f.clear();
-            }
-            net.revive(n.id());
+    let groups = cluster.replica_sets();
+    for g in &groups {
+        g.set_fsync_latency(Duration::ZERO);
+        for (i, &id) in g.ids().iter().enumerate() {
+            g.replica_faults(i).clear();
+            net.revive(id);
         }
     }
-    for g in cluster.fs_groups() {
-        for n in g.raft().nodes() {
-            net.revive(n.id());
-        }
-    }
-    for g in cluster.taf_groups() {
-        g.raft()
-            .wait_quiescent(Duration::from_secs(30))
-            .expect("taf quiesce");
-    }
-    for g in cluster.fs_groups() {
-        g.raft()
-            .wait_quiescent(Duration::from_secs(30))
-            .expect("fs quiesce");
+    for g in &groups {
+        g.wait_quiescent(Duration::from_secs(30)).expect("quiesce");
     }
 }
 
@@ -1471,6 +1439,40 @@ mod tests {
         assert!(taf_metrics.contains("\"shard_txn_commits\""));
         assert!(text.contains("net{}"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn heal_cluster_clears_filestore_storage_faults() {
+        use cfs_types::codec::Encode;
+        let cluster = CfsCluster::start(CfsConfig::test_small()).expect("cluster boot");
+        let group = &cluster.fs_groups()[0];
+        let disk = group.raft().storage(0).expect("durable replica");
+        disk.set_extra_sync_latency(Duration::from_secs(5));
+        cluster
+            .set_disk_budget(group.raft().ids()[0], Some(0))
+            .expect("cap log volume");
+
+        heal_cluster(&cluster);
+
+        let put = cfs_filestore::FileStoreRequest::PutAttr(cfs_types::Attr::new_file(
+            cfs_types::InodeId(77),
+            1,
+        ));
+        group
+            .raft()
+            .propose(put.to_bytes(), Duration::from_secs(10))
+            .expect("a FileStore write commits");
+        // The healed replica persists the write at normal speed: no byte
+        // budget stops its append and no 5 s fsync stall delays it.
+        let commit = group.raft().leader().expect("leader").commit_index();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while disk.last_index() < commit {
+            assert!(
+                Instant::now() < deadline,
+                "the healed replica's log stays behind"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]

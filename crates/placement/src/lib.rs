@@ -424,9 +424,10 @@ impl MapSource for PlacementClient {
 mod tests {
     use super::*;
     use cfs_raft::RaftConfig;
+    use cfs_raft::{ReplicaSet, Replicas};
     use cfs_rpc::NetConfig;
-    use cfs_tafdb::backend::TafBackendGroup;
     use cfs_tafdb::primitive::{Primitive, UpdateSpec};
+    use cfs_tafdb::TafShard;
     use cfs_types::{
         Cond, FieldAssign, FileType, InodeId, Key, NumField, Pred, Record, Timestamp, ROOT_INODE,
     };
@@ -440,13 +441,13 @@ mod tests {
         }
     }
 
-    fn spawn_group(net: &Arc<Network>, id: u32, base: u32) -> (ShardInfo, TafBackendGroup) {
+    fn spawn_group(net: &Arc<Network>, id: u32, base: u32) -> (ShardInfo, ReplicaSet<TafShard>) {
         let ids: Vec<NodeId> = (0..3).map(|i| NodeId(base + i)).collect();
         let info = ShardInfo {
             id: ShardId(id),
             replicas: ids.clone(),
         };
-        let group = TafBackendGroup::spawn(net, ShardId(id), &ids, fast_raft());
+        let group = ReplicaSet::spawn(net, &ids, fast_raft());
         group.wait_ready(Duration::from_secs(5)).unwrap();
         (info, group)
     }
@@ -531,7 +532,7 @@ mod tests {
         // The donor purged and redirects; the receiver owns the moved keys.
         // Every replica counts the replicated migration commands; the
         // leader has applied all of them.
-        let leader_registry = |g: &TafBackendGroup| {
+        let leader_registry = |g: &ReplicaSet<TafShard>| {
             cfs_obs::metrics::node(g.raft().leader().expect("leader").id().0 as u64)
         };
         let receiver = leader_registry(&group1);

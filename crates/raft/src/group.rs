@@ -100,6 +100,11 @@ impl<S: StateMachine> RaftGroup<S> {
         self.nodes.read().clone()
     }
 
+    /// The replicas' addresses, in replica order.
+    pub fn ids(&self) -> &[NodeId] {
+        &self.ids
+    }
+
     /// The mux registered for node `i`, for mounting application channels.
     pub fn mux(&self, i: usize) -> Arc<MuxService> {
         Arc::clone(&self.muxes.read()[i])
@@ -148,21 +153,6 @@ impl<S: StateMachine> RaftGroup<S> {
         self.muxes.write()[i] = Arc::clone(&mux);
         self.net.register(id, mux as Arc<dyn cfs_rpc::Service>);
         node
-    }
-
-    /// Injects extra per-fsync latency into every replica's Raft log WAL
-    /// (the `slow_fsync` nemesis fault); `Duration::ZERO` clears it.
-    pub fn set_fsync_latency(&self, extra: Duration) {
-        for s in self.storages.iter().flatten() {
-            s.set_extra_sync_latency(extra);
-        }
-    }
-
-    /// The simulated storage device under replica `i`'s log, for arming
-    /// disk-full / torn-write / fsync / bit-rot faults (`None` for
-    /// memory-only groups).
-    pub fn replica_faults(&self, i: usize) -> Option<Arc<cfs_wal::FaultFs>> {
-        self.storage(i).map(|s| Arc::clone(s.faults()))
     }
 
     /// Whether replica `n` believes it leads and is running and reachable:

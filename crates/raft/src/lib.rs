@@ -17,13 +17,17 @@
 //! whose next needed entry was compacted away. Each replica can be backed by
 //! a [`RaftStorage`] — a write-through log WAL plus hard state and snapshot
 //! — that survives a (simulated) kill −9 and drives crash-restart recovery.
+//! [`ReplicaSet`] is the host both replicated tiers run on: a durable group
+//! of one state machine with the tier's services mounted on every replica.
 
 pub mod group;
 pub mod msg;
 pub mod node;
+pub mod replica;
 pub mod storage;
 
 pub use group::RaftGroup;
 pub use msg::{LogEntry, RaftMsg};
 pub use node::{RaftConfig, RaftNode, Role, StateMachine};
+pub use replica::{Hosted, ReplicaSet, Replicas};
 pub use storage::{HardState, RaftStorage, Recovered, SnapshotBlob};

@@ -243,6 +243,17 @@ impl Network {
         self.inner.services.write().remove(&node);
     }
 
+    /// Removes every service. A deployment calls this when it shuts down:
+    /// registered services hold the nodes that hold this network, so until
+    /// the map is cleared the network is never dropped and its workers
+    /// never stop.
+    pub fn unregister_all(&self) {
+        let services = std::mem::take(&mut *self.inner.services.write());
+        // Dropped after the lock is released: a service's drop may reach
+        // back into the network.
+        drop(services);
+    }
+
     /// Marks `node` as crashed: all traffic to it fails until [`Self::revive`].
     pub fn kill(&self, node: NodeId) {
         self.inner.dead.write().insert(node);
@@ -417,8 +428,14 @@ impl Drop for Network {
             self.inner.parked_cv.notify_all();
             self.inner.timer_cv.notify_all();
         }
+        // The last handle can be dropped by a service a worker is still
+        // delivering to; that worker sees the shutdown flag and exits on
+        // its own, and joining it here would deadlock.
+        let me = std::thread::current().id();
         for w in self.workers.drain(..) {
-            let _ = w.join();
+            if w.thread().id() != me {
+                let _ = w.join();
+            }
         }
     }
 }
@@ -725,6 +742,39 @@ mod tests {
                 "drop waited out a {hop:?} hop"
             );
         }
+    }
+
+    /// Holds the last handle on the network until a message reaches it.
+    struct LastHandle {
+        net: Mutex<Option<Arc<Network>>>,
+        dropped: AtomicBool,
+    }
+
+    impl Service for LastHandle {
+        fn handle(&self, _from: NodeId, _payload: &[u8]) -> Vec<u8> {
+            drop(self.net.lock().take());
+            self.dropped.store(true, Ordering::SeqCst);
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn last_handle_dropped_on_a_worker_does_not_join_it() {
+        let net = Network::new(NetConfig::default());
+        let svc = Arc::new(LastHandle {
+            net: Mutex::new(Some(Arc::clone(&net))),
+            dropped: AtomicBool::new(false),
+        });
+        net.register(NodeId(5), svc.clone());
+        net.send(NodeId(0), NodeId(5), vec![1]);
+        let weak = Arc::downgrade(&net);
+        drop(net);
+        // The delivering worker runs `Network::drop`: joining itself would
+        // panic there and `dropped` would never be set.
+        wait_for("the worker's drop to return", || {
+            svc.dropped.load(Ordering::SeqCst)
+        });
+        assert!(weak.upgrade().is_none());
     }
 
     /// Blocks in its handler until released.

@@ -1,65 +1,31 @@
-//! A backend (BE) group: one shard's Raft replicas with their RPC services.
+//! A backend (BE) group: one shard's replicas as the TafDB tier hosts them
+//! on a [`cfs_raft::ReplicaSet`] — each replica a [`TafShard`] with the
+//! client (`CH_APP`) and transaction (`CH_TXN`) services on its mux.
 
 use std::sync::Arc;
 
 use cfs_kvstore::KvConfig;
-use cfs_raft::{RaftConfig, RaftGroup, RaftNode, RaftStorage};
+use cfs_raft::{Hosted, RaftNode};
 use cfs_rpc::mux::{MuxService, CH_APP, CH_TXN};
-use cfs_rpc::{Network, Service};
+use cfs_rpc::Service;
 use cfs_types::codec::{Decode, Encode};
-use cfs_types::{FsError, NodeId, ShardId};
+use cfs_types::{FsError, NodeId};
 
 use crate::api::{ShardCmd, TafRequest, TafResponse};
 use crate::locking::{LockManager, TxnService};
 use crate::shard::TafShard;
 
-/// One shard's replicated deployment: a Raft group of [`TafShard`] state
-/// machines with the client (`CH_APP`) and transaction (`CH_TXN`) services
-/// mounted on every replica's mux.
-///
-/// Every replica writes through to a [`RaftStorage`], so a replica can be
-/// crash-killed ([`RaftGroup::crash_replica`]) and rebuilt from its
-/// snapshot and log tail ([`TafBackendGroup::restart_replica`]).
-pub struct TafBackendGroup {
-    shard_id: ShardId,
-    group: RaftGroup<TafShard>,
-}
-
-impl TafBackendGroup {
-    /// Spawns the group on `node_ids` (one replica per id).
-    pub fn spawn(
-        net: &Arc<Network>,
-        shard_id: ShardId,
-        node_ids: &[NodeId],
-        raft_config: RaftConfig,
-    ) -> TafBackendGroup {
-        let storages: Vec<_> = node_ids
-            .iter()
-            .map(|_| RaftStorage::new_in_memory())
-            .collect();
-        let group = RaftGroup::spawn_durable(
-            net,
-            node_ids,
-            raft_config,
-            |i| Self::new_shard(node_ids[i]),
-            &storages,
-        );
-        for (i, node) in group.nodes().iter().enumerate() {
-            Self::mount_services(node, &group.mux(i));
-        }
-        TafBackendGroup { shard_id, group }
-    }
-
-    /// Builds the state machine of the replica on `node`, reporting into
-    /// that node's registry. Shared by spawn and restart.
-    fn new_shard(node: NodeId) -> Arc<TafShard> {
+impl Hosted for TafShard {
+    /// Builds the shard under the replica's node scope, so its registry
+    /// gauges report into that node's registry.
+    fn empty(node: NodeId) -> Arc<TafShard> {
         let _scope = cfs_obs::trace::node_scope(node.0 as u64);
         Arc::new(TafShard::new(KvConfig::default()).expect("shard init"))
     }
 
-    /// Builds replica services (lock manager, app, txn) for `node` and
-    /// mounts them on `mux`. Shared by spawn and restart.
-    fn mount_services(node: &Arc<RaftNode<TafShard>>, mux: &Arc<MuxService>) {
+    /// Mounts a fresh lock manager with the app and txn services: a
+    /// restarted replica's staged lock waits died with the crashed node.
+    fn mount(node: &Arc<RaftNode<TafShard>>, mux: &Arc<MuxService>) {
         let lm = Arc::new(LockManager::new(node.id().0 as u64));
         let app = Arc::new(AppService {
             node: Arc::clone(node),
@@ -69,37 +35,6 @@ impl TafBackendGroup {
         let txn = Arc::new(TxnService::new(Arc::clone(node), lm));
         mux.mount(CH_APP, app as Arc<dyn Service>);
         mux.mount(CH_TXN, txn as Arc<dyn Service>);
-    }
-
-    /// Rebuilds replica `i` from its storage after a crash
-    /// ([`RaftGroup::crash_replica`] drops the node and its services with
-    /// all in-flight state: proposals, ReadIndex rounds, staged lock waits):
-    /// a fresh, empty [`TafShard`] is restored from the persisted snapshot
-    /// and log tail, a fresh lock manager and service stack are mounted, and
-    /// the address rejoins the network.
-    pub fn restart_replica(&self, i: usize) -> Arc<RaftNode<TafShard>> {
-        let sm = Self::new_shard(self.group.nodes()[i].id());
-        self.group.restart_replica(i, sm, Self::mount_services)
-    }
-
-    /// The shard this group serves.
-    pub fn shard_id(&self) -> ShardId {
-        self.shard_id
-    }
-
-    /// The underlying Raft group.
-    pub fn raft(&self) -> &RaftGroup<TafShard> {
-        &self.group
-    }
-
-    /// Blocks until the group has a leader.
-    pub fn wait_ready(&self, timeout: std::time::Duration) -> cfs_types::FsResult<()> {
-        self.group.wait_for_leader(timeout).map(|_| ())
-    }
-
-    /// Stops the group's Raft nodes.
-    pub fn shutdown(&self) {
-        self.group.shutdown();
     }
 }
 

@@ -373,10 +373,10 @@ fn unexpected(resp: TafResponse) -> FsError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::TafBackendGroup;
     use crate::primitive::UpdateSpec;
     use crate::router::ShardInfo;
-    use cfs_raft::RaftConfig;
+    use crate::shard::TafShard;
+    use cfs_raft::{RaftConfig, ReplicaSet, Replicas};
     use cfs_rpc::NetConfig;
     use cfs_types::{Cond, FieldAssign, FileType, NumField, Pred, Timestamp, ROOT_INODE};
 
@@ -390,7 +390,7 @@ mod tests {
     }
 
     /// Boots a 2-shard TafDB, each shard a 3-replica Raft group.
-    fn boot() -> (Arc<Network>, Vec<TafBackendGroup>, TafDbClient) {
+    fn boot() -> (Arc<Network>, Vec<ReplicaSet<TafShard>>, TafDbClient) {
         let net = Network::new(NetConfig::default());
         let mut shards = Vec::new();
         let mut groups = Vec::new();
@@ -400,7 +400,7 @@ mod tests {
                 id: ShardId(s),
                 replicas: ids.clone(),
             });
-            groups.push(TafBackendGroup::spawn(&net, ShardId(s), &ids, fast_raft()));
+            groups.push(ReplicaSet::spawn(&net, &ids, fast_raft()));
         }
         for g in &groups {
             g.wait_ready(Duration::from_secs(5)).unwrap();

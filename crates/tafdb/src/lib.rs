@@ -24,7 +24,7 @@
 //!   breakdown.
 
 pub mod api;
-pub mod backend;
+mod backend;
 pub mod client;
 pub mod locking;
 pub mod primitive;
@@ -33,7 +33,6 @@ pub mod shard;
 pub mod tserver;
 
 pub use api::{ResolveEnd, ResolveStep, Resolved, TafRequest, TafResponse};
-pub use backend::TafBackendGroup;
 pub use client::{ReadConsistency, TafDbClient};
 pub use primitive::{PrimResult, Primitive, UpdateSpec};
 pub use router::PartitionMap;

@@ -114,16 +114,10 @@ fn restart_nemesis_sweep_passes_divergence_oracle() {
     };
     sweep(0x08e5_7a87, opts, |seed, report| {
         assert!(
-            report.max_taf_log_len < 96,
-            "seed {seed}: a TafDB replica's raft log grew to {} entries — \
+            report.max_log_len < 96,
+            "seed {seed}: a replica's raft log grew to {} entries — \
              compaction is not bounding the log",
-            report.max_taf_log_len
-        );
-        assert!(
-            report.max_fs_log_len < 96,
-            "seed {seed}: a FileStore replica's raft log grew to {} entries — \
-             compaction is not bounding the log",
-            report.max_fs_log_len
+            report.max_log_len
         );
     });
 }
