@@ -890,6 +890,98 @@ mod tests {
         group.shutdown();
     }
 
+    /// State machine whose one command writes two fields with a pause in
+    /// between: a reader that overlaps an apply sees them differ.
+    #[derive(Default)]
+    struct TwoFieldSm {
+        a: std::sync::atomic::AtomicU64,
+        b: std::sync::atomic::AtomicU64,
+    }
+
+    impl StateMachine for TwoFieldSm {
+        fn apply(&self, index: u64, _cmd: &[u8]) -> Vec<u8> {
+            self.a.store(index, std::sync::atomic::Ordering::SeqCst);
+            std::thread::sleep(Duration::from_micros(200));
+            self.b.store(index, std::sync::atomic::Ordering::SeqCst);
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn readers_never_observe_a_half_applied_command() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+        let net = Network::new(NetConfig::default());
+        let group = RaftGroup::spawn(&net, &ids(1200, 1), fast_config(), |_| {
+            Arc::new(TwoFieldSm::default())
+        });
+        let node = group.leader().unwrap();
+        let (stop, reads) = (AtomicBool::new(false), AtomicU64::new(0));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(SeqCst) {
+                    let (a, b) = node
+                        .read(|sm| (sm.a.load(SeqCst), sm.b.load(SeqCst)))
+                        .unwrap();
+                    assert_eq!(a, b, "reader saw a half-applied command");
+                    reads.fetch_add(1, SeqCst);
+                }
+            });
+            for _ in 0..200 {
+                node.propose(vec![1]).unwrap();
+            }
+            stop.store(true, SeqCst);
+        });
+        assert!(reads.load(SeqCst) > 0, "the reader ran beside the applies");
+        group.shutdown();
+    }
+
+    #[test]
+    fn follower_commits_only_what_the_append_verified() {
+        // Raft's receiver rule 5. The follower holds [1:t1, 2:t1, 3:t1],
+        // where entry 3 is a stale tail no leader of term 2 sent it. An
+        // append that verifies entry 1 alone, carrying leader_commit 3,
+        // commits through 1 — never the unverified tail.
+        use crate::msg::{Envelope, LogEntry, RaftMsg};
+        use cfs_types::codec::Encode;
+        let entry = |cmd: &[u8]| LogEntry {
+            term: 1,
+            cmd: cmd.to_vec(),
+        };
+        let storage = RaftStorage::new_in_memory();
+        storage
+            .append(1, &[entry(b"one"), entry(b"two"), entry(b"stale")])
+            .unwrap();
+        storage.save_hard_state(1, None);
+        let net = Network::new(NetConfig::default());
+        let (leader, follower) = (NodeId(1210), NodeId(1211));
+        let config = RaftConfig {
+            election_timeout_min: Duration::from_secs(30),
+            election_timeout_max: Duration::from_secs(60),
+            ..fast_config()
+        };
+        let sm = RecorderSm::new();
+        let node = RaftNode::spawn_with_storage(
+            net,
+            follower,
+            vec![leader],
+            Arc::clone(&sm),
+            config,
+            Some(storage),
+        );
+        let msg = RaftMsg::AppendEntries {
+            term: 2,
+            prev_index: 0,
+            prev_term: 0,
+            entries: vec![entry(b"one")],
+            leader_commit: 3,
+        };
+        node.service()
+            .handle(leader, &Envelope { from: leader, msg }.to_bytes());
+        assert_eq!(node.commit_index(), 1);
+        assert_eq!(*sm.applied.lock(), vec![(1, b"one".to_vec())]);
+        node.stop();
+    }
+
     use proptest::prelude::*;
 
     proptest! {

@@ -21,9 +21,10 @@ use crate::storage::RaftStorage;
 ///
 /// `apply` is invoked exactly once per committed entry, in log order, across
 /// the node's lifetime. It takes `&self` so the owning component can serve
-/// reads against the same state concurrently; implementations synchronize
-/// internally (all our state machines sit on top of the thread-safe
-/// [`cfs_kvstore::KvStore`]-style stores).
+/// reads against the same state; [`RaftNode::read`] and
+/// [`RaftNode::read_index`] closures never overlap an `apply` or a
+/// `restore` (the node's state-machine gate), so a reader sees whole
+/// commands only.
 pub trait StateMachine: Send + Sync + 'static {
     /// Applies one committed command and returns the response payload that
     /// the proposing client will receive.
@@ -171,13 +172,14 @@ pub struct RaftNode<S: StateMachine> {
     /// keeps its role, but proposals fail with the storage error until the
     /// volume heals; the flag drives the `raft_storage_degraded` gauge.
     degraded: AtomicBool,
-    /// Serializes `StateMachine::restore` against reader closures. Normal
-    /// applies mutate one key at a time on internally-synchronized state, so
-    /// concurrent readers see at worst a slightly stale value — but restore
-    /// rebuilds the whole state machine (reset + bulk load), and a reader
-    /// overlapping that wipe would observe an empty or half-loaded machine.
-    /// Readers hold this shared for the duration of their closure; an
-    /// incoming `InstallSnapshot` takes it exclusively around the restore.
+    /// The replica's one rule for state-machine concurrency: a reader
+    /// closure runs entirely between two whole applied commands. Every
+    /// `StateMachine::apply` and every `restore` holds this exclusively;
+    /// `read` and `read_index` hold it shared for the whole closure. A
+    /// command that spans several keys or tables (a primitive's insert plus
+    /// its parent update, a directory generation plus its entry) is
+    /// therefore never seen half-applied, and neither is a restore's wipe
+    /// and reload.
     sm_gate: RwLock<()>,
 }
 
@@ -1001,10 +1003,7 @@ impl<S: StateMachine> RaftNode<S> {
                             st.log.truncate(keep);
                             self.obs.log_len.set(st.log.len() as i64);
                             let match_index = fresh_from - 1;
-                            if leader_commit > st.commit {
-                                st.commit = leader_commit.min(last_index(&st));
-                                self.apply_committed(&mut st);
-                            }
+                            self.follow_commit(&mut st, leader_commit, match_index);
                             self.send_one(
                                 from,
                                 RaftMsg::AppendResp {
@@ -1019,10 +1018,7 @@ impl<S: StateMachine> RaftNode<S> {
                     }
                 }
                 let match_index = idx.max(st.snap_index);
-                if leader_commit > st.commit {
-                    st.commit = leader_commit.min(last_index(&st));
-                    self.apply_committed(&mut st);
-                }
+                self.follow_commit(&mut st, leader_commit, match_index);
                 self.send_one(
                     from,
                     RaftMsg::AppendResp {
@@ -1241,6 +1237,18 @@ impl<S: StateMachine> RaftNode<S> {
         self.replicate(st, peer);
     }
 
+    /// Follower side: commits and applies up to `leader_commit`, but never
+    /// past `verified`, the last index the current AppendEntries proved
+    /// matches the leader's log (Raft's receiver rule 5). Entries beyond it
+    /// may be a stale tail from an older term that this leader never sent.
+    fn follow_commit(&self, st: &mut NodeState, leader_commit: u64, verified: u64) {
+        let commit = leader_commit.min(verified);
+        if commit > st.commit {
+            st.commit = commit;
+            self.apply_committed(st);
+        }
+    }
+
     fn advance_commit(&self, st: &mut NodeState) {
         if st.role != Role::Leader {
             return;
@@ -1274,7 +1282,10 @@ impl<S: StateMachine> RaftNode<S> {
                 Vec::new()
             } else {
                 let apply_started = Instant::now();
-                let resp = self.sm.apply(index, &entry.cmd);
+                let resp = {
+                    let _gate = self.sm_gate.write();
+                    self.sm.apply(index, &entry.cmd)
+                };
                 self.obs
                     .apply_ns
                     .observe(apply_started.elapsed().as_nanos() as u64);

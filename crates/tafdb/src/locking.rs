@@ -215,37 +215,29 @@ impl TxnService {
         }
     }
 
+    /// Takes `key`'s row lock for `txn`. Row locks live on the leader only:
+    /// the leader check is `RaftNode::read`'s own.
+    fn lock(&self, txn: u64, key: &Key) -> FsResult<()> {
+        self.node.read(|_| ())?;
+        let _span = trace::span("txn.lock");
+        let _sw = cfs_obs::Stopwatch::start(Arc::clone(&self.lock_phase_ns));
+        self.note_txn(txn);
+        self.locks.acquire(txn, key)
+    }
+
     fn process(&self, req: TxnRequest) -> TxnResponse {
         match req {
-            TxnRequest::LockAndRead { txn, key } => {
-                // Row locks live on the leader only.
-                if self.node.role() != cfs_raft::Role::Leader {
-                    return TxnResponse::Err(FsError::NotLeader(
-                        self.node.leader_hint().map(|n| n.0),
-                    ));
-                }
-                let _span = trace::span("txn.lock");
-                let _sw = cfs_obs::Stopwatch::start(Arc::clone(&self.lock_phase_ns));
-                self.note_txn(txn);
-                match self.locks.acquire(txn, &key) {
-                    Ok(()) => TxnResponse::Locked(self.node.state_machine().get(&key)),
-                    Err(e) => TxnResponse::Err(e),
-                }
-            }
-            TxnRequest::Lock { txn, key } => {
-                if self.node.role() != cfs_raft::Role::Leader {
-                    return TxnResponse::Err(FsError::NotLeader(
-                        self.node.leader_hint().map(|n| n.0),
-                    ));
-                }
-                let _span = trace::span("txn.lock");
-                let _sw = cfs_obs::Stopwatch::start(Arc::clone(&self.lock_phase_ns));
-                self.note_txn(txn);
-                match self.locks.acquire(txn, &key) {
-                    Ok(()) => TxnResponse::Ok,
-                    Err(e) => TxnResponse::Err(e),
-                }
-            }
+            TxnRequest::LockAndRead { txn, key } => match self
+                .lock(txn, &key)
+                .and_then(|()| self.node.read(|sm| sm.get(&key)))
+            {
+                Ok(rec) => TxnResponse::Locked(rec),
+                Err(e) => TxnResponse::Err(e),
+            },
+            TxnRequest::Lock { txn, key } => match self.lock(txn, &key) {
+                Ok(()) => TxnResponse::Ok,
+                Err(e) => TxnResponse::Err(e),
+            },
             TxnRequest::Prepare { txn, writes } => {
                 let _span = trace::span("txn.prepare");
                 let _sw = cfs_obs::Stopwatch::start(Arc::clone(&self.prepare_phase_ns));

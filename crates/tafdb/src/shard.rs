@@ -1,17 +1,16 @@
 //! The shard state machine: one range of the `inode_table` over an ordered
 //! in-memory store (`cfs-kvstore`: one map + WAL + checkpoint).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
 use cfs_kvstore::{KvConfig, KvStore, WriteOp};
 use cfs_obs::metrics::{Counter, Histogram, Registry};
 use cfs_raft::StateMachine;
-use cfs_types::codec::{Decode, DecodeError, Encode};
+use cfs_types::codec::{Decode, DecodeError, Encode, EncodeListItem};
 use cfs_types::{FsError, FsResult, InodeId, Key, PendingEvent, PendingRow, PendingTable, Record};
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use crate::api::{DirEntry, ResolveEnd, ResolveStep, Resolved, ShardCmd, TafResponse};
 use crate::primitive::{self, PrimResult, Primitive, RecordStore};
@@ -63,16 +62,14 @@ enum Staged {
     Prim(Primitive),
 }
 
+impl EncodeListItem for Staged {}
+
 impl Encode for Staged {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Staged::Writes(ws) => {
                 buf.push(0);
-                (ws.len() as u64).encode(buf);
-                for (k, r) in ws {
-                    k.encode(buf);
-                    r.encode(buf);
-                }
+                ws.encode(buf);
             }
             Staged::Prim(p) => {
                 buf.push(1);
@@ -85,14 +82,7 @@ impl Encode for Staged {
 impl Decode for Staged {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         match u8::decode(input)? {
-            0 => {
-                let n = u64::decode(input)?;
-                let mut ws = Vec::with_capacity((n as usize).min(1024));
-                for _ in 0..n {
-                    ws.push((Key::decode(input)?, Option::<Record>::decode(input)?));
-                }
-                Ok(Staged::Writes(ws))
-            }
+            0 => Ok(Staged::Writes(Vec::decode(input)?)),
             1 => Ok(Staged::Prim(Primitive::decode(input)?)),
             t => Err(DecodeError::InvalidTag(t)),
         }
@@ -122,16 +112,6 @@ struct ActiveMigration {
     frozen_at: Option<Instant>,
 }
 
-/// Replicated migration bookkeeping (driven through `ShardCmd`s so every
-/// replica agrees on ownership).
-#[derive(Default)]
-struct MigState {
-    active: Option<ActiveMigration>,
-    /// Ranges donated away, with the map epoch at which each one moved —
-    /// the epoch is handed to stale clients in `WrongShard` redirects.
-    moved: Vec<(u64, u64, u64)>,
-}
-
 /// The kid prefix of a raw kv key (keys are 8-byte big-endian kid followed
 /// by the record discriminator; see `Key::to_sortable_bytes`).
 fn kid_of(raw: &[u8]) -> u64 {
@@ -151,31 +131,200 @@ fn prim_kids(prim: &Primitive) -> impl Iterator<Item = u64> + '_ {
         .chain(prim.update.iter().map(|u| u.cond.key.kid.raw()))
 }
 
-/// One shard of the `inode_table`: the Raft-replicated state machine.
-pub struct TafShard {
-    kv: KvStore,
+/// Everything a replicated command changes besides the kv map. It sits
+/// behind the shard's one lock, which an applied command holds from its
+/// first ownership check to its last kv write, so a reader that takes the
+/// lock sees whole commands only.
+#[derive(Default)]
+struct ShardState {
     /// Items staged by prepared 2PC transactions, applied in order on
     /// commit. One transaction may stage several shares on the same shard
     /// (e.g. a directory rename whose source parent and moved directory both
     /// live here).
-    prepared: Mutex<HashMap<u64, Vec<Staged>>>,
-    obs: Instruments,
+    prepared: BTreeMap<u64, Vec<Staged>>,
     /// The garbage collector's pairing input (§4.4): the id-record and
     /// directory-attribute events this shard applied that nothing has
-    /// balanced or trimmed yet. Written in apply on every replica and
-    /// carried in the snapshot image; splits move none of it.
-    pending: Mutex<PendingTable>,
-    /// Migration state (replicated through `ShardCmd`s).
-    mig: Mutex<MigState>,
+    /// balanced or trimmed yet. Splits move none of it.
+    pending: PendingTable,
+    /// The in-flight outbound migration (at most one per shard).
+    migrating: Option<ActiveMigration>,
+    /// Ranges donated away, with the map epoch at which each one moved —
+    /// the epoch is handed to stale clients in `WrongShard` redirects.
+    moved: Vec<(u64, u64, u64)>,
     /// Per-directory generation numbers, bumped whenever a replicated write
-    /// touches the directory's entry keys. Piggybacked on resolve responses
-    /// so clients can invalidate exactly the stale directory's dentries.
-    /// Bumps happen in the replicated apply funnel ([`Self::commit_batch`]),
-    /// so every replica of the shard derives the same sequence.
-    dir_gens: Mutex<HashMap<u64, u64>>,
+    /// touches the directory's entry keys ([`TafShard::commit_batch`]), so
+    /// every replica derives the same sequence. Piggybacked on resolve
+    /// responses so clients can invalidate exactly the stale directory's
+    /// dentries.
+    dir_gens: HashMap<u64, u64>,
     /// Raft index of the last applied command; tags snapshot images with the
     /// log position they cover.
-    applied_index: AtomicU64,
+    applied_index: u64,
+}
+
+impl ShardState {
+    /// Returns an error when this shard no longer serves `kid`: the range
+    /// was donated away (`WrongShard` with the epoch to catch up to) or is
+    /// frozen for cutover (`WrongShard(0)` — retry until the new map lands).
+    fn check_owner(&self, kid: u64) -> FsResult<()> {
+        if let Some(&(_, _, epoch)) = self.moved.iter().find(|m| (m.0..=m.1).contains(&kid)) {
+            return Err(FsError::WrongShard(epoch));
+        }
+        match &self.migrating {
+            Some(m) if m.phase == MigPhase::Frozen && (m.lo..=m.hi).contains(&kid) => {
+                Err(FsError::WrongShard(0))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Why a new 2PC prepare touching `kid` must be refused, if it must:
+    /// moved or frozen ranges redirect, and any in-flight migration refuses
+    /// new prepares (`Busy`) so the freeze is never blocked indefinitely.
+    fn rejects_prepare(&self, kid: u64) -> Option<FsError> {
+        match (self.check_owner(kid), &self.migrating) {
+            (Err(e), _) => Some(e),
+            (Ok(()), Some(m)) if (m.lo..=m.hi).contains(&kid) => Some(FsError::Busy),
+            _ => None,
+        }
+    }
+
+    /// True when any staged 2PC transaction touches `[lo, hi]` (the freeze
+    /// must wait for their commit or abort).
+    fn prepared_intersects(&self, lo: u64, hi: u64) -> bool {
+        self.prepared.values().flatten().any(|item| match item {
+            Staged::Writes(ws) => ws.iter().any(|(k, _)| (lo..=hi).contains(&k.kid.raw())),
+            Staged::Prim(p) => prim_kids(p).any(|kid| (lo..=hi).contains(&kid)),
+        })
+    }
+
+    fn epoch(&self) -> u64 {
+        self.moved.iter().map(|&(_, _, e)| e).max().unwrap_or(0)
+    }
+
+    fn gen_of(&self, kid: u64) -> u64 {
+        self.dir_gens.get(&kid).copied().unwrap_or(0)
+    }
+
+    /// Records the structural events of one committed write of `key`,
+    /// judged against the record it replaced: an id record appearing or
+    /// changing target links its inode, one disappearing unlinks it, and a
+    /// directory attribute record appearing or disappearing is a put or a
+    /// delete. Field updates of an existing record are not structural.
+    fn record_write(&mut self, key: &Key, prior: Option<&Record>, new: Option<&Record>) {
+        if key.is_attr() {
+            let event = match (prior, new) {
+                (None, Some(_)) => PendingEvent::DirAttrPut,
+                (Some(_), None) => PendingEvent::DirAttrDeleted,
+                _ => return,
+            };
+            self.pending.record(Vec::new(), key.kid, event);
+            return;
+        }
+        let old = prior.and_then(|r| r.id);
+        let new = new.and_then(|r| r.id);
+        if old == new {
+            return;
+        }
+        if let Some(ino) = old {
+            self.pending
+                .record(key.to_sortable_bytes(), ino, PendingEvent::Unlinked);
+        }
+        if let Some(ino) = new {
+            self.pending
+                .record(key.to_sortable_bytes(), ino, PendingEvent::Linked);
+        }
+    }
+}
+
+/// The snapshot image's bookkeeping part (everything but the applied index,
+/// which heads the image, and the kv entries). Maps are written sorted, so
+/// equal state yields equal bytes.
+impl Encode for ShardState {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let mut gens: Vec<(u64, u64)> = self.dir_gens.iter().map(|(&k, &g)| (k, g)).collect();
+        gens.sort_unstable();
+        gens.encode(buf);
+        (self.moved.len() as u64).encode(buf);
+        for &(lo, hi, epoch) in &self.moved {
+            lo.encode(buf);
+            hi.encode(buf);
+            epoch.encode(buf);
+        }
+        match &self.migrating {
+            None => buf.push(0),
+            Some(m) => {
+                buf.push(1);
+                m.lo.encode(buf);
+                m.hi.encode(buf);
+                buf.push(match m.phase {
+                    MigPhase::Streaming => 0,
+                    MigPhase::Frozen => 1,
+                });
+                m.tail.encode(buf);
+            }
+        }
+        (self.prepared.len() as u64).encode(buf);
+        for (txn, items) in &self.prepared {
+            txn.encode(buf);
+            items.encode(buf);
+        }
+        self.pending.encode(buf);
+    }
+}
+
+impl Decode for ShardState {
+    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
+        let dir_gens = Vec::<(u64, u64)>::decode(input)?.into_iter().collect();
+        let n = u64::decode(input)?;
+        let mut moved = Vec::with_capacity((n as usize).min(1024));
+        for _ in 0..n {
+            moved.push((
+                u64::decode(input)?,
+                u64::decode(input)?,
+                u64::decode(input)?,
+            ));
+        }
+        let migrating = match u8::decode(input)? {
+            0 => None,
+            1 => Some(ActiveMigration {
+                lo: u64::decode(input)?,
+                hi: u64::decode(input)?,
+                phase: match u8::decode(input)? {
+                    0 => MigPhase::Streaming,
+                    1 => MigPhase::Frozen,
+                    t => return Err(DecodeError::InvalidTag(t)),
+                },
+                tail: Vec::decode(input)?,
+                // The wall-clock freeze anchor is a local metrics aid; a
+                // restored replica simply stops charging freeze_ns for the
+                // window that predates it.
+                frozen_at: None,
+            }),
+            t => return Err(DecodeError::InvalidTag(t)),
+        };
+        Ok(ShardState {
+            prepared: Vec::<(u64, Vec<Staged>)>::decode(input)?
+                .into_iter()
+                .collect(),
+            pending: PendingTable::decode(input)?,
+            migrating,
+            moved,
+            dir_gens,
+            applied_index: 0,
+        })
+    }
+}
+
+/// One shard of the `inode_table`: the Raft-replicated state machine.
+///
+/// The kv map and [`ShardState`] change only inside an applied command,
+/// which holds `state` for writing throughout; readers that need the
+/// bookkeeping take it shared.
+pub struct TafShard {
+    kv: KvStore,
+    obs: Instruments,
+    state: RwLock<ShardState>,
 }
 
 impl TafShard {
@@ -185,59 +334,25 @@ impl TafShard {
     pub fn new(kv_config: KvConfig) -> FsResult<TafShard> {
         Ok(TafShard {
             kv: KvStore::with_config(kv_config)?,
-            prepared: Mutex::new(HashMap::new()),
             obs: Instruments::resolve(&cfs_obs::metrics::local()),
-            pending: Mutex::new(PendingTable::default()),
-            mig: Mutex::new(MigState::default()),
-            dir_gens: Mutex::new(HashMap::new()),
-            applied_index: AtomicU64::new(0),
+            state: RwLock::new(ShardState::default()),
         })
     }
 
     /// Raft index of the last command applied to this shard (0 before any).
     pub fn applied_index(&self) -> u64 {
-        self.applied_index.load(Ordering::Relaxed)
+        self.state.read().applied_index
     }
 
     /// The shard's partition-map epoch: the highest epoch at which one of
     /// its ranges was donated away, or 0 before any migration completes.
     pub fn epoch(&self) -> u64 {
-        let mig = self.mig.lock();
-        mig.moved.iter().map(|&(_, _, e)| e).max().unwrap_or(0)
+        self.state.read().epoch()
     }
 
     /// The rows of the GC pending table, in key order.
     pub fn pending_rows(&self) -> Vec<PendingRow> {
-        self.pending.lock().rows()
-    }
-
-    /// Records the structural events of one committed write of `key`,
-    /// judged against the record it replaced: an id record appearing or
-    /// changing target links its inode, one disappearing unlinks it, and a
-    /// directory attribute record appearing or disappearing is a put or a
-    /// delete. Field updates of an existing record are not structural.
-    fn record_write(&self, key: &Key, prior: Option<&Record>, new: Option<&Record>) {
-        let mut pending = self.pending.lock();
-        if key.is_attr() {
-            let event = match (prior, new) {
-                (None, Some(_)) => PendingEvent::DirAttrPut,
-                (Some(_), None) => PendingEvent::DirAttrDeleted,
-                _ => return,
-            };
-            pending.record(Vec::new(), key.kid, event);
-            return;
-        }
-        let old = prior.and_then(|r| r.id);
-        let new = new.and_then(|r| r.id);
-        if old == new {
-            return;
-        }
-        if let Some(ino) = old {
-            pending.record(key.to_sortable_bytes(), ino, PendingEvent::Unlinked);
-        }
-        if let Some(ino) = new {
-            pending.record(key.to_sortable_bytes(), ino, PendingEvent::Linked);
-        }
+        self.state.read().pending.rows()
     }
 
     /// Leader-local point read.
@@ -294,6 +409,7 @@ impl TafShard {
         lo: u64,
         hi: u64,
     ) -> FsResult<Resolved> {
+        let st = self.state.read();
         let mut steps: Vec<ResolveStep> = Vec::with_capacity(comps.len());
         let mut cur = start;
         for (i, comp) in comps.iter().enumerate() {
@@ -309,7 +425,7 @@ impl TafShard {
                     end: ResolveEnd::Continue,
                 });
             }
-            match self.check_owner(cur.raw()) {
+            match st.check_owner(cur.raw()) {
                 Ok(()) => {}
                 Err(e) if i == 0 => return Err(e),
                 Err(_) => {
@@ -319,7 +435,7 @@ impl TafShard {
                     })
                 }
             }
-            let gen = self.gen_of(cur.raw());
+            let gen = st.gen_of(cur.raw());
             let rec = match self.get(&Key::entry(cur, comp)) {
                 Some(rec) => rec,
                 None => {
@@ -368,59 +484,35 @@ impl TafShard {
     /// was donated away (`WrongShard` with the epoch to catch up to) or is
     /// frozen for cutover (`WrongShard(0)` — retry until the new map lands).
     pub fn check_owner(&self, kid: u64) -> FsResult<()> {
-        let mig = self.mig.lock();
-        for &(lo, hi, epoch) in &mig.moved {
-            if lo <= kid && kid <= hi {
-                return Err(FsError::WrongShard(epoch));
-            }
-        }
-        if let Some(m) = &mig.active {
-            if m.phase == MigPhase::Frozen && m.lo <= kid && kid <= m.hi {
-                return Err(FsError::WrongShard(0));
-            }
-        }
-        Ok(())
+        self.state.read().check_owner(kid)
     }
 
     /// Current generation of directory `kid` (0 until its first entry write).
     pub fn gen_of(&self, kid: u64) -> u64 {
-        self.dir_gens.lock().get(&kid).copied().unwrap_or(0)
+        self.state.read().gen_of(kid)
     }
 
-    /// Commits a batch, recording in-range writes in the migration tail
-    /// while an outbound migration is streaming, and bumping the generation
-    /// of every directory whose entry keys the batch touches.
-    fn commit_batch(&self, ops: Vec<WriteOp>) -> FsResult<()> {
-        {
+    /// Commits a batch in one pass over its ops: bumps the generation of
+    /// every directory whose entry keys it touches and, while an outbound
+    /// migration is streaming, records its in-range writes in the tail.
+    fn commit_batch(&self, st: &mut ShardState, ops: Vec<WriteOp>) -> FsResult<()> {
+        let mut streaming = st
+            .migrating
+            .as_mut()
+            .filter(|m| m.phase == MigPhase::Streaming);
+        for op in &ops {
+            let (WriteOp::Put(k, _) | WriteOp::Delete(k)) = op;
+            let kid = kid_of(k);
             // An entry (name) key is the 8-byte kid followed by the 0x01
             // discriminator (see `Key::to_sortable_bytes`); attr-record
             // writes do not change what names resolve to, so they leave the
             // generation alone.
-            let mut gens = self.dir_gens.lock();
-            for op in &ops {
-                let k = match op {
-                    WriteOp::Put(k, _) => k,
-                    WriteOp::Delete(k) => k,
-                };
-                if k.get(8) == Some(&0x01) {
-                    *gens.entry(kid_of(k)).or_insert(0) += 1;
-                }
+            if k.get(8) == Some(&0x01) {
+                *st.dir_gens.entry(kid).or_insert(0) += 1;
             }
-        }
-        {
-            let mut mig = self.mig.lock();
-            if let Some(m) = &mut mig.active {
-                if m.phase == MigPhase::Streaming {
-                    for op in &ops {
-                        let k = match op {
-                            WriteOp::Put(k, _) => k,
-                            WriteOp::Delete(k) => k,
-                        };
-                        let kid = kid_of(k);
-                        if m.lo <= kid && kid <= m.hi {
-                            m.tail.push(op.clone());
-                        }
-                    }
+            if let Some(m) = streaming.as_mut() {
+                if (m.lo..=m.hi).contains(&kid) {
+                    m.tail.push(op.clone());
                 }
             }
         }
@@ -491,30 +583,27 @@ impl TafShard {
         self.kv.write_batch(dels)
     }
 
-    /// True when any 2PC transaction staged on this shard touches `[lo, hi]`
-    /// (the freeze must wait for their commit or abort).
-    fn prepared_intersects(&self, lo: u64, hi: u64) -> bool {
-        let prepared = self.prepared.lock();
-        prepared.values().flatten().any(|item| match item {
-            Staged::Writes(ws) => ws
-                .iter()
-                .any(|(k, _)| lo <= k.kid.raw() && k.kid.raw() <= hi),
-            Staged::Prim(p) => prim_kids(p).any(|kid| lo <= kid && kid <= hi),
-        })
-    }
-
     /// Applies one replicated command, returning the response to encode.
     pub fn apply_cmd(&self, cmd: ShardCmd) -> TafResponse {
+        self.apply_locked(&mut self.state.write(), cmd)
+    }
+
+    /// [`Self::apply_cmd`] under the shard's lock, which the caller holds.
+    fn apply_locked(&self, st: &mut ShardState, cmd: ShardCmd) -> TafResponse {
+        let done = |res: FsResult<()>| match res {
+            Ok(()) => TafResponse::Ok,
+            Err(e) => TafResponse::Err(e),
+        };
         match cmd {
             ShardCmd::Execute(prim) => {
-                if let Some(e) = prim_kids(&prim).find_map(|kid| self.check_owner(kid).err()) {
+                if let Some(e) = prim_kids(&prim).find_map(|kid| st.check_owner(kid).err()) {
                     return TafResponse::Err(e);
                 }
                 // The primitive executes atomically inside the state machine
                 // — this duration IS the pruned critical section the paper
                 // contrasts with baseline lock-hold times.
                 let hold_started = std::time::Instant::now();
-                let result = self.execute_primitive(&prim);
+                let result = self.execute_primitive(st, &prim);
                 self.obs
                     .prim_hold_ns
                     .observe(hold_started.elapsed().as_nanos() as u64);
@@ -529,130 +618,92 @@ impl TafShard {
                     }
                 }
             }
-            ShardCmd::Put(key, rec) => {
-                if let Err(e) = self.check_owner(key.kid.raw()) {
-                    return TafResponse::Err(e);
-                }
-                let prior = self.get(&key);
-                let op = WriteOp::Put(key.to_sortable_bytes(), rec.to_bytes());
-                match self.commit_batch(vec![op]) {
-                    Ok(()) => {
-                        self.record_write(&key, prior.as_ref(), Some(&rec));
-                        TafResponse::Ok
-                    }
-                    Err(e) => TafResponse::Err(e),
-                }
-            }
-            ShardCmd::Delete(key) => {
-                if let Err(e) = self.check_owner(key.kid.raw()) {
-                    return TafResponse::Err(e);
-                }
-                let prior = self.get(&key);
-                match self.commit_batch(vec![WriteOp::Delete(key.to_sortable_bytes())]) {
-                    Ok(()) => {
-                        self.record_write(&key, prior.as_ref(), None);
-                        TafResponse::Ok
-                    }
-                    Err(e) => TafResponse::Err(e),
-                }
-            }
+            ShardCmd::Put(key, rec) => done(
+                st.check_owner(key.kid.raw())
+                    .and_then(|()| self.apply_writes(st, vec![(key, Some(rec))])),
+            ),
+            ShardCmd::Delete(key) => done(
+                st.check_owner(key.kid.raw())
+                    .and_then(|()| self.apply_writes(st, vec![(key, None)])),
+            ),
             ShardCmd::Prepare { txn, writes } => {
                 if let Some(e) = writes
                     .iter()
-                    .find_map(|(k, _)| self.mig_rejects_prepare(k.kid.raw()))
+                    .find_map(|(k, _)| st.rejects_prepare(k.kid.raw()))
                 {
                     return TafResponse::Err(e);
                 }
-                self.prepared
-                    .lock()
+                st.prepared
                     .entry(txn)
                     .or_default()
                     .push(Staged::Writes(writes));
                 TafResponse::Ok
             }
             ShardCmd::PreparePrim { txn, prim } => {
-                if let Some(e) = prim_kids(&prim).find_map(|kid| self.mig_rejects_prepare(kid)) {
+                if let Some(e) = prim_kids(&prim).find_map(|kid| st.rejects_prepare(kid)) {
                     return TafResponse::Err(e);
                 }
-                self.prepared
-                    .lock()
-                    .entry(txn)
-                    .or_default()
-                    .push(Staged::Prim(prim));
+                st.prepared.entry(txn).or_default().push(Staged::Prim(prim));
                 TafResponse::Ok
             }
             ShardCmd::CommitPrepared { txn } => {
-                let staged = self.prepared.lock().remove(&txn);
-                match staged {
-                    Some(items) => {
-                        self.obs.txn_commits.inc();
-                        let mut result = PrimResult::default();
-                        for item in items {
-                            let res = match item {
-                                Staged::Writes(writes) => self.apply_writes(writes),
-                                Staged::Prim(prim) => match self.execute_primitive(&prim) {
-                                    Ok(r) => {
-                                        result.deleted.extend(r.deleted);
-                                        Ok(())
-                                    }
-                                    Err(e) => Err(e),
-                                },
-                            };
-                            if let Err(e) = res {
-                                return TafResponse::Err(e);
-                            }
-                        }
-                        TafResponse::Executed(result)
-                    }
-                    None => TafResponse::Err(FsError::Invalid(format!(
+                let Some(items) = st.prepared.remove(&txn) else {
+                    return TafResponse::Err(FsError::Invalid(format!(
                         "commit of unprepared txn {txn}"
-                    ))),
+                    )));
+                };
+                self.obs.txn_commits.inc();
+                let mut result = PrimResult::default();
+                for item in items {
+                    let res = match item {
+                        Staged::Writes(writes) => self.apply_writes(st, writes),
+                        Staged::Prim(prim) => self
+                            .execute_primitive(st, &prim)
+                            .map(|r| result.deleted.extend(r.deleted)),
+                    };
+                    if let Err(e) = res {
+                        return TafResponse::Err(e);
+                    }
                 }
+                TafResponse::Executed(result)
             }
             ShardCmd::Abort { txn } => {
-                self.prepared.lock().remove(&txn);
+                st.prepared.remove(&txn);
                 self.obs.txn_aborts.inc();
                 TafResponse::Ok
             }
             ShardCmd::CommitWrites { writes } => {
                 if let Some(e) = writes
                     .iter()
-                    .find_map(|(k, _)| self.check_owner(k.kid.raw()).err())
+                    .find_map(|(k, _)| st.check_owner(k.kid.raw()).err())
                 {
                     return TafResponse::Err(e);
                 }
                 self.obs.txn_commits.inc();
-                match self.apply_writes(writes) {
-                    Ok(()) => TafResponse::Ok,
-                    Err(e) => TafResponse::Err(e),
-                }
+                done(self.apply_writes(st, writes))
             }
-            ShardCmd::MigStart { lo, hi } => {
-                let mut mig = self.mig.lock();
-                match &mig.active {
-                    // Idempotent: a retried start of the same range is fine.
-                    Some(m) if m.lo == lo && m.hi == hi => TafResponse::Ok,
-                    Some(_) => TafResponse::Err(FsError::Busy),
-                    None => {
-                        mig.active = Some(ActiveMigration {
-                            lo,
-                            hi,
-                            phase: MigPhase::Streaming,
-                            tail: Vec::new(),
-                            frozen_at: None,
-                        });
-                        TafResponse::Ok
-                    }
+            ShardCmd::MigStart { lo, hi } => match &st.migrating {
+                // Idempotent: a retried start of the same range is fine.
+                Some(m) if m.lo == lo && m.hi == hi => TafResponse::Ok,
+                Some(_) => TafResponse::Err(FsError::Busy),
+                None => {
+                    st.migrating = Some(ActiveMigration {
+                        lo,
+                        hi,
+                        phase: MigPhase::Streaming,
+                        tail: Vec::new(),
+                        frozen_at: None,
+                    });
+                    TafResponse::Ok
                 }
-            }
+            },
             ShardCmd::MigFreeze { lo, hi } => {
                 // The tail must be final at freeze: refuse while staged 2PC
                 // transactions could still commit writes into the range.
-                if self.prepared_intersects(lo, hi) {
+                if st.prepared_intersects(lo, hi) {
                     return TafResponse::Err(FsError::Busy);
                 }
-                let mut mig = self.mig.lock();
-                match &mut mig.active {
+                match &mut st.migrating {
                     Some(m) if m.lo == lo && m.hi == hi => {
                         if m.phase == MigPhase::Streaming {
                             m.phase = MigPhase::Frozen;
@@ -667,72 +718,52 @@ impl TafShard {
                     )),
                 }
             }
-            ShardCmd::MigFinish { lo, hi, epoch } => {
-                let mut mig = self.mig.lock();
-                match &mig.active {
-                    Some(m) if m.lo == lo && m.hi == hi => {
-                        if let Some(t0) = m.frozen_at {
-                            self.obs.freeze_ns.add(t0.elapsed().as_nanos() as u64);
-                        }
-                        mig.active = None;
-                        mig.moved.push((lo, hi, epoch));
-                        self.obs.ranges_donated.inc();
-                        drop(mig);
-                        match self.purge_range(lo, hi) {
-                            Ok(()) => TafResponse::Ok,
-                            Err(e) => TafResponse::Err(e),
-                        }
+            ShardCmd::MigFinish { lo, hi, epoch } => match &st.migrating {
+                Some(m) if m.lo == lo && m.hi == hi => {
+                    if let Some(t0) = m.frozen_at {
+                        self.obs.freeze_ns.add(t0.elapsed().as_nanos() as u64);
                     }
-                    // Idempotent: the donation may already be recorded.
-                    _ if mig.moved.contains(&(lo, hi, epoch)) => TafResponse::Ok,
-                    _ => TafResponse::Err(FsError::Invalid(
-                        "finish without matching migration".into(),
-                    )),
+                    st.migrating = None;
+                    st.moved.push((lo, hi, epoch));
+                    self.obs.ranges_donated.inc();
+                    done(self.purge_range(lo, hi))
                 }
-            }
+                // Idempotent: the donation may already be recorded.
+                _ if st.moved.contains(&(lo, hi, epoch)) => TafResponse::Ok,
+                _ => TafResponse::Err(FsError::Invalid("finish without matching migration".into())),
+            },
             ShardCmd::MigAbort { lo, hi } => {
-                let mut mig = self.mig.lock();
-                if matches!(&mig.active, Some(m) if m.lo == lo && m.hi == hi) {
-                    mig.active = None;
+                if matches!(&st.migrating, Some(m) if m.lo == lo && m.hi == hi) {
+                    st.migrating = None;
                 }
                 TafResponse::Ok
             }
             ShardCmd::MigIngest { ops } => {
                 let n = ops.len() as u64;
-                match self.commit_batch(ops) {
-                    Ok(()) => {
-                        self.obs.keys_streamed.add(n);
-                        TafResponse::Ok
-                    }
-                    Err(e) => TafResponse::Err(e),
+                let res = self.commit_batch(st, ops);
+                if res.is_ok() {
+                    self.obs.keys_streamed.add(n);
                 }
+                done(res)
             }
             ShardCmd::MigAccept { lo: _, hi: _ } => {
                 self.obs.ranges_received.inc();
                 TafResponse::Ok
             }
             ShardCmd::GcTrim(rows) => {
-                self.pending.lock().trim(&rows);
+                st.pending.trim(&rows);
                 TafResponse::Ok
             }
         }
     }
 
-    /// Why a new 2PC prepare touching `kid` must be refused, if it must:
-    /// moved or frozen ranges redirect, and any in-flight migration refuses
-    /// new prepares (`Busy`) so the freeze is never blocked indefinitely.
-    fn mig_rejects_prepare(&self, kid: u64) -> Option<FsError> {
-        if let Err(e) = self.check_owner(kid) {
-            return Some(e);
-        }
-        let mig = self.mig.lock();
-        match &mig.active {
-            Some(m) if m.lo <= kid && kid <= m.hi => Some(FsError::Busy),
-            _ => None,
-        }
-    }
-
-    fn apply_writes(&self, writes: Vec<(Key, Option<Record>)>) -> FsResult<()> {
+    /// Commits raw record writes, recording each one's structural events
+    /// against the record it replaced.
+    fn apply_writes(
+        &self,
+        st: &mut ShardState,
+        writes: Vec<(Key, Option<Record>)>,
+    ) -> FsResult<()> {
         let priors: Vec<Option<Record>> = writes.iter().map(|(k, _)| self.get(k)).collect();
         let ops = writes
             .iter()
@@ -741,21 +772,20 @@ impl TafShard {
                 None => WriteOp::Delete(k.to_sortable_bytes()),
             })
             .collect();
-        self.commit_batch(ops)?;
+        self.commit_batch(st, ops)?;
         for ((k, r), prior) in writes.iter().zip(&priors) {
-            self.record_write(k, prior.as_ref(), r.as_ref());
+            st.record_write(k, prior.as_ref(), r.as_ref());
         }
         Ok(())
     }
 
-    /// Serializes the shard's full replicated state: live kv entries,
-    /// directory generations, migration bookkeeping, staged 2PC
-    /// transactions and the GC pending table, headed by the applied index
-    /// and partition-map epoch.
+    /// Serializes the shard's full replicated state: the applied index and
+    /// partition-map epoch, the live kv entries, then [`ShardState`].
     fn encode_image(&self) -> Vec<u8> {
+        let st = self.state.read();
         let mut buf = Vec::new();
-        self.applied_index().encode(&mut buf);
-        self.epoch().encode(&mut buf);
+        st.applied_index.encode(&mut buf);
+        st.epoch().encode(&mut buf);
         // Live kv entries in key order (tombstones already resolved).
         let entries: Vec<(Vec<u8>, Vec<u8>)> = self.kv.range_snapshot(&[], None).collect();
         (entries.len() as u64).encode(&mut buf);
@@ -763,59 +793,7 @@ impl TafShard {
             k.encode(&mut buf);
             v.encode(&mut buf);
         }
-        // Directory generations, sorted so equal state yields equal bytes.
-        let mut gens: Vec<(u64, u64)> = self
-            .dir_gens
-            .lock()
-            .iter()
-            .map(|(&kid, &g)| (kid, g))
-            .collect();
-        gens.sort_unstable();
-        (gens.len() as u64).encode(&mut buf);
-        for (kid, g) in &gens {
-            kid.encode(&mut buf);
-            g.encode(&mut buf);
-        }
-        {
-            let mig = self.mig.lock();
-            (mig.moved.len() as u64).encode(&mut buf);
-            for &(lo, hi, epoch) in &mig.moved {
-                lo.encode(&mut buf);
-                hi.encode(&mut buf);
-                epoch.encode(&mut buf);
-            }
-            match &mig.active {
-                None => buf.push(0),
-                Some(m) => {
-                    buf.push(1);
-                    m.lo.encode(&mut buf);
-                    m.hi.encode(&mut buf);
-                    buf.push(match m.phase {
-                        MigPhase::Streaming => 0,
-                        MigPhase::Frozen => 1,
-                    });
-                    (m.tail.len() as u64).encode(&mut buf);
-                    for op in &m.tail {
-                        op.encode(&mut buf);
-                    }
-                }
-            }
-        }
-        {
-            let prepared = self.prepared.lock();
-            let mut txns: Vec<u64> = prepared.keys().copied().collect();
-            txns.sort_unstable();
-            (txns.len() as u64).encode(&mut buf);
-            for txn in txns {
-                txn.encode(&mut buf);
-                let items = &prepared[&txn];
-                (items.len() as u64).encode(&mut buf);
-                for item in items {
-                    item.encode(&mut buf);
-                }
-            }
-        }
-        self.pending.lock().encode(&mut buf);
+        st.encode(&mut buf);
         buf
     }
 
@@ -824,9 +802,9 @@ impl TafShard {
     /// shard untouched.
     fn restore_image(&self, mut input: &[u8]) -> FsResult<()> {
         let input = &mut input;
-        let applied = u64::decode(input)?;
+        let applied_index = u64::decode(input)?;
         // The epoch header is a tag for checkpoint tooling; the authoritative
-        // copy rides in `moved` below.
+        // copy rides in `moved`.
         let _epoch = u64::decode(input)?;
         let n = u64::decode(input)?;
         let mut ops = Vec::with_capacity((n as usize).min(1 << 16));
@@ -835,88 +813,33 @@ impl TafShard {
             let v = Vec::<u8>::decode(input)?;
             ops.push(WriteOp::Put(k, v));
         }
-        let n = u64::decode(input)?;
-        let mut gens = HashMap::with_capacity((n as usize).min(1 << 16));
-        for _ in 0..n {
-            let kid = u64::decode(input)?;
-            gens.insert(kid, u64::decode(input)?);
-        }
-        let n = u64::decode(input)?;
-        let mut moved = Vec::with_capacity((n as usize).min(1024));
-        for _ in 0..n {
-            moved.push((
-                u64::decode(input)?,
-                u64::decode(input)?,
-                u64::decode(input)?,
-            ));
-        }
-        let active = match u8::decode(input)? {
-            0 => None,
-            1 => {
-                let lo = u64::decode(input)?;
-                let hi = u64::decode(input)?;
-                let phase = match u8::decode(input)? {
-                    0 => MigPhase::Streaming,
-                    1 => MigPhase::Frozen,
-                    t => return Err(DecodeError::InvalidTag(t).into()),
-                };
-                let n = u64::decode(input)?;
-                let mut tail = Vec::with_capacity((n as usize).min(1 << 16));
-                for _ in 0..n {
-                    tail.push(WriteOp::decode(input)?);
-                }
-                Some(ActiveMigration {
-                    lo,
-                    hi,
-                    phase,
-                    tail,
-                    // The wall-clock freeze anchor is a local metrics aid;
-                    // a restored replica simply stops charging freeze_ns
-                    // for the window that predates it.
-                    frozen_at: None,
-                })
-            }
-            t => return Err(DecodeError::InvalidTag(t).into()),
+        let restored = ShardState {
+            applied_index,
+            ..ShardState::decode(input)?
         };
-        let n = u64::decode(input)?;
-        let mut prepared: HashMap<u64, Vec<Staged>> =
-            HashMap::with_capacity((n as usize).min(1024));
-        for _ in 0..n {
-            let txn = u64::decode(input)?;
-            let m = u64::decode(input)?;
-            let mut items = Vec::with_capacity((m as usize).min(1024));
-            for _ in 0..m {
-                items.push(Staged::decode(input)?);
-            }
-            prepared.insert(txn, items);
-        }
-        let pending = PendingTable::decode(input)?;
 
+        let mut st = self.state.write();
         self.kv.reset();
         self.kv.write_batch(ops)?;
-        *self.dir_gens.lock() = gens;
-        *self.mig.lock() = MigState { active, moved };
-        *self.prepared.lock() = prepared;
-        *self.pending.lock() = pending;
-        self.applied_index.store(applied, Ordering::Relaxed);
+        *st = restored;
         Ok(())
     }
 
-    fn execute_primitive(&self, prim: &Primitive) -> FsResult<PrimResult> {
+    fn execute_primitive(&self, st: &mut ShardState, prim: &Primitive) -> FsResult<PrimResult> {
         let mut staging = StagingStore {
             kv: &self.kv,
             staged: Vec::new(),
         };
         let result = primitive::execute(&mut staging, prim)?;
         let staged = std::mem::take(&mut staging.staged);
-        self.commit_batch(staged)?;
+        self.commit_batch(st, staged)?;
         // An insert replaces nothing: a record this primitive deleted under
         // the same key counts as its own delete.
         for (key, rec) in &result.deleted {
-            self.record_write(key, Some(rec), None);
+            st.record_write(key, Some(rec), None);
         }
         for (key, rec) in &prim.inserts {
-            self.record_write(key, None, Some(rec));
+            st.record_write(key, None, Some(rec));
         }
         Ok(result)
     }
@@ -947,11 +870,12 @@ impl RecordStore for StagingStore<'_> {
 
 impl StateMachine for TafShard {
     fn apply(&self, index: u64, cmd: &[u8]) -> Vec<u8> {
+        let mut st = self.state.write();
         let resp = match ShardCmd::from_bytes(cmd) {
-            Ok(cmd) => self.apply_cmd(cmd),
+            Ok(cmd) => self.apply_locked(&mut st, cmd),
             Err(e) => TafResponse::Err(FsError::from(e)),
         };
-        self.applied_index.store(index, Ordering::Relaxed);
+        st.applied_index = index;
         resp.to_bytes()
     }
 
@@ -1580,6 +1504,74 @@ mod tests {
         );
         shard.apply(17, &cmd.to_bytes());
         assert_eq!(shard.applied_index(), 17);
+    }
+
+    #[test]
+    fn replicated_readers_see_generations_that_match_the_entries() {
+        // A create bumps the parent's generation and writes its entry in one
+        // command; a reader inside one `read` closure must never see the
+        // one without the other.
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+        let net = cfs_rpc::Network::new(cfs_rpc::NetConfig::default());
+        let group = cfs_raft::RaftGroup::spawn(
+            &net,
+            &[cfs_types::NodeId(770_200)],
+            cfs_raft::RaftConfig::default(),
+            |_| Arc::new(TafShard::new(KvConfig::default()).unwrap()),
+        );
+        let node = group.leader().unwrap();
+        let root = cfs_types::ROOT_INODE;
+        let propose = |cmd: ShardCmd| {
+            let resp = node.propose(cmd.to_bytes()).unwrap();
+            TafResponse::from_bytes(&resp).unwrap()
+        };
+        propose(ShardCmd::Put(
+            Key::attr(root),
+            Record::dir_attr_record(0, Timestamp(1)),
+        ));
+        let (stop, reads) = (AtomicBool::new(false), AtomicU64::new(0));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(SeqCst) {
+                    let (gen, entries, children) = node
+                        .read(|sm| {
+                            let attr = sm.get(&Key::attr(root)).unwrap();
+                            (
+                                sm.gen_of(root.raw()),
+                                sm.scan(root, None, 1 << 20).len(),
+                                attr.children,
+                            )
+                        })
+                        .unwrap();
+                    assert_eq!(
+                        gen, entries as u64,
+                        "generation ahead of or behind the entries"
+                    );
+                    assert_eq!(children, Some(entries as i64));
+                    reads.fetch_add(1, SeqCst);
+                }
+            });
+            for i in 0..200u64 {
+                let prim = Primitive::insert_with_update(
+                    Key::entry(root, format!("f{i}")),
+                    Record::id_record(InodeId(100 + i), FileType::File),
+                    UpdateSpec::new(
+                        Cond::require(Key::attr(root), vec![Pred::TypeIs(FileType::Dir)]),
+                        vec![FieldAssign::Delta {
+                            field: NumField::Children,
+                            delta: 1,
+                        }],
+                    ),
+                );
+                assert!(matches!(
+                    propose(ShardCmd::Execute(prim)),
+                    TafResponse::Executed(_)
+                ));
+            }
+            stop.store(true, SeqCst);
+        });
+        assert!(reads.load(SeqCst) > 0, "the reader ran beside the creates");
+        group.shutdown();
     }
 
     #[test]

@@ -293,6 +293,7 @@ impl EncodeListItem for String {}
 impl EncodeListItem for u64 {}
 impl EncodeListItem for i64 {}
 impl EncodeListItem for u32 {}
+impl<A, B> EncodeListItem for (A, B) {}
 
 impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode(&self, buf: &mut Vec<u8>) {
