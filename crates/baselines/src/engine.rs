@@ -158,7 +158,7 @@ impl MetaEngine {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             match self.taf.request(self.shard_of(kid), req) {
-                Err(FsError::WrongShard(_)) if Instant::now() < deadline => {
+                Ok(TafResponse::Err(FsError::WrongShard(_))) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(2));
                 }
                 other => return other,

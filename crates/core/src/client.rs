@@ -698,10 +698,12 @@ impl FileSystem for CfsClient {
             Cond::require(Key::entry(parent, &name), vec![Pred::IdEq(ino)]),
             Self::parent_update(parent, -1, -1, ts.raw(), ts),
         );
-        self.taf.execute(unlink)?;
+        // The directory is gone whatever the unlink answers (`Conflict`: the
+        // name was re-pointed meanwhile); drop everything cached under it.
+        let unlinked = self.taf.execute(unlink);
         self.cache_forget(parent, &name);
-        // The directory is gone; drop everything cached under it too.
         self.dcache.forget_dir(ino);
+        unlinked?;
         self.quota_release(1, 0);
         Ok(())
     }

@@ -132,7 +132,7 @@ impl GarbageCollector {
         for shard in shards {
             add(Group::Taf(shard), self.taf.pending(shard)?);
         }
-        for node in 0..self.fs.layout().nodes.len() {
+        for node in 0..self.fs.layout().num_nodes() {
             add(Group::Fs(node), self.fs.pending(node)?);
         }
         Ok(merged)
@@ -259,12 +259,20 @@ impl GarbageCollector {
         let Some(rec) = self.taf.get(&entry)?.filter(|r| r.id == Some(ino)) else {
             return Ok(false);
         };
+        self.unlink_guarded(entry, ino, rec.ftype)
+    }
+
+    /// Removes the entry at `entry`, and its share of the parent's counts,
+    /// only if it names `ino` (of type `ftype`); false when it is gone or has
+    /// been re-pointed at another inode since it was read, which leaves
+    /// nothing of `ino`'s to remove.
+    fn unlink_guarded(&self, entry: Key, ino: InodeId, ftype: Option<FileType>) -> FsResult<bool> {
         let parent = entry.kid;
         let mut assigns = vec![FieldAssign::Delta {
             field: NumField::Children,
             delta: -1,
         }];
-        if rec.ftype == Some(FileType::Dir) {
+        if ftype == Some(FileType::Dir) {
             // A child directory holds a link on its parent.
             assigns.push(FieldAssign::Delta {
                 field: NumField::Links,
@@ -280,7 +288,7 @@ impl GarbageCollector {
         );
         match self.taf.execute(prim) {
             Ok(_) => Ok(true),
-            Err(FsError::NotFound) => Ok(false),
+            Err(FsError::NotFound | FsError::Conflict) => Ok(false),
             Err(e) => Err(e),
         }
     }
@@ -317,5 +325,37 @@ impl Drop for GcHandle {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CfsCluster, CfsConfig, FileSystem};
+
+    #[test]
+    fn guarded_unlink_of_a_repointed_entry_removes_nothing() {
+        let c = CfsCluster::start(CfsConfig::test_small()).expect("cluster boot");
+        let fs = c.client();
+        fs.mkdir("/d").unwrap();
+        let live = fs.create("/d/f").unwrap();
+        let entry = Key::entry(fs.lookup("/d").unwrap(), "f");
+        let gc = c.garbage_collector(Duration::from_millis(100));
+        // The collector read the entry naming a dead inode; it has named
+        // `live` since, so the guard fails and nothing is removed.
+        let dead = InodeId(live.raw() + 1_000_000);
+        let started = Instant::now();
+        assert_eq!(
+            gc.unlink_guarded(entry, dead, Some(FileType::File)),
+            Ok(false)
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "a failed guard answers at once, not at the retry deadline: {:?}",
+            started.elapsed()
+        );
+        assert_eq!(fs.getattr("/d/f").unwrap().ino, live);
+        assert_eq!(fs.getattr("/d").unwrap().children, 1);
+        gc.run_once().unwrap();
     }
 }

@@ -22,11 +22,11 @@ fn replicas_of_the_owning_shard_agree_on_applied_primitives() {
     // Each create links its entry with one primitive on the shard that owns
     // the parent directory.
     let map = fs.taf().partition_map();
-    let replicas = map.replicas(map.shard_for(dir));
+    let route = map.route(map.shard_for(dir));
     let group = c
         .taf_groups()
         .into_iter()
-        .find(|g| g.raft().ids() == replicas)
+        .find(|g| g.raft().ids() == route.replicas())
         .expect("owning group");
     let nodes = group.raft().nodes();
     assert_eq!(nodes.len(), 3);

@@ -1,41 +1,48 @@
 //! Client-side access to the hash-partitioned FileStore.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
+use cfs_raft::{Mode, Reply, Route};
 use cfs_rpc::mux::{frame, CH_APP};
 use cfs_rpc::Network;
-use cfs_types::codec::{Decode, Encode};
+use cfs_types::codec::Encode;
 use cfs_types::{Attr, BlockId, FsError, FsResult, InodeId, NodeId, PendingRow, Timestamp};
 
 use crate::api::{FileStoreRequest, FileStoreResponse, SetAttrPatch};
 use crate::placement_hash;
 
-/// Static layout of the FileStore tier: the replica sets of each logical
-/// node plus the shared leader-hint cache (cached in every client —
-/// client-side metadata resolving).
+/// Static layout of the FileStore tier: one [`Route`] per logical node,
+/// shared by all clients of the deployment so one leader discovery serves
+/// everyone (client-side metadata resolving).
 pub struct FileStoreLayout {
-    /// Replica addresses per logical node.
-    pub nodes: Vec<Vec<NodeId>>,
-    /// Cached leader index per logical node, shared by all clients of the
-    /// deployment so one discovery serves everyone.
-    leader_hints: Vec<AtomicU32>,
+    routes: Vec<Route>,
 }
 
 impl FileStoreLayout {
     /// Builds a layout over the given replica sets.
     pub fn new(nodes: Vec<Vec<NodeId>>) -> FileStoreLayout {
-        let leader_hints = nodes.iter().map(|_| AtomicU32::new(0)).collect();
         FileStoreLayout {
-            nodes,
-            leader_hints,
+            routes: nodes.into_iter().map(Route::new).collect(),
         }
+    }
+
+    /// Number of logical nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.routes.len()
     }
 
     /// The logical node owning `ino`'s attributes and blocks.
     pub fn node_for(&self, ino: InodeId) -> usize {
-        (placement_hash(ino) % self.nodes.len() as u64) as usize
+        (placement_hash(ino) % self.routes.len() as u64) as usize
+    }
+}
+
+impl Reply for FileStoreResponse {
+    fn in_band(&self) -> Option<&FsError> {
+        match self {
+            FileStoreResponse::Err(e) => Some(e),
+            _ => None,
+        }
     }
 }
 
@@ -44,18 +51,12 @@ pub struct FileStoreClient {
     net: Arc<Network>,
     me: NodeId,
     layout: Arc<FileStoreLayout>,
-    retry_timeout: Duration,
 }
 
 impl FileStoreClient {
     /// Creates a client identified as `me`.
     pub fn new(net: Arc<Network>, me: NodeId, layout: Arc<FileStoreLayout>) -> FileStoreClient {
-        FileStoreClient {
-            net,
-            me,
-            layout,
-            retry_timeout: Duration::from_secs(10),
-        }
+        FileStoreClient { net, me, layout }
     }
 
     /// The layout (shared with the GC).
@@ -67,46 +68,10 @@ impl FileStoreClient {
         self.request_node(self.layout.node_for(ino), req)
     }
 
-    /// Issues `req` to the leader of logical node `node_idx`, following
-    /// `NotLeader` redirects and rotating over replicas on timeouts.
+    /// Issues `req` to the leader of logical node `node_idx`.
     fn request_node(&self, node_idx: usize, req: &FileStoreRequest) -> FsResult<FileStoreResponse> {
-        let replicas = &self.layout.nodes[node_idx];
-        let hints = &self.layout.leader_hints[node_idx];
         let payload = frame(CH_APP, &req.to_bytes());
-        let deadline = Instant::now() + self.retry_timeout;
-        loop {
-            let hint = hints.load(Ordering::Relaxed) as usize;
-            let target = replicas[hint % replicas.len()];
-            // Back off only when there is no fresh routing information; a
-            // NotLeader redirect with a hint retries immediately.
-            let mut backoff = true;
-            match self.net.call(self.me, target, &payload) {
-                Ok(bytes) => match FileStoreResponse::from_bytes(&bytes)? {
-                    FileStoreResponse::Err(FsError::NotLeader(h)) => {
-                        if let Some(next) = h.and_then(|h| replicas.iter().position(|r| r.0 == h)) {
-                            hints.store(next as u32, Ordering::Relaxed);
-                            backoff = false;
-                        } else {
-                            hints.store(hint as u32 + 1, Ordering::Relaxed);
-                        }
-                    }
-                    FileStoreResponse::Err(e) if e.is_retryable() => {
-                        hints.store(hint as u32 + 1, Ordering::Relaxed);
-                    }
-                    resp => return Ok(resp),
-                },
-                Err(FsError::Timeout) => {
-                    hints.store(hint as u32 + 1, Ordering::Relaxed);
-                }
-                Err(e) => return Err(e),
-            }
-            if Instant::now() >= deadline {
-                return Err(FsError::Timeout);
-            }
-            if backoff {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
+        self.layout.routes[node_idx].call(&self.net, self.me, &payload, Mode::Leader)
     }
 
     /// Writes a file's attribute record.
@@ -227,6 +192,7 @@ mod tests {
     use crate::node::FileStoreNode;
     use cfs_raft::{RaftConfig, ReplicaSet, Replicas};
     use cfs_rpc::NetConfig;
+    use std::time::Duration;
 
     fn fast_raft() -> RaftConfig {
         RaftConfig {

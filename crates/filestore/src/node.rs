@@ -545,7 +545,7 @@ mod tests {
             .position(|n| n.id() != leader.id())
             .unwrap();
         fs.raft().crash_replica(victim);
-        let disk = fs.raft().storage(victim).unwrap();
+        let disk = fs.raft().storage(victim);
         disk.reset_to_snapshot(0, 0, Vec::new()).expect("wipe");
         disk.truncate_from(1);
         for ino in 1..=20u64 {

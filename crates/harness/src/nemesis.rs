@@ -1446,7 +1446,7 @@ mod tests {
         use cfs_types::codec::Encode;
         let cluster = CfsCluster::start(CfsConfig::test_small()).expect("cluster boot");
         let group = &cluster.fs_groups()[0];
-        let disk = group.raft().storage(0).expect("durable replica");
+        let disk = group.raft().storage(0);
         disk.set_extra_sync_latency(Duration::from_secs(5));
         cluster
             .set_disk_budget(group.raft().ids()[0], Some(0))

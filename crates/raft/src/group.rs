@@ -17,66 +17,55 @@ use crate::storage::RaftStorage;
 /// channel mounted; the owning component can mount additional channels
 /// (application RPC handlers) via [`RaftGroup::mux`].
 ///
-/// Groups spawned with [`RaftGroup::spawn_durable`] also support the
-/// crash-restart cycle: [`RaftGroup::crash_replica`] simulates kill −9 (the
-/// node object is dropped; only its [`RaftStorage`] survives, playing the
-/// disk) and [`RaftGroup::restart_replica`] builds a replacement node that
-/// recovers from that storage and rejoins the group.
+/// Every replica writes through to its own [`RaftStorage`], so every group
+/// supports the crash-restart cycle: [`RaftGroup::crash_replica`] simulates
+/// kill −9 (the node object is dropped; only its storage survives, playing
+/// the disk) and [`RaftGroup::restart_replica`] builds a replacement node
+/// that recovers from that storage and rejoins the group.
 pub struct RaftGroup<S: StateMachine> {
     net: Arc<Network>,
     ids: Vec<NodeId>,
     config: RaftConfig,
-    storages: Vec<Option<Arc<RaftStorage>>>,
+    storages: Vec<Arc<RaftStorage>>,
     nodes: RwLock<Vec<Arc<RaftNode<S>>>>,
     muxes: RwLock<Vec<Arc<MuxService>>>,
 }
 
 impl<S: StateMachine> RaftGroup<S> {
     /// Spawns one node per id in `ids`, building each node's state machine
-    /// with `make_sm`. Nodes are memory-only (no durable storage, no
-    /// restart support).
+    /// with `make_sm`, each over a fresh in-memory [`RaftStorage`].
     pub fn spawn(
         net: &Arc<Network>,
         ids: &[NodeId],
         config: RaftConfig,
         make_sm: impl FnMut(usize) -> Arc<S>,
     ) -> RaftGroup<S> {
-        Self::spawn_inner(net, ids, config, make_sm, vec![None; ids.len()])
+        let storages: Vec<_> = ids.iter().map(|_| RaftStorage::new_in_memory()).collect();
+        Self::spawn_durable(net, ids, config, make_sm, &storages)
     }
 
-    /// Like [`RaftGroup::spawn`], but each replica writes through to its own
-    /// [`RaftStorage`] (one per id, in id order), enabling crash-restart.
+    /// Like [`RaftGroup::spawn`], but over the given storages (one per id,
+    /// in id order), which may already hold a replica's state.
     pub fn spawn_durable(
         net: &Arc<Network>,
         ids: &[NodeId],
         config: RaftConfig,
-        make_sm: impl FnMut(usize) -> Arc<S>,
+        mut make_sm: impl FnMut(usize) -> Arc<S>,
         storages: &[Arc<RaftStorage>],
     ) -> RaftGroup<S> {
-        assert_eq!(storages.len(), ids.len(), "one storage per replica");
-        let storages = storages.iter().cloned().map(Some).collect();
-        Self::spawn_inner(net, ids, config, make_sm, storages)
-    }
-
-    fn spawn_inner(
-        net: &Arc<Network>,
-        ids: &[NodeId],
-        config: RaftConfig,
-        mut make_sm: impl FnMut(usize) -> Arc<S>,
-        storages: Vec<Option<Arc<RaftStorage>>>,
-    ) -> RaftGroup<S> {
         assert!(!ids.is_empty(), "a raft group needs at least one node");
+        assert_eq!(storages.len(), ids.len(), "one storage per replica");
         let mut nodes = Vec::new();
         let mut muxes = Vec::new();
         for (i, &id) in ids.iter().enumerate() {
             let peers: Vec<NodeId> = ids.iter().copied().filter(|&p| p != id).collect();
-            let node = RaftNode::spawn_with_storage(
+            let node = RaftNode::spawn(
                 Arc::clone(net),
                 id,
                 peers,
                 make_sm(i),
                 config.clone(),
-                storages[i].clone(),
+                Arc::clone(&storages[i]),
             );
             let mux = MuxService::new();
             mux.mount(CH_RAFT, node.service());
@@ -88,7 +77,7 @@ impl<S: StateMachine> RaftGroup<S> {
             net: Arc::clone(net),
             ids: ids.to_vec(),
             config,
-            storages,
+            storages: storages.to_vec(),
             nodes: RwLock::new(nodes),
             muxes: RwLock::new(muxes),
         }
@@ -110,9 +99,9 @@ impl<S: StateMachine> RaftGroup<S> {
         Arc::clone(&self.muxes.read()[i])
     }
 
-    /// Replica `i`'s durable storage, if the group was spawned durable.
-    pub fn storage(&self, i: usize) -> Option<&Arc<RaftStorage>> {
-        self.storages[i].as_ref()
+    /// Replica `i`'s durable storage.
+    pub fn storage(&self, i: usize) -> &Arc<RaftStorage> {
+        &self.storages[i]
     }
 
     /// Simulates kill −9 of replica `i`: the node is stopped and marked dead
@@ -138,13 +127,13 @@ impl<S: StateMachine> RaftGroup<S> {
     ) -> Arc<RaftNode<S>> {
         let id = self.ids[i];
         let peers: Vec<NodeId> = self.ids.iter().copied().filter(|&p| p != id).collect();
-        let node = RaftNode::spawn_with_storage(
+        let node = RaftNode::spawn(
             Arc::clone(&self.net),
             id,
             peers,
             sm,
             self.config.clone(),
-            self.storages[i].clone(),
+            Arc::clone(&self.storages[i]),
         );
         let mux = MuxService::new();
         mux.mount(CH_RAFT, node.service());
@@ -960,13 +949,13 @@ mod tests {
             ..fast_config()
         };
         let sm = RecorderSm::new();
-        let node = RaftNode::spawn_with_storage(
+        let node = RaftNode::spawn(
             net,
             follower,
             vec![leader],
             Arc::clone(&sm),
             config,
-            Some(storage),
+            storage,
         );
         let msg = RaftMsg::AppendEntries {
             term: 2,

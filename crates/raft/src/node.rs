@@ -116,9 +116,6 @@ struct NodeState {
     snap_index: u64,
     /// Term of the entry at `snap_index`.
     snap_term: u64,
-    /// The latest snapshot image, kept in memory so a leader can stream
-    /// InstallSnapshot to a lagging or fresh peer without re-serializing.
-    snap_data: Vec<u8>,
     commit: u64,
     applied: u64,
     votes: HashSet<NodeId>,
@@ -164,9 +161,9 @@ pub struct RaftNode<S: StateMachine> {
     applied_cv: Condvar,
     config: RaftConfig,
     obs: Obs,
-    /// Durable state written through before replies are sent; `None` runs the
-    /// node memory-only (state dies with it, as before storage existed).
-    storage: Option<Arc<RaftStorage>>,
+    /// Durable state written through before replies are sent. It also holds
+    /// the latest snapshot image, which the leader streams from there.
+    storage: Arc<RaftStorage>,
     /// Set while the replica's durable writes are failing (disk full, torn
     /// write, wedged device). A degraded replica keeps serving reads and
     /// keeps its role, but proposals fail with the storage error until the
@@ -224,21 +221,11 @@ impl Obs {
 }
 
 impl<S: StateMachine> RaftNode<S> {
-    /// Creates the node and starts its background pump thread.
+    /// Creates the node over `storage` and starts its background pump
+    /// thread.
     ///
     /// `peers` must not contain `id`. A node with no peers becomes leader
     /// immediately (single-replica group).
-    pub fn spawn(
-        net: Arc<Network>,
-        id: NodeId,
-        peers: Vec<NodeId>,
-        sm: Arc<S>,
-        config: RaftConfig,
-    ) -> Arc<RaftNode<S>> {
-        Self::spawn_with_storage(net, id, peers, sm, config, None)
-    }
-
-    /// Like [`RaftNode::spawn`], but backed by durable storage.
     ///
     /// Every log append, term/vote change, and snapshot is written through to
     /// `storage` before the corresponding reply leaves the node. At spawn the
@@ -248,35 +235,26 @@ impl<S: StateMachine> RaftNode<S> {
     /// entries past it are re-learned from the group (or, for a single-node
     /// group, re-applied immediately, which is safe because every persisted
     /// entry of a single-node group is committed).
-    pub fn spawn_with_storage(
+    pub fn spawn(
         net: Arc<Network>,
         id: NodeId,
         peers: Vec<NodeId>,
         sm: Arc<S>,
         config: RaftConfig,
-        storage: Option<Arc<RaftStorage>>,
+        storage: Arc<RaftStorage>,
     ) -> Arc<RaftNode<S>> {
         assert!(!peers.contains(&id), "peer list must exclude self");
         let single = peers.is_empty();
         let now = Instant::now();
-        let (mut term, mut voted_for) = (u64::from(single), None);
-        let (mut log, mut snap_index, mut snap_term, mut snap_data) =
-            (Vec::new(), 0, 0, Vec::new());
-        if let Some(storage) = &storage {
-            let rec = storage.recover();
-            term = rec.hard.term.max(term);
-            voted_for = rec.hard.voted_for;
-            if let Some(snap) = rec.snapshot {
-                if snap.index > 0 {
-                    // Restore before any apply so replayed entries land on
-                    // the state the snapshot captured.
-                    sm.restore(&snap.data);
-                    snap_index = snap.index;
-                    snap_term = snap.term;
-                    snap_data = snap.data;
-                }
-            }
-            log = rec.entries;
+        let rec = storage.recover();
+        let term = rec.hard.term.max(u64::from(single));
+        let (mut snap_index, mut snap_term) = (0, 0);
+        if let Some(snap) = rec.snapshot.filter(|s| s.index > 0) {
+            // Restore before any apply so replayed entries land on the state
+            // the snapshot captured.
+            sm.restore(&snap.data);
+            snap_index = snap.index;
+            snap_term = snap.term;
         }
         let node = Arc::new(RaftNode {
             id,
@@ -286,11 +264,10 @@ impl<S: StateMachine> RaftNode<S> {
             st: Mutex::new(NodeState {
                 role: if single { Role::Leader } else { Role::Follower },
                 term,
-                voted_for,
-                log,
+                voted_for: rec.hard.voted_for,
+                log: rec.entries,
                 snap_index,
                 snap_term,
-                snap_data,
                 commit: snap_index,
                 applied: snap_index,
                 votes: HashSet::new(),
@@ -385,9 +362,9 @@ impl<S: StateMachine> RaftNode<S> {
         self.st.lock().applied
     }
 
-    /// The durable storage backing this node, if any.
-    pub fn storage(&self) -> Option<&Arc<RaftStorage>> {
-        self.storage.as_ref()
+    /// The durable storage backing this node.
+    pub fn storage(&self) -> &Arc<RaftStorage> {
+        &self.storage
     }
 
     /// How far apply trails commit (also the `raft_apply_lag` gauge).
@@ -438,19 +415,17 @@ impl<S: StateMachine> RaftNode<S> {
             let entry = LogEntry { term, cmd };
             st.log.push(entry.clone());
             let index = last_index(&st);
-            if let Some(storage) = &self.storage {
-                if let Err(e) = storage.append(index, &[entry]) {
-                    // Graceful ENOSPC degradation: the entry was never made
-                    // durable, so it was never replicated — drop it and fail
-                    // the proposal with the (retryable) storage error. The
-                    // node keeps its role and keeps serving reads.
-                    st.log.pop();
-                    self.obs.log_len.set(st.log.len() as i64);
-                    self.mark_storage(true);
-                    return Err(e);
-                }
-                self.mark_storage(false);
+            if let Err(e) = self.storage.append(index, &[entry]) {
+                // Graceful ENOSPC degradation: the entry was never made
+                // durable, so it was never replicated — drop it and fail the
+                // proposal with the (retryable) storage error. The node keeps
+                // its role and keeps serving reads.
+                st.log.pop();
+                self.obs.log_len.set(st.log.len() as i64);
+                self.mark_storage(true);
+                return Err(e);
             }
+            self.mark_storage(false);
             st.waiters.insert(index, (term, tx));
             self.obs.log_len.set(st.log.len() as i64);
             self.advance_commit(&mut st);
@@ -628,9 +603,7 @@ impl<S: StateMachine> RaftNode<S> {
     /// RPC response is sent, so calling this anywhere in the handler
     /// suffices).
     fn persist_hard(&self, st: &NodeState) {
-        if let Some(storage) = &self.storage {
-            storage.save_hard_state(st.term, st.voted_for);
-        }
+        self.storage.save_hard_state(st.term, st.voted_for);
     }
 
     fn start_election(&self, st: &mut NodeState, now: Instant) {
@@ -672,16 +645,14 @@ impl<S: StateMachine> RaftNode<S> {
                 cmd: Vec::new(),
             };
             st.log.push(entry.clone());
-            if let Some(storage) = &self.storage {
-                if let Err(_e) = storage.append(last_index(st), &[entry]) {
-                    // Degraded volume: leadership stands, but the no-op
-                    // barrier can't persist. Drop it; commit advances once a
-                    // later append succeeds in this term.
-                    st.log.pop();
-                    self.mark_storage(true);
-                } else {
-                    self.mark_storage(false);
-                }
+            if let Err(_e) = self.storage.append(last_index(st), &[entry]) {
+                // Degraded volume: leadership stands, but the no-op barrier
+                // can't persist. Drop it; commit advances once a later
+                // append succeeds in this term.
+                st.log.pop();
+                self.mark_storage(true);
+            } else {
+                self.mark_storage(false);
             }
             st.next_heartbeat = now;
         }
@@ -736,14 +707,19 @@ impl<S: StateMachine> RaftNode<S> {
         if next <= st.snap_index {
             // The entry the peer needs was compacted away: stream the
             // snapshot instead; append resumes past it on the response.
+            // Compaction and install update the storage's image together
+            // with `snap_index`, so it is the image of exactly that index.
+            let Some(snap) = self.storage.snapshot() else {
+                return;
+            };
             st.sent_to.insert(peer, st.snap_index);
             self.send_one(
                 peer,
                 RaftMsg::InstallSnapshot {
                     term: st.term,
-                    index: st.snap_index,
-                    snap_term: st.snap_term,
-                    data: st.snap_data.clone(),
+                    index: snap.index,
+                    snap_term: snap.term,
+                    data: snap.data.clone(),
                 },
             );
             return;
@@ -987,35 +963,33 @@ impl<S: StateMachine> RaftNode<S> {
                         st.log.push(entry);
                     }
                 }
-                if let Some(storage) = &self.storage {
-                    if !fresh.is_empty() {
-                        // The first fresh entry either extends the tail or
-                        // overwrote a conflict; truncate-then-append covers
-                        // both, and the sync lands before the response.
-                        storage.truncate_from(fresh_from);
-                        if let Err(_e) = storage.append(fresh_from, &fresh) {
-                            // The fresh suffix (or part of it) never became
-                            // durable: roll the in-memory log back to what we
-                            // can honestly ack and nack so the leader backs
-                            // up and retries once the volume heals.
-                            self.mark_storage(true);
-                            let keep = (fresh_from - 1 - st.snap_index) as usize;
-                            st.log.truncate(keep);
-                            self.obs.log_len.set(st.log.len() as i64);
-                            let match_index = fresh_from - 1;
-                            self.follow_commit(&mut st, leader_commit, match_index);
-                            self.send_one(
-                                from,
-                                RaftMsg::AppendResp {
-                                    term: st.term,
-                                    success: false,
-                                    match_index,
-                                },
-                            );
-                            return;
-                        }
-                        self.mark_storage(false);
+                if !fresh.is_empty() {
+                    // The first fresh entry either extends the tail or
+                    // overwrote a conflict; truncate-then-append covers both,
+                    // and the sync lands before the response.
+                    self.storage.truncate_from(fresh_from);
+                    if let Err(_e) = self.storage.append(fresh_from, &fresh) {
+                        // The fresh suffix (or part of it) never became
+                        // durable: roll the in-memory log back to what we can
+                        // honestly ack and nack so the leader backs up and
+                        // retries once the volume heals.
+                        self.mark_storage(true);
+                        let keep = (fresh_from - 1 - st.snap_index) as usize;
+                        st.log.truncate(keep);
+                        self.obs.log_len.set(st.log.len() as i64);
+                        let match_index = fresh_from - 1;
+                        self.follow_commit(&mut st, leader_commit, match_index);
+                        self.send_one(
+                            from,
+                            RaftMsg::AppendResp {
+                                term: st.term,
+                                success: false,
+                                match_index,
+                            },
+                        );
+                        return;
                     }
+                    self.mark_storage(false);
                 }
                 let match_index = idx.max(st.snap_index);
                 self.follow_commit(&mut st, leader_commit, match_index);
@@ -1161,8 +1135,9 @@ impl<S: StateMachine> RaftNode<S> {
                     // sidecar write (disk full / wedged volume) must leave
                     // both the state machine and our ack untouched, so the
                     // leader retries the transfer once the volume heals.
-                    if let Some(storage) = &self.storage {
-                        if let Err(_e) = storage.reset_to_snapshot(index, snap_term, data.clone()) {
+                    let snap = match self.storage.reset_to_snapshot(index, snap_term, data) {
+                        Ok(snap) => snap,
+                        Err(_e) => {
                             self.mark_storage(true);
                             self.send_one(
                                 from,
@@ -1173,15 +1148,15 @@ impl<S: StateMachine> RaftNode<S> {
                             );
                             return;
                         }
-                        self.mark_storage(false);
-                    }
+                    };
+                    self.mark_storage(false);
                     let started = Instant::now();
                     {
                         // Readers that passed their role/applied check but
                         // have not finished their closure must not overlap
                         // the wipe-and-reload; see `sm_gate`.
                         let _gate = self.sm_gate.write();
-                        self.sm.restore(&data);
+                        self.sm.restore(&snap.data);
                     }
                     // The snapshot replaces our entire history: entries past
                     // it (if any) came from an abandoned divergent tail.
@@ -1190,7 +1165,6 @@ impl<S: StateMachine> RaftNode<S> {
                     st.snap_term = snap_term;
                     st.commit = index;
                     st.applied = index;
-                    st.snap_data = data;
                     self.obs
                         .restore_ns
                         .observe(started.elapsed().as_nanos() as u64);
@@ -1340,22 +1314,19 @@ impl<S: StateMachine> RaftNode<S> {
         };
         let applied = st.applied;
         let term = term_at(st, applied);
-        if let Some(storage) = &self.storage {
-            // Persist the sidecar before truncating anything: a failed write
-            // (disk full) skips this compaction attempt entirely — the log
-            // keeps growing until the volume heals, which the next apply
-            // retries, rather than losing the only copy of the prefix.
-            if let Err(_e) = storage.save_snapshot(applied, term, data.clone()) {
-                self.mark_storage(true);
-                return;
-            }
-            self.mark_storage(false);
+        // Persist the sidecar before truncating anything: a failed write
+        // (disk full) skips this compaction attempt entirely — the log keeps
+        // growing until the volume heals, which the next apply retries,
+        // rather than losing the only copy of the prefix.
+        if let Err(_e) = self.storage.save_snapshot(applied, term, data) {
+            self.mark_storage(true);
+            return;
         }
+        self.mark_storage(false);
         let drop_n = (applied - st.snap_index) as usize;
         st.log.drain(..drop_n);
         st.snap_index = applied;
         st.snap_term = term;
-        st.snap_data = data;
         self.obs.truncations.add(1);
         self.obs
             .snapshot_ns

@@ -11,7 +11,6 @@ use cfs_types::{FsResult, NodeId};
 
 use crate::group::RaftGroup;
 use crate::node::{RaftConfig, RaftNode, StateMachine};
-use crate::storage::RaftStorage;
 
 /// What a tier supplies to run on a [`ReplicaSet`]: its state machine and
 /// the services it serves on each replica.
@@ -25,23 +24,21 @@ pub trait Hosted: StateMachine + Sized {
 }
 
 /// One replicated group of a tier: a [`RaftGroup`] of `S` replicas, each
-/// writing through to its own in-memory [`RaftStorage`] and serving the
-/// tier's services ([`Hosted::mount`]). The storage plays the disk: it
-/// survives a crashed node and rebuilds it.
+/// writing through to its own in-memory storage and serving the tier's
+/// services ([`Hosted::mount`]). The storage plays the disk: it survives a
+/// crashed node and rebuilds it.
 pub struct ReplicaSet<S: Hosted> {
     group: RaftGroup<S>,
-    storages: Vec<Arc<RaftStorage>>,
 }
 
 impl<S: Hosted> ReplicaSet<S> {
     /// Spawns one replica per id in `ids`.
     pub fn spawn(net: &Arc<Network>, ids: &[NodeId], config: RaftConfig) -> ReplicaSet<S> {
-        let storages: Vec<_> = ids.iter().map(|_| RaftStorage::new_in_memory()).collect();
-        let group = RaftGroup::spawn_durable(net, ids, config, |i| S::empty(ids[i]), &storages);
+        let group = RaftGroup::spawn(net, ids, config, |i| S::empty(ids[i]));
         for (i, node) in group.nodes().iter().enumerate() {
             S::mount(node, &group.mux(i));
         }
-        ReplicaSet { group, storages }
+        ReplicaSet { group }
     }
 
     /// The underlying Raft group.
@@ -103,12 +100,12 @@ impl<S: Hosted> Replicas for ReplicaSet<S> {
     }
 
     fn replica_faults(&self, i: usize) -> Arc<cfs_wal::FaultFs> {
-        Arc::clone(self.storages[i].faults())
+        Arc::clone(self.group.storage(i).faults())
     }
 
     fn set_fsync_latency(&self, extra: Duration) {
-        for s in &self.storages {
-            s.set_extra_sync_latency(extra);
+        for i in 0..self.group.ids().len() {
+            self.group.storage(i).set_extra_sync_latency(extra);
         }
     }
 

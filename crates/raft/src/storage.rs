@@ -33,7 +33,8 @@ pub struct HardState {
 }
 
 /// The latest durable snapshot: a state-machine image and the log position
-/// it covers.
+/// it covers. The storage holds the replica's only copy of the image, shared
+/// out by `Arc` to recovery, install and InstallSnapshot streaming.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SnapshotBlob {
     /// Last log index the image covers.
@@ -49,7 +50,7 @@ pub struct Recovered {
     /// Persisted term and vote.
     pub hard: HardState,
     /// Latest snapshot, if one was ever taken.
-    pub snapshot: Option<SnapshotBlob>,
+    pub snapshot: Option<Arc<SnapshotBlob>>,
     /// Log entries after the snapshot, contiguous from
     /// `snapshot.index + 1` (or from 1 without a snapshot).
     pub entries: Vec<LogEntry>,
@@ -59,7 +60,7 @@ pub struct Recovered {
 pub struct RaftStorage {
     wal: Wal,
     hard: Mutex<HardState>,
-    snap: Mutex<Option<SnapshotBlob>>,
+    snap: Mutex<Option<Arc<SnapshotBlob>>>,
 }
 
 impl RaftStorage {
@@ -162,23 +163,31 @@ impl RaftStorage {
     /// caller skips compaction and retries after the next applies.
     pub fn save_snapshot(&self, index: u64, term: u64, data: Vec<u8>) -> FsResult<()> {
         self.charge_snapshot(data.len() as u64)?;
-        *self.snap.lock() = Some(SnapshotBlob { index, term, data });
+        *self.snap.lock() = Some(Arc::new(SnapshotBlob { index, term, data }));
         self.wal.truncate_prefix(index);
         Ok(())
     }
 
     /// Installs a snapshot streamed from the leader: the entire retained log
     /// is discarded (InstallSnapshot replaces the replica's history
-    /// wholesale). On an injected storage fault nothing is installed.
-    pub fn reset_to_snapshot(&self, index: u64, term: u64, data: Vec<u8>) -> FsResult<()> {
+    /// wholesale). Returns the installed snapshot, for the caller to restore
+    /// its state machine from. On an injected storage fault nothing is
+    /// installed.
+    pub fn reset_to_snapshot(
+        &self,
+        index: u64,
+        term: u64,
+        data: Vec<u8>,
+    ) -> FsResult<Arc<SnapshotBlob>> {
         self.charge_snapshot(data.len() as u64)?;
-        *self.snap.lock() = Some(SnapshotBlob { index, term, data });
+        let snap = Arc::new(SnapshotBlob { index, term, data });
+        *self.snap.lock() = Some(Arc::clone(&snap));
         self.wal.reset_to(index);
-        Ok(())
+        Ok(snap)
     }
 
     /// The latest snapshot, if any.
-    pub fn snapshot(&self) -> Option<SnapshotBlob> {
+    pub fn snapshot(&self) -> Option<Arc<SnapshotBlob>> {
         self.snap.lock().clone()
     }
 

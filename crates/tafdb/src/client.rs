@@ -3,9 +3,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cfs_raft::{Mode, Reply, RETRY_TIMEOUT};
 use cfs_rpc::mux::{frame, CH_APP, CH_TXN};
 use cfs_rpc::Network;
-use cfs_types::codec::{Decode, Encode};
+use cfs_types::codec::Encode;
 use cfs_types::{FsError, FsResult, InodeId, Key, NodeId, PendingRow, Record, ShardId};
 
 use crate::api::{DirEntry, Resolved, TafRequest, TafResponse, TxnRequest, TxnResponse};
@@ -38,10 +39,26 @@ pub struct TafDbClient {
     /// Where to fetch newer map versions after a redirect (`None` = static
     /// layout, redirects surface to the caller).
     map_source: Option<Arc<dyn MapSource>>,
-    /// Per-request retry budget for leader discovery.
-    retry_timeout: Duration,
     /// Which replicas serve this client's reads.
     consistency: ReadConsistency,
+}
+
+impl Reply for TafResponse {
+    fn in_band(&self) -> Option<&FsError> {
+        match self {
+            TafResponse::Err(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl Reply for TxnResponse {
+    fn in_band(&self) -> Option<&FsError> {
+        match self {
+            TxnResponse::Err(e) => Some(e),
+            _ => None,
+        }
+    }
 }
 
 impl TafDbClient {
@@ -58,7 +75,6 @@ impl TafDbClient {
             me,
             pmap,
             map_source: None,
-            retry_timeout: Duration::from_secs(10),
             consistency: ReadConsistency::default(),
         }
     }
@@ -114,7 +130,7 @@ impl TafDbClient {
         kid: InodeId,
         op: impl Fn(&Self, ShardId) -> FsResult<T>,
     ) -> FsResult<T> {
-        let deadline = Instant::now() + self.retry_timeout;
+        let deadline = Instant::now() + RETRY_TIMEOUT;
         loop {
             let shard = self.pmap.shard_for(kid);
             match op(self, shard) {
@@ -131,121 +147,39 @@ impl TafDbClient {
         }
     }
 
-    /// Issues `req` to the leader of `shard`, following `NotLeader` redirects
-    /// and rotating over replicas on timeouts.
+    /// Issues `req` to the leader of `shard` ([`Mode::Leader`]). The reply's
+    /// own error, `WrongShard` included, comes back inside it.
     pub fn request(&self, shard: ShardId, req: &TafRequest) -> FsResult<TafResponse> {
         let payload = frame(CH_APP, &req.to_bytes());
-        let deadline = Instant::now() + self.retry_timeout;
-        loop {
-            let target = self.pmap.leader_hint(shard);
-            // Back off only without fresh routing information; redirects
-            // carrying a leader hint retry immediately.
-            let mut backoff = true;
-            match self.net.call(self.me, target, &payload) {
-                Ok(bytes) => match TafResponse::from_bytes(&bytes)? {
-                    TafResponse::Err(FsError::NotLeader(hint)) => match hint {
-                        Some(h) => {
-                            self.pmap.note_leader(shard, NodeId(h));
-                            backoff = false;
-                        }
-                        None => self.pmap.rotate_hint(shard),
-                    },
-                    // A redirect, not a transient fault: surface immediately
-                    // so the caller refreshes its map and re-routes.
-                    TafResponse::Err(FsError::WrongShard(epoch)) => {
-                        return Err(FsError::WrongShard(epoch))
-                    }
-                    TafResponse::Err(e) if e.is_retryable() => {
-                        self.pmap.rotate_hint(shard);
-                    }
-                    resp => {
-                        self.pmap.note_leader(shard, target);
-                        return Ok(resp);
-                    }
-                },
-                Err(FsError::Timeout) => self.pmap.rotate_hint(shard),
-                Err(e) => return Err(e),
-            }
-            if Instant::now() >= deadline {
-                return Err(FsError::Timeout);
-            }
-            if backoff {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
+        self.pmap
+            .route(shard)
+            .call(&self.net, self.me, &payload, Mode::Leader)
     }
 
     /// Issues the read-only `req` to `shard` under the configured
-    /// consistency: `LeaderOnly` follows the leader-discovery path, while
-    /// `ReadIndex` wraps the request and round-robins it over all replicas
-    /// (each replica proves freshness against the leader before answering).
+    /// consistency: `LeaderOnly` goes to the leader, while `ReadIndex` wraps
+    /// the request and round-robins it over all replicas (each replica
+    /// proves freshness against the leader before answering).
     pub fn read_request(&self, shard: ShardId, req: &TafRequest) -> FsResult<TafResponse> {
         match self.consistency {
             ReadConsistency::LeaderOnly => self.request(shard, req),
             ReadConsistency::ReadIndex => {
                 let wrapped = TafRequest::ReadIndex(Box::new(req.clone()));
                 let payload = frame(CH_APP, &wrapped.to_bytes());
-                let deadline = Instant::now() + self.retry_timeout;
-                loop {
-                    let target = self.pmap.read_target(shard);
-                    // A replica that cannot confirm against the leader (no
-                    // leader known, or deposed mid-round) answers NotLeader;
-                    // the round-robin simply moves on to the next replica.
-                    let mut backoff = true;
-                    match self.net.call(self.me, target, &payload) {
-                        Ok(bytes) => match TafResponse::from_bytes(&bytes)? {
-                            TafResponse::Err(FsError::NotLeader(_)) => backoff = false,
-                            TafResponse::Err(FsError::WrongShard(epoch)) => {
-                                return Err(FsError::WrongShard(epoch))
-                            }
-                            TafResponse::Err(e) if e.is_retryable() => {}
-                            resp => return Ok(resp),
-                        },
-                        Err(FsError::Timeout) => {}
-                        Err(e) => return Err(e),
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(FsError::Timeout);
-                    }
-                    if backoff {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                }
+                self.pmap
+                    .route(shard)
+                    .call(&self.net, self.me, &payload, Mode::Spread)
             }
         }
     }
 
-    /// Issues an interactive-transaction request to the leader of `shard`.
+    /// Issues an interactive-transaction request to the leader of `shard`
+    /// ([`Mode::Txn`]: every error but a redirect comes back in the reply).
     pub fn txn_request(&self, shard: ShardId, req: &TxnRequest) -> FsResult<TxnResponse> {
         let payload = frame(CH_TXN, &req.to_bytes());
-        let deadline = Instant::now() + self.retry_timeout;
-        loop {
-            let target = self.pmap.leader_hint(shard);
-            let mut backoff = true;
-            match self.net.call(self.me, target, &payload) {
-                Ok(bytes) => match TxnResponse::from_bytes(&bytes)? {
-                    TxnResponse::Err(FsError::NotLeader(hint)) => match hint {
-                        Some(h) => {
-                            self.pmap.note_leader(shard, NodeId(h));
-                            backoff = false;
-                        }
-                        None => self.pmap.rotate_hint(shard),
-                    },
-                    resp => {
-                        self.pmap.note_leader(shard, target);
-                        return Ok(resp);
-                    }
-                },
-                Err(FsError::Timeout) => self.pmap.rotate_hint(shard),
-                Err(e) => return Err(e),
-            }
-            if Instant::now() >= deadline {
-                return Err(FsError::Timeout);
-            }
-            if backoff {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
+        self.pmap
+            .route(shard)
+            .call(&self.net, self.me, &payload, Mode::Txn)
     }
 
     /// Point read of one record.
@@ -461,6 +395,35 @@ mod tests {
             client.execute(create_prim(ROOT_INODE, "x", 2)).unwrap_err(),
             FsError::AlreadyExists
         );
+        for g in &groups {
+            g.shutdown();
+        }
+    }
+
+    #[test]
+    fn failed_id_check_answers_conflict_at_once() {
+        let (net, groups, client) = boot();
+        client.execute(create_prim(ROOT_INODE, "x", 1)).unwrap();
+        // Unlink "x" only if it names inode 2: it names 1, so the check
+        // fails. Every replica would fail it, so no retry can help.
+        let guarded = Primitive::delete_with_update(
+            Cond::require(Key::entry(ROOT_INODE, "x"), vec![Pred::IdEq(InodeId(2))]),
+            UpdateSpec::new(
+                Cond::require(Key::attr(ROOT_INODE), vec![Pred::TypeIs(FileType::Dir)]),
+                vec![FieldAssign::Delta {
+                    field: NumField::Children,
+                    delta: -1,
+                }],
+            ),
+        );
+        let calls_before = net.stats().snapshot().calls;
+        let started = Instant::now();
+        assert_eq!(client.execute(guarded).unwrap_err(), FsError::Conflict);
+        let took = started.elapsed();
+        let calls = net.stats().snapshot().calls - calls_before;
+        assert!(took < Duration::from_millis(100), "took {took:?}");
+        assert!(calls <= 4, "{calls} calls");
+        assert!(client.get(&Key::entry(ROOT_INODE, "x")).unwrap().is_some());
         for g in &groups {
             g.shutdown();
         }

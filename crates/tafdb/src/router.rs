@@ -17,9 +17,9 @@
 //! spread evenly while each directory's records stay together.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use cfs_raft::Route;
 use cfs_types::codec::{Decode, DecodeError, Encode, EncodeListItem};
 use cfs_types::{FsError, FsResult, InodeId, NodeId, ShardId, VOLUME_SHIFT};
 use parking_lot::RwLock;
@@ -240,24 +240,41 @@ impl MapVersion {
     }
 }
 
-/// The cluster's partition map: a cached [`MapVersion`] plus per-shard leader
-/// hints, behind interior mutability so [`PartitionMap::install`] switches
-/// every holder of the shared `Arc` to the new epoch at once.
+/// The cluster's partition map: a cached [`MapVersion`] plus one [`Route`]
+/// per shard, behind interior mutability so [`PartitionMap::install`]
+/// switches every holder of the shared `Arc` to the new epoch at once.
 pub struct PartitionMap {
     inner: RwLock<Inner>,
 }
 
 struct Inner {
     version: MapVersion,
-    /// Cached leader index per shard id, updated from redirect hints and
-    /// carried across installs.
-    hints: HashMap<ShardId, Arc<AtomicU32>>,
-    /// Round-robin cursor per shard for load-balanced follower reads
-    /// (ReadIndex consistency spreads read traffic over all replicas).
-    read_rr: HashMap<ShardId, Arc<AtomicU32>>,
+    /// How to reach each shard's group; a shard's route (and the leader it
+    /// learned) carries across installs.
+    routes: HashMap<ShardId, Arc<Route>>,
 }
 
 impl Inner {
+    /// Routes for `version`'s shards, reusing `old` ones whose replicas are
+    /// unchanged.
+    fn routes_for(
+        version: &MapVersion,
+        old: &HashMap<ShardId, Arc<Route>>,
+    ) -> HashMap<ShardId, Arc<Route>> {
+        version
+            .shards
+            .iter()
+            .map(|r| {
+                let route = old
+                    .get(&r.info.id)
+                    .filter(|route| route.replicas() == r.info.replicas.as_slice())
+                    .cloned()
+                    .unwrap_or_else(|| Arc::new(Route::new(r.info.replicas.clone())));
+                (r.info.id, route)
+            })
+            .collect()
+    }
+
     fn slot(&self, shard: ShardId) -> &ShardRange {
         self.version
             .shards
@@ -278,22 +295,9 @@ impl PartitionMap {
     /// Builds a map caching `version`.
     pub fn from_version(version: MapVersion) -> PartitionMap {
         version.validate().expect("valid map version");
-        let hints = version
-            .shards
-            .iter()
-            .map(|r| (r.info.id, Arc::new(AtomicU32::new(0))))
-            .collect();
-        let read_rr = version
-            .shards
-            .iter()
-            .map(|r| (r.info.id, Arc::new(AtomicU32::new(0))))
-            .collect();
+        let routes = Inner::routes_for(&version, &HashMap::new());
         PartitionMap {
-            inner: RwLock::new(Inner {
-                version,
-                hints,
-                read_rr,
-            }),
+            inner: RwLock::new(Inner { version, routes }),
         }
     }
 
@@ -308,7 +312,7 @@ impl PartitionMap {
     }
 
     /// Installs `version` if it is newer than the cached one; returns whether
-    /// it was installed. Leader hints of surviving shards are preserved.
+    /// it was installed. Routes of surviving shards are preserved.
     pub fn install(&self, version: MapVersion) -> bool {
         if version.validate().is_err() {
             return false;
@@ -317,33 +321,8 @@ impl PartitionMap {
         if version.epoch <= inner.version.epoch {
             return false;
         }
-        let hints = version
-            .shards
-            .iter()
-            .map(|r| {
-                let hint = inner
-                    .hints
-                    .get(&r.info.id)
-                    .cloned()
-                    .unwrap_or_else(|| Arc::new(AtomicU32::new(0)));
-                (r.info.id, hint)
-            })
-            .collect();
-        let read_rr = version
-            .shards
-            .iter()
-            .map(|r| {
-                let rr = inner
-                    .read_rr
-                    .get(&r.info.id)
-                    .cloned()
-                    .unwrap_or_else(|| Arc::new(AtomicU32::new(0)));
-                (r.info.id, rr)
-            })
-            .collect();
+        inner.routes = Inner::routes_for(&version, &inner.routes);
         inner.version = version;
-        inner.hints = hints;
-        inner.read_rr = read_rr;
         true
     }
 
@@ -366,46 +345,9 @@ impl PartitionMap {
         (slot.start, slot.end)
     }
 
-    /// Replica addresses of `shard`.
-    pub fn replicas(&self, shard: ShardId) -> Vec<NodeId> {
-        self.inner.read().slot(shard).info.replicas.clone()
-    }
-
-    /// The cached most-likely leader of `shard`.
-    pub fn leader_hint(&self, shard: ShardId) -> NodeId {
-        let inner = self.inner.read();
-        let replicas = &inner.slot(shard).info.replicas;
-        let idx = inner.hints[&shard].load(Ordering::Relaxed) as usize;
-        replicas[idx % replicas.len()]
-    }
-
-    /// Records that `node` answered as leader (or was hinted at).
-    pub fn note_leader(&self, shard: ShardId, node: NodeId) {
-        let inner = self.inner.read();
-        if let Some(idx) = inner
-            .slot(shard)
-            .info
-            .replicas
-            .iter()
-            .position(|&r| r == node)
-        {
-            inner.hints[&shard].store(idx as u32, Ordering::Relaxed);
-        }
-    }
-
-    /// Rotates the hint to the next replica (used when the hinted leader does
-    /// not answer).
-    pub fn rotate_hint(&self, shard: ShardId) {
-        self.inner.read().hints[&shard].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The next replica of `shard` in read round-robin order, spreading
-    /// ReadIndex read traffic evenly over the group.
-    pub fn read_target(&self, shard: ShardId) -> NodeId {
-        let inner = self.inner.read();
-        let replicas = &inner.slot(shard).info.replicas;
-        let idx = inner.read_rr[&shard].fetch_add(1, Ordering::Relaxed) as usize;
-        replicas[idx % replicas.len()]
+    /// How to reach `shard`'s group.
+    pub fn route(&self, shard: ShardId) -> Arc<Route> {
+        Arc::clone(&self.inner.read().routes[&shard])
     }
 
     /// All shards, in range order.
@@ -500,35 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn leader_hint_follows_notes() {
-        let m = map(2);
-        assert_eq!(m.leader_hint(ShardId(1)), NodeId(10));
-        m.note_leader(ShardId(1), NodeId(12));
-        assert_eq!(m.leader_hint(ShardId(1)), NodeId(12));
-        m.rotate_hint(ShardId(1));
-        assert_eq!(m.leader_hint(ShardId(1)), NodeId(10));
-    }
-
-    #[test]
-    fn read_target_round_robins_over_replicas() {
-        let m = map(2);
-        let first: Vec<NodeId> = (0..6).map(|_| m.read_target(ShardId(1))).collect();
-        assert_eq!(
-            first,
-            vec![
-                NodeId(10),
-                NodeId(11),
-                NodeId(12),
-                NodeId(10),
-                NodeId(11),
-                NodeId(12)
-            ]
-        );
-        // Rotating reads does not disturb the leader hint.
-        assert_eq!(m.leader_hint(ShardId(1)), NodeId(10));
-    }
-
-    #[test]
     fn split_produces_next_epoch_with_both_halves() {
         let m = map(2);
         let v1 = m.current_version();
@@ -573,9 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn install_preserves_leader_hints_of_surviving_shards() {
+    fn install_preserves_routes_of_surviving_shards() {
         let m = map(2);
-        m.note_leader(ShardId(1), NodeId(12));
+        let before = m.route(ShardId(1));
         let v2 = m
             .current_version()
             .split(
@@ -588,7 +501,8 @@ mod tests {
             )
             .unwrap();
         assert!(m.install(v2));
-        assert_eq!(m.leader_hint(ShardId(1)), NodeId(12));
+        assert!(Arc::ptr_eq(&before, &m.route(ShardId(1))));
+        assert_eq!(m.route(ShardId(2)).replicas(), [NodeId(20)]);
     }
 
     #[test]

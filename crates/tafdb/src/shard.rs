@@ -1551,6 +1551,10 @@ mod tests {
                     reads.fetch_add(1, SeqCst);
                 }
             });
+            // Start the creates only once the reader is running beside them.
+            while reads.load(SeqCst) == 0 {
+                std::thread::yield_now();
+            }
             for i in 0..200u64 {
                 let prim = Primitive::insert_with_update(
                     Key::entry(root, format!("f{i}")),
