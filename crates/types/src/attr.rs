@@ -1,8 +1,8 @@
 //! File and directory attributes as exposed to clients (`stat`-style).
 
-use crate::codec::{Decode, DecodeError, Encode};
 use crate::id::InodeId;
 use crate::time::Timestamp;
+use crate::wire;
 
 /// The type of an inode.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -15,26 +15,7 @@ pub enum FileType {
     Symlink,
 }
 
-impl Encode for FileType {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            FileType::File => 0,
-            FileType::Dir => 1,
-            FileType::Symlink => 2,
-        });
-    }
-}
-
-impl Decode for FileType {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(FileType::File),
-            1 => Ok(FileType::Dir),
-            2 => Ok(FileType::Symlink),
-            t => Err(DecodeError::InvalidTag(t)),
-        }
-    }
-}
+wire!(enum FileType { 0 => File, 1 => Dir, 2 => Symlink });
 
 /// A full attribute snapshot of an inode, the result of `getattr`.
 ///
@@ -143,47 +124,26 @@ impl Attr {
     }
 }
 
-impl Encode for Attr {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.ino.encode(buf);
-        self.ftype.encode(buf);
-        self.links.encode(buf);
-        self.children.encode(buf);
-        self.size.encode(buf);
-        self.mtime.encode(buf);
-        self.ctime.encode(buf);
-        self.atime.encode(buf);
-        self.mode.encode(buf);
-        self.uid.encode(buf);
-        self.gid.encode(buf);
-        self.symlink_target.encode(buf);
-        self.lww_ts.encode(buf);
-    }
-}
-
-impl Decode for Attr {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Attr {
-            ino: InodeId::decode(input)?,
-            ftype: FileType::decode(input)?,
-            links: u64::decode(input)?,
-            children: u64::decode(input)?,
-            size: u64::decode(input)?,
-            mtime: u64::decode(input)?,
-            ctime: u64::decode(input)?,
-            atime: u64::decode(input)?,
-            mode: u32::decode(input)?,
-            uid: u32::decode(input)?,
-            gid: u32::decode(input)?,
-            symlink_target: Option::<String>::decode(input)?,
-            lww_ts: Timestamp::decode(input)?,
-        })
-    }
-}
+wire!(struct Attr {
+    ino,
+    ftype,
+    links,
+    children,
+    size,
+    mtime,
+    ctime,
+    atime,
+    mode,
+    uid,
+    gid,
+    symlink_target,
+    lww_ts,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{Decode, Encode};
 
     #[test]
     fn new_file_defaults() {

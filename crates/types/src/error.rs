@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use crate::codec::{Decode, DecodeError, Encode};
+use crate::codec::DecodeError;
+use crate::wire;
 
 /// Result alias used throughout the CFS crates.
 pub type FsResult<T> = Result<T, FsError>;
@@ -67,29 +68,6 @@ impl FsError {
                 | FsError::WrongShard(_)
                 | FsError::NoSpace
         )
-    }
-
-    /// Numeric code used on the wire.
-    fn tag(&self) -> u8 {
-        match self {
-            FsError::NotFound => 0,
-            FsError::AlreadyExists => 1,
-            FsError::NotDir => 2,
-            FsError::IsDir => 3,
-            FsError::NotEmpty => 4,
-            FsError::Invalid(_) => 5,
-            FsError::Loop => 6,
-            FsError::Busy => 7,
-            FsError::Conflict => 8,
-            FsError::Timeout => 9,
-            FsError::NoSpace => 10,
-            FsError::Io(_) => 11,
-            FsError::Corrupted(_) => 12,
-            FsError::NotLeader(_) => 13,
-            FsError::Unsupported(_) => 14,
-            FsError::WrongShard(_) => 15,
-            FsError::QuotaExceeded => 16,
-        }
     }
 }
 
@@ -185,51 +163,30 @@ impl From<std::io::Error> for FsError {
     }
 }
 
-impl Encode for FsError {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(self.tag());
-        match self {
-            FsError::Invalid(d)
-            | FsError::Io(d)
-            | FsError::Corrupted(d)
-            | FsError::Unsupported(d) => d.clone().encode(buf),
-            FsError::NotLeader(hint) => hint.encode(buf),
-            FsError::WrongShard(epoch) => epoch.encode(buf),
-            _ => {}
-        }
-    }
-}
-
-impl Decode for FsError {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let tag = u8::decode(input)?;
-        Ok(match tag {
-            0 => FsError::NotFound,
-            1 => FsError::AlreadyExists,
-            2 => FsError::NotDir,
-            3 => FsError::IsDir,
-            4 => FsError::NotEmpty,
-            5 => FsError::Invalid(String::decode(input)?),
-            6 => FsError::Loop,
-            7 => FsError::Busy,
-            8 => FsError::Conflict,
-            9 => FsError::Timeout,
-            10 => FsError::NoSpace,
-            11 => FsError::Io(String::decode(input)?),
-            12 => FsError::Corrupted(String::decode(input)?),
-            13 => FsError::NotLeader(Option::<u32>::decode(input)?),
-            14 => FsError::Unsupported(String::decode(input)?),
-            15 => FsError::WrongShard(u64::decode(input)?),
-            16 => FsError::QuotaExceeded,
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum FsError {
+    0 => NotFound,
+    1 => AlreadyExists,
+    2 => NotDir,
+    3 => IsDir,
+    4 => NotEmpty,
+    5 => Invalid(detail),
+    6 => Loop,
+    7 => Busy,
+    8 => Conflict,
+    9 => Timeout,
+    10 => NoSpace,
+    11 => Io(detail),
+    12 => Corrupted(detail),
+    13 => NotLeader(hint),
+    14 => Unsupported(detail),
+    15 => WrongShard(epoch),
+    16 => QuotaExceeded,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Decode;
+    use crate::codec::{Decode, Encode};
 
     #[test]
     fn retryability_classification() {

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::codec::{Decode, DecodeError, Encode, EncodeListItem};
+use crate::wire;
 
 /// Identifier of a file or directory inode.
 ///
@@ -71,17 +71,7 @@ impl fmt::Display for VolumeId {
     }
 }
 
-impl Encode for VolumeId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-}
-
-impl Decode for VolumeId {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(VolumeId(u16::decode(input)?))
-    }
-}
+wire!(struct VolumeId(raw));
 
 impl InodeId {
     /// Returns the raw id value.
@@ -165,63 +155,18 @@ pub struct BlockId {
     pub index: u32,
 }
 
-impl Encode for InodeId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-}
+wire!(struct InodeId(raw));
 
-impl Decode for InodeId {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(InodeId(u64::decode(input)?))
-    }
-}
+wire!(struct NodeId(raw));
 
-impl EncodeListItem for NodeId {}
+wire!(struct ShardId(raw));
 
-impl Encode for NodeId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-}
-
-impl Decode for NodeId {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(NodeId(u32::decode(input)?))
-    }
-}
-
-impl Encode for ShardId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-}
-
-impl Decode for ShardId {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ShardId(u32::decode(input)?))
-    }
-}
-
-impl Encode for BlockId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.ino.encode(buf);
-        self.index.encode(buf);
-    }
-}
-
-impl Decode for BlockId {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(BlockId {
-            ino: InodeId::decode(input)?,
-            index: u32::decode(input)?,
-        })
-    }
-}
+wire!(struct BlockId { ino, index });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{Decode, Encode};
 
     #[test]
     fn root_inode_is_one() {

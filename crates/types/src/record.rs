@@ -17,11 +17,11 @@
 //!   ([`FieldAssign::Set`]).
 
 use crate::attr::{Attr, FileType};
-use crate::codec::{Decode, DecodeError, Encode, EncodeListItem};
 use crate::error::FsError;
 use crate::id::InodeId;
 use crate::key::Key;
 use crate::time::Timestamp;
+use crate::wire;
 
 /// A value governed by last-writer-wins merging.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -48,21 +48,7 @@ impl Lww {
     }
 }
 
-impl Encode for Lww {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.val.encode(buf);
-        self.ts.encode(buf);
-    }
-}
-
-impl Decode for Lww {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Lww {
-            val: u64::decode(input)?,
-            ts: Timestamp::decode(input)?,
-        })
-    }
-}
+wire!(struct Lww { val, ts });
 
 /// Numeric fields mutated via commutative deltas.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -113,61 +99,21 @@ pub enum FieldAssign {
     },
 }
 
-impl EncodeListItem for FieldAssign {}
+wire!(enum NumField { 0 => Links, 1 => Children, 2 => Size });
 
-impl Encode for FieldAssign {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            FieldAssign::Delta { field, delta } => {
-                buf.push(0);
-                buf.push(*field as u8);
-                delta.encode(buf);
-            }
-            FieldAssign::Set { field, value, ts } => {
-                buf.push(1);
-                buf.push(*field as u8);
-                value.encode(buf);
-                ts.encode(buf);
-            }
-        }
-    }
-}
+wire!(enum LwwField {
+    0 => Mtime,
+    1 => Ctime,
+    2 => Atime,
+    3 => Mode,
+    4 => Uid,
+    5 => Gid,
+});
 
-impl Decode for FieldAssign {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => {
-                let field = match u8::decode(input)? {
-                    0 => NumField::Links,
-                    1 => NumField::Children,
-                    2 => NumField::Size,
-                    t => return Err(DecodeError::InvalidTag(t)),
-                };
-                Ok(FieldAssign::Delta {
-                    field,
-                    delta: i64::decode(input)?,
-                })
-            }
-            1 => {
-                let field = match u8::decode(input)? {
-                    0 => LwwField::Mtime,
-                    1 => LwwField::Ctime,
-                    2 => LwwField::Atime,
-                    3 => LwwField::Mode,
-                    4 => LwwField::Uid,
-                    5 => LwwField::Gid,
-                    t => return Err(DecodeError::InvalidTag(t)),
-                };
-                Ok(FieldAssign::Set {
-                    field,
-                    value: u64::decode(input)?,
-                    ts: Timestamp::decode(input)?,
-                })
-            }
-            t => Err(DecodeError::InvalidTag(t)),
-        }
-    }
-}
+wire!(enum FieldAssign {
+    0 => Delta { field, delta },
+    1 => Set { field, value, ts },
+});
 
 /// A predicate evaluated against one record inside a primitive's critical
 /// section (the `WHERE` / condition clauses of paper Table 2 and Figure 8).
@@ -204,55 +150,15 @@ pub enum Pred {
     },
 }
 
-impl EncodeListItem for Pred {}
-
-impl Encode for Pred {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Pred::Exists => buf.push(0),
-            Pred::NotExists => buf.push(1),
-            Pred::TypeIs(t) => {
-                buf.push(2);
-                t.encode(buf);
-            }
-            Pred::ChildrenEq(n) => {
-                buf.push(3);
-                n.encode(buf);
-            }
-            Pred::IdEq(id) => {
-                buf.push(4);
-                id.encode(buf);
-            }
-            Pred::TypeIsNot(t) => {
-                buf.push(5);
-                t.encode(buf);
-            }
-            Pred::QuotaHasRoom { inodes, bytes } => {
-                buf.push(6);
-                inodes.encode(buf);
-                bytes.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for Pred {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => Pred::Exists,
-            1 => Pred::NotExists,
-            2 => Pred::TypeIs(FileType::decode(input)?),
-            3 => Pred::ChildrenEq(i64::decode(input)?),
-            4 => Pred::IdEq(InodeId::decode(input)?),
-            5 => Pred::TypeIsNot(FileType::decode(input)?),
-            6 => Pred::QuotaHasRoom {
-                inodes: i64::decode(input)?,
-                bytes: i64::decode(input)?,
-            },
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum Pred {
+    0 => Exists,
+    1 => NotExists,
+    2 => TypeIs(t),
+    3 => ChildrenEq(n),
+    4 => IdEq(id),
+    5 => TypeIsNot(t),
+    6 => QuotaHasRoom { inodes, bytes },
+});
 
 /// A keyed condition: all `preds` must hold on the record at `key`.
 ///
@@ -289,25 +195,7 @@ impl Cond {
     }
 }
 
-impl EncodeListItem for Cond {}
-
-impl Encode for Cond {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.key.encode(buf);
-        self.preds.encode(buf);
-        self.if_exist.encode(buf);
-    }
-}
-
-impl Decode for Cond {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Cond {
-            key: Key::decode(input)?,
-            preds: Vec::<Pred>::decode(input)?,
-            if_exist: bool::decode(input)?,
-        })
-    }
-}
+wire!(struct Cond { key, preds, if_exist });
 
 /// One row of the `inode_table`: all fields optional, unused fields `None`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -504,53 +392,28 @@ impl Record {
     }
 }
 
-impl EncodeListItem for Record {}
-
-impl Encode for Record {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.ftype.encode(buf);
-        self.links.encode(buf);
-        self.children.encode(buf);
-        self.size.encode(buf);
-        self.mtime.encode(buf);
-        self.ctime.encode(buf);
-        self.atime.encode(buf);
-        self.mode.encode(buf);
-        self.uid.encode(buf);
-        self.gid.encode(buf);
-        self.symlink_target.encode(buf);
-        self.parent.encode(buf);
-        self.inode_limit.encode(buf);
-        self.byte_limit.encode(buf);
-    }
-}
-
-impl Decode for Record {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Record {
-            id: Option::<InodeId>::decode(input)?,
-            ftype: Option::<FileType>::decode(input)?,
-            links: Option::<i64>::decode(input)?,
-            children: Option::<i64>::decode(input)?,
-            size: Option::<i64>::decode(input)?,
-            mtime: Option::<Lww>::decode(input)?,
-            ctime: Option::<Lww>::decode(input)?,
-            atime: Option::<Lww>::decode(input)?,
-            mode: Option::<Lww>::decode(input)?,
-            uid: Option::<Lww>::decode(input)?,
-            gid: Option::<Lww>::decode(input)?,
-            symlink_target: Option::<String>::decode(input)?,
-            parent: Option::<InodeId>::decode(input)?,
-            inode_limit: Option::<i64>::decode(input)?,
-            byte_limit: Option::<i64>::decode(input)?,
-        })
-    }
-}
+wire!(struct Record {
+    id,
+    ftype,
+    links,
+    children,
+    size,
+    mtime,
+    ctime,
+    atime,
+    mode,
+    uid,
+    gid,
+    symlink_target,
+    parent,
+    inode_limit,
+    byte_limit,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{Decode, Encode};
     use proptest::prelude::*;
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::codec::{Decode, DecodeError, Encode};
+use crate::wire;
 
 /// A monotonically increasing logical timestamp (paper §3.2, "a group of time
 /// servers assigning monotonically increasing timestamps to order metadata
@@ -31,17 +31,7 @@ impl fmt::Debug for Timestamp {
     }
 }
 
-impl Encode for Timestamp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-}
-
-impl Decode for Timestamp {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Timestamp(u64::decode(input)?))
-    }
-}
+wire!(struct Timestamp(raw));
 
 /// A process-local monotonic timestamp oracle.
 ///
