@@ -1,7 +1,6 @@
 //! Raft wire messages and log entries.
 
-use cfs_types::codec::{Decode, DecodeError, Encode, EncodeListItem};
-use cfs_types::NodeId;
+use cfs_types::{wire, NodeId};
 
 /// One replicated log entry.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -12,23 +11,7 @@ pub struct LogEntry {
     pub cmd: Vec<u8>,
 }
 
-impl EncodeListItem for LogEntry {}
-
-impl Encode for LogEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.term.encode(buf);
-        self.cmd.encode(buf);
-    }
-}
-
-impl Decode for LogEntry {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(LogEntry {
-            term: u64::decode(input)?,
-            cmd: Vec::<u8>::decode(input)?,
-        })
-    }
-}
+wire!(struct LogEntry { term, cmd });
 
 /// The Raft RPC message set, delivered one-way in both directions.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -135,152 +118,18 @@ pub enum RaftMsg {
     },
 }
 
-impl Encode for RaftMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            RaftMsg::RequestVote {
-                term,
-                last_log_index,
-                last_log_term,
-            } => {
-                buf.push(0);
-                term.encode(buf);
-                last_log_index.encode(buf);
-                last_log_term.encode(buf);
-            }
-            RaftMsg::VoteResp { term, granted } => {
-                buf.push(1);
-                term.encode(buf);
-                granted.encode(buf);
-            }
-            RaftMsg::AppendEntries {
-                term,
-                prev_index,
-                prev_term,
-                entries,
-                leader_commit,
-            } => {
-                buf.push(2);
-                term.encode(buf);
-                prev_index.encode(buf);
-                prev_term.encode(buf);
-                entries.encode(buf);
-                leader_commit.encode(buf);
-            }
-            RaftMsg::AppendResp {
-                term,
-                success,
-                match_index,
-            } => {
-                buf.push(3);
-                term.encode(buf);
-                success.encode(buf);
-                match_index.encode(buf);
-            }
-            RaftMsg::ReadIndexReq { id } => {
-                buf.push(4);
-                id.encode(buf);
-            }
-            RaftMsg::ReadIndexResp {
-                id,
-                index,
-                ok,
-                hint,
-            } => {
-                buf.push(5);
-                id.encode(buf);
-                index.encode(buf);
-                ok.encode(buf);
-                hint.encode(buf);
-            }
-            RaftMsg::ReadIndexHeartbeat { term, round } => {
-                buf.push(6);
-                term.encode(buf);
-                round.encode(buf);
-            }
-            RaftMsg::ReadIndexAck { term, round, ok } => {
-                buf.push(7);
-                term.encode(buf);
-                round.encode(buf);
-                ok.encode(buf);
-            }
-            RaftMsg::InstallSnapshot {
-                term,
-                index,
-                snap_term,
-                data,
-            } => {
-                buf.push(8);
-                term.encode(buf);
-                index.encode(buf);
-                snap_term.encode(buf);
-                data.encode(buf);
-            }
-            RaftMsg::InstallSnapshotResp { term, index } => {
-                buf.push(9);
-                term.encode(buf);
-                index.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for RaftMsg {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => RaftMsg::RequestVote {
-                term: u64::decode(input)?,
-                last_log_index: u64::decode(input)?,
-                last_log_term: u64::decode(input)?,
-            },
-            1 => RaftMsg::VoteResp {
-                term: u64::decode(input)?,
-                granted: bool::decode(input)?,
-            },
-            2 => RaftMsg::AppendEntries {
-                term: u64::decode(input)?,
-                prev_index: u64::decode(input)?,
-                prev_term: u64::decode(input)?,
-                entries: Vec::<LogEntry>::decode(input)?,
-                leader_commit: u64::decode(input)?,
-            },
-            3 => RaftMsg::AppendResp {
-                term: u64::decode(input)?,
-                success: bool::decode(input)?,
-                match_index: u64::decode(input)?,
-            },
-            4 => RaftMsg::ReadIndexReq {
-                id: u64::decode(input)?,
-            },
-            5 => RaftMsg::ReadIndexResp {
-                id: u64::decode(input)?,
-                index: u64::decode(input)?,
-                ok: bool::decode(input)?,
-                hint: Option::<u32>::decode(input)?,
-            },
-            6 => RaftMsg::ReadIndexHeartbeat {
-                term: u64::decode(input)?,
-                round: u64::decode(input)?,
-            },
-            7 => RaftMsg::ReadIndexAck {
-                term: u64::decode(input)?,
-                round: u64::decode(input)?,
-                ok: bool::decode(input)?,
-            },
-            8 => RaftMsg::InstallSnapshot {
-                term: u64::decode(input)?,
-                index: u64::decode(input)?,
-                snap_term: u64::decode(input)?,
-                data: Vec::<u8>::decode(input)?,
-            },
-            9 => RaftMsg::InstallSnapshotResp {
-                term: u64::decode(input)?,
-                index: u64::decode(input)?,
-            },
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum RaftMsg {
+    0 => RequestVote { term, last_log_index, last_log_term },
+    1 => VoteResp { term, granted },
+    2 => AppendEntries { term, prev_index, prev_term, entries, leader_commit },
+    3 => AppendResp { term, success, match_index },
+    4 => ReadIndexReq { id },
+    5 => ReadIndexResp { id, index, ok, hint },
+    6 => ReadIndexHeartbeat { term, round },
+    7 => ReadIndexAck { term, round, ok },
+    8 => InstallSnapshot { term, index, snap_term, data },
+    9 => InstallSnapshotResp { term, index },
+});
 
 /// Envelope: every raft payload on the wire carries the sender explicitly so
 /// handlers do not depend on transport-provided identity.
@@ -292,21 +141,7 @@ pub struct Envelope {
     pub msg: RaftMsg,
 }
 
-impl Encode for Envelope {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.from.encode(buf);
-        self.msg.encode(buf);
-    }
-}
-
-impl Decode for Envelope {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Envelope {
-            from: NodeId::decode(input)?,
-            msg: RaftMsg::decode(input)?,
-        })
-    }
-}
+wire!(struct Envelope { from, msg });
 
 #[cfg(test)]
 mod tests {

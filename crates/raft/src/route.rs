@@ -154,7 +154,7 @@ impl Route {
 mod tests {
     use super::*;
     use cfs_rpc::{NetConfig, Service};
-    use cfs_types::codec::{DecodeError, Encode};
+    use cfs_types::codec::Encode;
     use std::sync::atomic::AtomicU32;
     use std::sync::Arc;
 
@@ -162,28 +162,7 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct TestReply(Option<FsError>);
 
-    impl Encode for TestReply {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            match &self.0 {
-                None => buf.push(0),
-                Some(e) => {
-                    buf.push(1);
-                    e.encode(buf);
-                }
-            }
-        }
-    }
-
-    impl Decode for TestReply {
-        fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-            let (&tag, rest) = input.split_first().ok_or(DecodeError::UnexpectedEof)?;
-            *input = rest;
-            Ok(TestReply(match tag {
-                0 => None,
-                _ => Some(FsError::decode(input)?),
-            }))
-        }
-    }
+    cfs_types::wire!(struct TestReply(err));
 
     impl Reply for TestReply {
         fn in_band(&self) -> Option<&FsError> {
