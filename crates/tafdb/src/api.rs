@@ -2,8 +2,7 @@
 //! transaction-engine requests, and responses.
 
 use cfs_kvstore::WriteOp;
-use cfs_types::codec::{Decode, DecodeError, Encode, EncodeListItem};
-use cfs_types::{FsError, InodeId, Key, PendingRow, Record};
+use cfs_types::{wire, FsError, InodeId, Key, PendingRow, Record};
 
 use crate::primitive::{PrimResult, Primitive};
 
@@ -88,122 +87,21 @@ pub enum TafRequest {
     GcTrim(Vec<PendingRow>),
 }
 
-impl Encode for TafRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            TafRequest::Get(k) => {
-                buf.push(0);
-                k.encode(buf);
-            }
-            TafRequest::Scan { dir, after, limit } => {
-                buf.push(1);
-                dir.encode(buf);
-                after.encode(buf);
-                limit.encode(buf);
-            }
-            TafRequest::Execute(p) => {
-                buf.push(2);
-                p.encode(buf);
-            }
-            TafRequest::Put(k, r) => {
-                buf.push(3);
-                k.encode(buf);
-                r.encode(buf);
-            }
-            TafRequest::Delete(k) => {
-                buf.push(4);
-                k.encode(buf);
-            }
-            // Tag 5 is retired; do not reuse it.
-            TafRequest::MigExport {
-                lo,
-                hi,
-                after,
-                limit,
-            } => {
-                buf.push(6);
-                lo.encode(buf);
-                hi.encode(buf);
-                after.encode(buf);
-                limit.encode(buf);
-            }
-            TafRequest::MigIngest { ops } => {
-                buf.push(7);
-                ops.encode(buf);
-            }
-            TafRequest::SplitPoint { lo, hi } => {
-                buf.push(8);
-                lo.encode(buf);
-                hi.encode(buf);
-            }
-            TafRequest::MigCtl(cmd) => {
-                buf.push(9);
-                cmd.encode(buf);
-            }
-            TafRequest::ResolvePrefix {
-                start,
-                comps,
-                lo,
-                hi,
-            } => {
-                buf.push(10);
-                start.encode(buf);
-                comps.encode(buf);
-                lo.encode(buf);
-                hi.encode(buf);
-            }
-            TafRequest::ReadIndex(inner) => {
-                buf.push(11);
-                inner.encode(buf);
-            }
-            TafRequest::Pending => buf.push(12),
-            TafRequest::GcTrim(rows) => {
-                buf.push(13);
-                rows.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for TafRequest {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => TafRequest::Get(Key::decode(input)?),
-            1 => TafRequest::Scan {
-                dir: InodeId::decode(input)?,
-                after: Option::<String>::decode(input)?,
-                limit: u32::decode(input)?,
-            },
-            2 => TafRequest::Execute(Primitive::decode(input)?),
-            3 => TafRequest::Put(Key::decode(input)?, Record::decode(input)?),
-            4 => TafRequest::Delete(Key::decode(input)?),
-            6 => TafRequest::MigExport {
-                lo: u64::decode(input)?,
-                hi: u64::decode(input)?,
-                after: Option::<Vec<u8>>::decode(input)?,
-                limit: u32::decode(input)?,
-            },
-            7 => TafRequest::MigIngest {
-                ops: Vec::<WriteOp>::decode(input)?,
-            },
-            8 => TafRequest::SplitPoint {
-                lo: u64::decode(input)?,
-                hi: u64::decode(input)?,
-            },
-            9 => TafRequest::MigCtl(ShardCmd::decode(input)?),
-            10 => TafRequest::ResolvePrefix {
-                start: InodeId::decode(input)?,
-                comps: Vec::<String>::decode(input)?,
-                lo: u64::decode(input)?,
-                hi: u64::decode(input)?,
-            },
-            11 => TafRequest::ReadIndex(Box::new(TafRequest::decode(input)?)),
-            12 => TafRequest::Pending,
-            13 => TafRequest::GcTrim(Vec::<PendingRow>::decode(input)?),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum TafRequest {
+    0 => Get(key),
+    1 => Scan { dir, after, limit },
+    2 => Execute(prim),
+    3 => Put(key, record),
+    4 => Delete(key),
+    6 => MigExport { lo, hi, after, limit },
+    7 => MigIngest { ops },
+    8 => SplitPoint { lo, hi },
+    9 => MigCtl(cmd),
+    10 => ResolvePrefix { start, comps, lo, hi },
+    11 => ReadIndex(inner),
+    12 => Pending,
+    13 => GcTrim(rows),
+} retired 5);
 
 /// One scan result entry.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -214,23 +112,7 @@ pub struct DirEntry {
     pub record: Record,
 }
 
-impl EncodeListItem for DirEntry {}
-
-impl Encode for DirEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.name.encode(buf);
-        self.record.encode(buf);
-    }
-}
-
-impl Decode for DirEntry {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(DirEntry {
-            name: String::decode(input)?,
-            record: Record::decode(input)?,
-        })
-    }
-}
+wire!(struct DirEntry { name, record });
 
 /// One resolved component of a [`TafRequest::ResolvePrefix`] walk.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -246,25 +128,7 @@ pub struct ResolveStep {
     pub gen: u64,
 }
 
-impl EncodeListItem for ResolveStep {}
-
-impl Encode for ResolveStep {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.ino.encode(buf);
-        self.ftype.encode(buf);
-        self.gen.encode(buf);
-    }
-}
-
-impl Decode for ResolveStep {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ResolveStep {
-            ino: InodeId::decode(input)?,
-            ftype: cfs_types::FileType::decode(input)?,
-            gen: u64::decode(input)?,
-        })
-    }
-}
+wire!(struct ResolveStep { ino, ftype, gen });
 
 /// How a [`TafRequest::ResolvePrefix`] walk ended.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -287,33 +151,7 @@ pub enum ResolveEnd {
     },
 }
 
-impl Encode for ResolveEnd {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ResolveEnd::Done => buf.push(0),
-            ResolveEnd::Continue => buf.push(1),
-            ResolveEnd::Err { err, gen } => {
-                buf.push(2);
-                err.encode(buf);
-                gen.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for ResolveEnd {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => ResolveEnd::Done,
-            1 => ResolveEnd::Continue,
-            2 => ResolveEnd::Err {
-                err: FsError::decode(input)?,
-                gen: u64::decode(input)?,
-            },
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum ResolveEnd { 0 => Done, 1 => Continue, 2 => Err { err, gen } });
 
 /// Result of a [`TafRequest::ResolvePrefix`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -324,21 +162,7 @@ pub struct Resolved {
     pub end: ResolveEnd,
 }
 
-impl Encode for Resolved {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.steps.encode(buf);
-        self.end.encode(buf);
-    }
-}
-
-impl Decode for Resolved {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Resolved {
-            steps: Vec::<ResolveStep>::decode(input)?,
-            end: ResolveEnd::decode(input)?,
-        })
-    }
-}
+wire!(struct Resolved { steps, end });
 
 /// Responses to [`TafRequest`]s.
 // `Record` is every point read's reply, so its payload stays inline rather
@@ -374,72 +198,18 @@ pub enum TafResponse {
     Pending(Vec<PendingRow>),
 }
 
-impl Encode for TafResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            TafResponse::Record(r) => {
-                buf.push(0);
-                r.encode(buf);
-            }
-            TafResponse::Entries(es) => {
-                buf.push(1);
-                es.encode(buf);
-            }
-            TafResponse::Executed(r) => {
-                buf.push(2);
-                r.encode(buf);
-            }
-            TafResponse::Ok => buf.push(3),
-            // Tag 4 is retired; do not reuse it.
-            TafResponse::Err(e) => {
-                buf.push(5);
-                e.encode(buf);
-            }
-            TafResponse::Exported { ops, done } => {
-                buf.push(6);
-                ops.encode(buf);
-                done.encode(buf);
-            }
-            TafResponse::Tail(ops) => {
-                buf.push(7);
-                ops.encode(buf);
-            }
-            TafResponse::SplitAt(at) => {
-                buf.push(8);
-                at.encode(buf);
-            }
-            TafResponse::Resolved(r) => {
-                buf.push(9);
-                r.encode(buf);
-            }
-            TafResponse::Pending(rows) => {
-                buf.push(10);
-                rows.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for TafResponse {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => TafResponse::Record(Option::<Record>::decode(input)?),
-            1 => TafResponse::Entries(Vec::<DirEntry>::decode(input)?),
-            2 => TafResponse::Executed(PrimResult::decode(input)?),
-            3 => TafResponse::Ok,
-            5 => TafResponse::Err(FsError::decode(input)?),
-            6 => TafResponse::Exported {
-                ops: Vec::<WriteOp>::decode(input)?,
-                done: bool::decode(input)?,
-            },
-            7 => TafResponse::Tail(Vec::<WriteOp>::decode(input)?),
-            8 => TafResponse::SplitAt(Option::<u64>::decode(input)?),
-            9 => TafResponse::Resolved(Resolved::decode(input)?),
-            10 => TafResponse::Pending(Vec::<PendingRow>::decode(input)?),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum TafResponse {
+    0 => Record(record),
+    1 => Entries(entries),
+    2 => Executed(result),
+    3 => Ok,
+    5 => Err(err),
+    6 => Exported { ops, done },
+    7 => Tail(ops),
+    8 => SplitAt(at),
+    9 => Resolved(resolved),
+    10 => Pending(rows),
+} retired 4);
 
 /// Raft-replicated shard commands (the shard state machine's input).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -536,151 +306,23 @@ pub enum ShardCmd {
     GcTrim(Vec<PendingRow>),
 }
 
-fn encode_writes(writes: &[(Key, Option<Record>)], buf: &mut Vec<u8>) {
-    (writes.len() as u64).encode(buf);
-    for (k, r) in writes {
-        k.encode(buf);
-        r.encode(buf);
-    }
-}
-
-fn decode_writes(input: &mut &[u8]) -> Result<Vec<(Key, Option<Record>)>, DecodeError> {
-    let n = u64::decode(input)?;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push((Key::decode(input)?, Option::<Record>::decode(input)?));
-    }
-    Ok(out)
-}
-
-impl Encode for ShardCmd {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ShardCmd::Execute(p) => {
-                buf.push(0);
-                p.encode(buf);
-            }
-            ShardCmd::Put(k, r) => {
-                buf.push(1);
-                k.encode(buf);
-                r.encode(buf);
-            }
-            ShardCmd::Delete(k) => {
-                buf.push(2);
-                k.encode(buf);
-            }
-            ShardCmd::Prepare { txn, writes } => {
-                buf.push(3);
-                txn.encode(buf);
-                encode_writes(writes, buf);
-            }
-            ShardCmd::PreparePrim { txn, prim } => {
-                buf.push(7);
-                txn.encode(buf);
-                prim.encode(buf);
-            }
-            ShardCmd::CommitPrepared { txn } => {
-                buf.push(4);
-                txn.encode(buf);
-            }
-            ShardCmd::Abort { txn } => {
-                buf.push(5);
-                txn.encode(buf);
-            }
-            ShardCmd::CommitWrites { writes } => {
-                buf.push(6);
-                encode_writes(writes, buf);
-            }
-            ShardCmd::MigStart { lo, hi } => {
-                buf.push(8);
-                lo.encode(buf);
-                hi.encode(buf);
-            }
-            ShardCmd::MigFreeze { lo, hi } => {
-                buf.push(9);
-                lo.encode(buf);
-                hi.encode(buf);
-            }
-            ShardCmd::MigFinish { lo, hi, epoch } => {
-                buf.push(10);
-                lo.encode(buf);
-                hi.encode(buf);
-                epoch.encode(buf);
-            }
-            ShardCmd::MigAbort { lo, hi } => {
-                buf.push(11);
-                lo.encode(buf);
-                hi.encode(buf);
-            }
-            ShardCmd::MigIngest { ops } => {
-                buf.push(12);
-                ops.encode(buf);
-            }
-            ShardCmd::MigAccept { lo, hi } => {
-                buf.push(13);
-                lo.encode(buf);
-                hi.encode(buf);
-            }
-            ShardCmd::GcTrim(rows) => {
-                buf.push(14);
-                rows.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for ShardCmd {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => ShardCmd::Execute(Primitive::decode(input)?),
-            1 => ShardCmd::Put(Key::decode(input)?, Record::decode(input)?),
-            2 => ShardCmd::Delete(Key::decode(input)?),
-            3 => ShardCmd::Prepare {
-                txn: u64::decode(input)?,
-                writes: decode_writes(input)?,
-            },
-            4 => ShardCmd::CommitPrepared {
-                txn: u64::decode(input)?,
-            },
-            5 => ShardCmd::Abort {
-                txn: u64::decode(input)?,
-            },
-            6 => ShardCmd::CommitWrites {
-                writes: decode_writes(input)?,
-            },
-            7 => ShardCmd::PreparePrim {
-                txn: u64::decode(input)?,
-                prim: Primitive::decode(input)?,
-            },
-            8 => ShardCmd::MigStart {
-                lo: u64::decode(input)?,
-                hi: u64::decode(input)?,
-            },
-            9 => ShardCmd::MigFreeze {
-                lo: u64::decode(input)?,
-                hi: u64::decode(input)?,
-            },
-            10 => ShardCmd::MigFinish {
-                lo: u64::decode(input)?,
-                hi: u64::decode(input)?,
-                epoch: u64::decode(input)?,
-            },
-            11 => ShardCmd::MigAbort {
-                lo: u64::decode(input)?,
-                hi: u64::decode(input)?,
-            },
-            12 => ShardCmd::MigIngest {
-                ops: Vec::<WriteOp>::decode(input)?,
-            },
-            13 => ShardCmd::MigAccept {
-                lo: u64::decode(input)?,
-                hi: u64::decode(input)?,
-            },
-            14 => ShardCmd::GcTrim(Vec::<PendingRow>::decode(input)?),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum ShardCmd {
+    0 => Execute(prim),
+    1 => Put(key, record),
+    2 => Delete(key),
+    3 => Prepare { txn, writes },
+    4 => CommitPrepared { txn },
+    5 => Abort { txn },
+    6 => CommitWrites { writes },
+    7 => PreparePrim { txn, prim },
+    8 => MigStart { lo, hi },
+    9 => MigFreeze { lo, hi },
+    10 => MigFinish { lo, hi, epoch },
+    11 => MigAbort { lo, hi },
+    12 => MigIngest { ops },
+    13 => MigAccept { lo, hi },
+    14 => GcTrim(rows),
+});
 
 /// Interactive transaction requests served on `CH_TXN` (baseline engines).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -733,79 +375,15 @@ pub enum TxnRequest {
     },
 }
 
-impl Encode for TxnRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            TxnRequest::LockAndRead { txn, key } => {
-                buf.push(0);
-                txn.encode(buf);
-                key.encode(buf);
-            }
-            TxnRequest::Lock { txn, key } => {
-                buf.push(1);
-                txn.encode(buf);
-                key.encode(buf);
-            }
-            TxnRequest::Prepare { txn, writes } => {
-                buf.push(2);
-                txn.encode(buf);
-                encode_writes(writes, buf);
-            }
-            TxnRequest::PreparePrim { txn, prim } => {
-                buf.push(6);
-                txn.encode(buf);
-                prim.encode(buf);
-            }
-            TxnRequest::CommitPrepared { txn } => {
-                buf.push(3);
-                txn.encode(buf);
-            }
-            TxnRequest::Commit { txn, writes } => {
-                buf.push(4);
-                txn.encode(buf);
-                encode_writes(writes, buf);
-            }
-            TxnRequest::Abort { txn } => {
-                buf.push(5);
-                txn.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for TxnRequest {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => TxnRequest::LockAndRead {
-                txn: u64::decode(input)?,
-                key: Key::decode(input)?,
-            },
-            1 => TxnRequest::Lock {
-                txn: u64::decode(input)?,
-                key: Key::decode(input)?,
-            },
-            2 => TxnRequest::Prepare {
-                txn: u64::decode(input)?,
-                writes: decode_writes(input)?,
-            },
-            3 => TxnRequest::CommitPrepared {
-                txn: u64::decode(input)?,
-            },
-            4 => TxnRequest::Commit {
-                txn: u64::decode(input)?,
-                writes: decode_writes(input)?,
-            },
-            5 => TxnRequest::Abort {
-                txn: u64::decode(input)?,
-            },
-            6 => TxnRequest::PreparePrim {
-                txn: u64::decode(input)?,
-                prim: crate::primitive::Primitive::decode(input)?,
-            },
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum TxnRequest {
+    0 => LockAndRead { txn, key },
+    1 => Lock { txn, key },
+    2 => Prepare { txn, writes },
+    3 => CommitPrepared { txn },
+    4 => Commit { txn, writes },
+    5 => Abort { txn },
+    6 => PreparePrim { txn, prim },
+});
 
 /// Responses to [`TxnRequest`]s.
 // `Locked` dominates the wire traffic, so its payload stays inline rather
@@ -821,36 +399,12 @@ pub enum TxnResponse {
     Err(FsError),
 }
 
-impl Encode for TxnResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            TxnResponse::Locked(r) => {
-                buf.push(0);
-                r.encode(buf);
-            }
-            TxnResponse::Ok => buf.push(1),
-            TxnResponse::Err(e) => {
-                buf.push(2);
-                e.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for TxnResponse {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => TxnResponse::Locked(Option::<Record>::decode(input)?),
-            1 => TxnResponse::Ok,
-            2 => TxnResponse::Err(FsError::decode(input)?),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum TxnResponse { 0 => Locked(record), 1 => Ok, 2 => Err(err) });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfs_types::codec::{Decode, Encode};
     use cfs_types::{FileType, PendingEvent, Timestamp};
 
     fn row() -> PendingRow {

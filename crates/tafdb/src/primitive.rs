@@ -21,8 +21,7 @@
 //!
 //! The mutation set is returned as one atomic batch for the shard to commit.
 
-use cfs_types::codec::{Decode, DecodeError, Encode, EncodeListItem};
-use cfs_types::{Cond, FieldAssign, FsError, FsResult, Key, NumField, Record};
+use cfs_types::{wire, Cond, FieldAssign, FsError, FsResult, Key, NumField, Record};
 
 /// The merge-based update clause (`WITH UPDATE ... SET ... WHERE ...`).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -66,42 +65,7 @@ impl UpdateSpec {
     }
 }
 
-impl Encode for UpdateSpec {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.cond.encode(buf);
-        self.assigns.encode(buf);
-        (self.per_deleted.len() as u64).encode(buf);
-        for (f, d) in &self.per_deleted {
-            buf.push(*f as u8);
-            d.encode(buf);
-        }
-        self.set_id.encode(buf);
-    }
-}
-
-impl Decode for UpdateSpec {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let cond = Cond::decode(input)?;
-        let assigns = Vec::<FieldAssign>::decode(input)?;
-        let n = u64::decode(input)?;
-        let mut per_deleted = Vec::new();
-        for _ in 0..n {
-            let f = match u8::decode(input)? {
-                0 => NumField::Links,
-                1 => NumField::Children,
-                2 => NumField::Size,
-                t => return Err(DecodeError::InvalidTag(t)),
-            };
-            per_deleted.push((f, i64::decode(input)?));
-        }
-        Ok(UpdateSpec {
-            cond,
-            assigns,
-            per_deleted,
-            set_id: Option::<cfs_types::InodeId>::decode(input)?,
-        })
-    }
-}
+wire!(struct UpdateSpec { cond, assigns, per_deleted, set_id });
 
 /// One single-shard atomic primitive instance.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -195,37 +159,7 @@ impl Primitive {
     }
 }
 
-impl Encode for Primitive {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.checks.encode(buf);
-        (self.inserts.len() as u64).encode(buf);
-        for (k, r) in &self.inserts {
-            k.encode(buf);
-            r.encode(buf);
-        }
-        self.deletes.encode(buf);
-        self.update.encode(buf);
-        self.quota.encode(buf);
-    }
-}
-
-impl Decode for Primitive {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let checks = Vec::<Cond>::decode(input)?;
-        let n = u64::decode(input)?;
-        let mut inserts = Vec::new();
-        for _ in 0..n {
-            inserts.push((Key::decode(input)?, Record::decode(input)?));
-        }
-        Ok(Primitive {
-            checks,
-            inserts,
-            deletes: Vec::<Cond>::decode(input)?,
-            update: Option::<UpdateSpec>::decode(input)?,
-            quota: Option::<Box<UpdateSpec>>::decode(input)?,
-        })
-    }
-}
+wire!(struct Primitive { checks, inserts, deletes, update, quota });
 
 /// Result of a successfully executed primitive.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -236,28 +170,7 @@ pub struct PrimResult {
     pub deleted: Vec<(Key, Record)>,
 }
 
-impl Encode for PrimResult {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.deleted.len() as u64).encode(buf);
-        for (k, r) in &self.deleted {
-            k.encode(buf);
-            r.encode(buf);
-        }
-    }
-}
-
-impl Decode for PrimResult {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let n = u64::decode(input)?;
-        let mut deleted = Vec::new();
-        for _ in 0..n {
-            deleted.push((Key::decode(input)?, Record::decode(input)?));
-        }
-        Ok(PrimResult { deleted })
-    }
-}
-
-impl EncodeListItem for Primitive {}
+wire!(struct PrimResult { deleted });
 
 /// Read/write access to one shard's slice of the `inode_table`, implemented
 /// by the shard state machine over its kvstore.
@@ -399,6 +312,7 @@ fn check_cond(store: &dyn RecordStore, cond: &Cond) -> FsResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfs_types::codec::{Decode, Encode};
     use cfs_types::{FileType, InodeId, LwwField, Pred, Timestamp};
     use std::collections::BTreeMap;
 

@@ -20,8 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use cfs_raft::Route;
-use cfs_types::codec::{Decode, DecodeError, Encode, EncodeListItem};
-use cfs_types::{FsError, FsResult, InodeId, NodeId, ShardId, VOLUME_SHIFT};
+use cfs_types::{wire, FsError, FsResult, InodeId, NodeId, ShardId, VOLUME_SHIFT};
 use parking_lot::RwLock;
 
 /// Static description of one shard.
@@ -33,23 +32,7 @@ pub struct ShardInfo {
     pub replicas: Vec<NodeId>,
 }
 
-impl EncodeListItem for ShardInfo {}
-
-impl Encode for ShardInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.id.encode(buf);
-        self.replicas.encode(buf);
-    }
-}
-
-impl Decode for ShardInfo {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ShardInfo {
-            id: ShardId::decode(input)?,
-            replicas: Vec::<NodeId>::decode(input)?,
-        })
-    }
-}
+wire!(struct ShardInfo { id, replicas });
 
 /// One shard's slot in a [`MapVersion`]: the shard and the **inclusive** id
 /// range `[start, end]` it owns.
@@ -63,25 +46,7 @@ pub struct ShardRange {
     pub end: u64,
 }
 
-impl EncodeListItem for ShardRange {}
-
-impl Encode for ShardRange {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.info.encode(buf);
-        self.start.encode(buf);
-        self.end.encode(buf);
-    }
-}
-
-impl Decode for ShardRange {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ShardRange {
-            info: ShardInfo::decode(input)?,
-            start: u64::decode(input)?,
-            end: u64::decode(input)?,
-        })
-    }
-}
+wire!(struct ShardRange { info, start, end });
 
 /// An epoch-stamped, wire-encodable shard→range assignment. The unit the
 /// placement driver publishes and clients cache.
@@ -93,21 +58,7 @@ pub struct MapVersion {
     pub shards: Vec<ShardRange>,
 }
 
-impl Encode for MapVersion {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.epoch.encode(buf);
-        self.shards.encode(buf);
-    }
-}
-
-impl Decode for MapVersion {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(MapVersion {
-            epoch: u64::decode(input)?,
-            shards: Vec::<ShardRange>::decode(input)?,
-        })
-    }
-}
+wire!(struct MapVersion { epoch, shards });
 
 impl MapVersion {
     /// Builds the epoch-1 assignment of `shards` equal ranges (the legacy

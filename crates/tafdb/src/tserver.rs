@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use cfs_rpc::mux::{frame, CH_APP};
 use cfs_rpc::{Network, Service};
-use cfs_types::codec::{Decode, DecodeError, Encode};
-use cfs_types::{FsError, FsResult, InodeId, NodeId, Timestamp, VolumeId};
+use cfs_types::codec::{Decode, Encode};
+use cfs_types::{wire, FsError, FsResult, InodeId, NodeId, Timestamp, VolumeId};
 use parking_lot::Mutex;
 
 use crate::router::PartitionMap;
@@ -49,43 +49,11 @@ pub enum TsRequest {
     },
 }
 
-impl Encode for TsRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            TsRequest::Timestamps { count } => {
-                buf.push(0);
-                count.encode(buf);
-            }
-            TsRequest::Ids { count } => {
-                buf.push(1);
-                count.encode(buf);
-            }
-            TsRequest::IdsIn { vol, count } => {
-                buf.push(2);
-                vol.encode(buf);
-                count.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for TsRequest {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => TsRequest::Timestamps {
-                count: u32::decode(input)?,
-            },
-            1 => TsRequest::Ids {
-                count: u32::decode(input)?,
-            },
-            2 => TsRequest::IdsIn {
-                vol: VolumeId::decode(input)?,
-                count: u32::decode(input)?,
-            },
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum TsRequest {
+    0 => Timestamps { count },
+    1 => Ids { count },
+    2 => IdsIn { vol, count },
+});
 
 /// Wire responses of the TS service.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -101,34 +69,7 @@ pub enum TsResponse {
     Ids(Vec<u64>),
 }
 
-impl Encode for TsResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            TsResponse::Timestamps { start, count } => {
-                buf.push(0);
-                start.encode(buf);
-                count.encode(buf);
-            }
-            TsResponse::Ids(ids) => {
-                buf.push(1);
-                ids.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for TsResponse {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => TsResponse::Timestamps {
-                start: u64::decode(input)?,
-                count: u32::decode(input)?,
-            },
-            1 => TsResponse::Ids(Vec::<u64>::decode(input)?),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum TsResponse { 0 => Timestamps { start, count }, 1 => Ids(ids) });
 
 /// The TS service: a single logical oracle (the paper replicates it in a Raft
 /// group; here monotonicity across restarts is provided by
