@@ -1,7 +1,6 @@
 //! Wire protocol of a FileStore node.
 
-use cfs_types::codec::{Decode, DecodeError, Encode};
-use cfs_types::{Attr, BlockId, FsError, InodeId, PendingRow, Timestamp};
+use cfs_types::{wire, Attr, BlockId, FsError, InodeId, PendingRow, Timestamp};
 
 /// A partial attribute update (`setattr`), merged last-writer-wins using the
 /// TS-issued timestamp (paper §4.2's overwrite-attribute rule applied to file
@@ -22,29 +21,7 @@ pub struct SetAttrPatch {
     pub size: Option<u64>,
 }
 
-impl Encode for SetAttrPatch {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.mode.encode(buf);
-        self.uid.encode(buf);
-        self.gid.encode(buf);
-        self.mtime.encode(buf);
-        self.atime.encode(buf);
-        self.size.encode(buf);
-    }
-}
-
-impl Decode for SetAttrPatch {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(SetAttrPatch {
-            mode: Option::<u32>::decode(input)?,
-            uid: Option::<u32>::decode(input)?,
-            gid: Option::<u32>::decode(input)?,
-            mtime: Option::<u64>::decode(input)?,
-            atime: Option::<u64>::decode(input)?,
-            size: Option::<u64>::decode(input)?,
-        })
-    }
-}
+wire!(struct SetAttrPatch { mode, uid, gid, mtime, atime, size });
 
 /// Requests served on a FileStore node's `CH_APP` channel.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -88,86 +65,18 @@ pub enum FileStoreRequest {
     GcTrim(Vec<PendingRow>),
 }
 
-impl Encode for FileStoreRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            FileStoreRequest::PutAttr(a) => {
-                buf.push(0);
-                a.encode(buf);
-            }
-            FileStoreRequest::GetAttr(i) => {
-                buf.push(1);
-                i.encode(buf);
-            }
-            FileStoreRequest::SetAttr { ino, patch, ts } => {
-                buf.push(2);
-                ino.encode(buf);
-                patch.encode(buf);
-                ts.encode(buf);
-            }
-            FileStoreRequest::DeleteAttr(i) => {
-                buf.push(3);
-                i.encode(buf);
-            }
-            FileStoreRequest::WriteBlock {
-                block,
-                offset,
-                data,
-                ts,
-            } => {
-                buf.push(4);
-                block.encode(buf);
-                offset.encode(buf);
-                data.encode(buf);
-                ts.encode(buf);
-            }
-            FileStoreRequest::ReadBlock(b) => {
-                buf.push(5);
-                b.encode(buf);
-            }
-            FileStoreRequest::DeleteBlocks(i) => {
-                buf.push(6);
-                i.encode(buf);
-            }
-            FileStoreRequest::DeleteFile(i) => {
-                buf.push(7);
-                i.encode(buf);
-            }
-            FileStoreRequest::Pending => buf.push(8),
-            FileStoreRequest::GcTrim(rows) => {
-                buf.push(9);
-                rows.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for FileStoreRequest {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => FileStoreRequest::PutAttr(Attr::decode(input)?),
-            1 => FileStoreRequest::GetAttr(InodeId::decode(input)?),
-            2 => FileStoreRequest::SetAttr {
-                ino: InodeId::decode(input)?,
-                patch: SetAttrPatch::decode(input)?,
-                ts: Timestamp::decode(input)?,
-            },
-            3 => FileStoreRequest::DeleteAttr(InodeId::decode(input)?),
-            4 => FileStoreRequest::WriteBlock {
-                block: BlockId::decode(input)?,
-                offset: u64::decode(input)?,
-                data: Vec::<u8>::decode(input)?,
-                ts: Timestamp::decode(input)?,
-            },
-            5 => FileStoreRequest::ReadBlock(BlockId::decode(input)?),
-            6 => FileStoreRequest::DeleteBlocks(InodeId::decode(input)?),
-            7 => FileStoreRequest::DeleteFile(InodeId::decode(input)?),
-            8 => FileStoreRequest::Pending,
-            9 => FileStoreRequest::GcTrim(Vec::<PendingRow>::decode(input)?),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum FileStoreRequest {
+    0 => PutAttr(attr),
+    1 => GetAttr(ino),
+    2 => SetAttr { ino, patch, ts },
+    3 => DeleteAttr(ino),
+    4 => WriteBlock { block, offset, data, ts },
+    5 => ReadBlock(block),
+    6 => DeleteBlocks(ino),
+    7 => DeleteFile(ino),
+    8 => Pending,
+    9 => GcTrim(rows),
+});
 
 /// Responses of a FileStore node.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -184,46 +93,18 @@ pub enum FileStoreResponse {
     Pending(Vec<PendingRow>),
 }
 
-impl Encode for FileStoreResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            FileStoreResponse::Ok => buf.push(0),
-            FileStoreResponse::Attr(a) => {
-                buf.push(1);
-                a.encode(buf);
-            }
-            FileStoreResponse::Block(b) => {
-                buf.push(2);
-                b.encode(buf);
-            }
-            FileStoreResponse::Err(e) => {
-                buf.push(3);
-                e.encode(buf);
-            }
-            FileStoreResponse::Pending(rows) => {
-                buf.push(4);
-                rows.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for FileStoreResponse {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => FileStoreResponse::Ok,
-            1 => FileStoreResponse::Attr(Option::<Attr>::decode(input)?),
-            2 => FileStoreResponse::Block(Option::<Vec<u8>>::decode(input)?),
-            3 => FileStoreResponse::Err(FsError::decode(input)?),
-            4 => FileStoreResponse::Pending(Vec::<PendingRow>::decode(input)?),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum FileStoreResponse {
+    0 => Ok,
+    1 => Attr(attr),
+    2 => Block(data),
+    3 => Err(err),
+    4 => Pending(rows),
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfs_types::codec::{Decode, Encode};
 
     #[test]
     fn request_round_trip() {

@@ -221,12 +221,7 @@ impl FileStoreNode {
     fn encode_image(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         for store in [&self.attrs, &self.blocks] {
-            let entries = store.scan_from(&[], None, usize::MAX);
-            (entries.len() as u64).encode(&mut buf);
-            for (k, v) in &entries {
-                k.encode(&mut buf);
-                v.encode(&mut buf);
-            }
+            store.scan_from(&[], None, usize::MAX).encode(&mut buf);
         }
         self.pending.lock().encode(&mut buf);
         buf
@@ -237,20 +232,17 @@ impl FileStoreNode {
     /// untouched.
     fn restore_image(&self, mut input: &[u8]) -> FsResult<()> {
         let input = &mut input;
-        let mut stores = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let n = u64::decode(input)?;
-            let mut ops = Vec::with_capacity((n as usize).min(1 << 16));
-            for _ in 0..n {
-                let k = Vec::<u8>::decode(input)?;
-                ops.push(WriteOp::Put(k, Vec::<u8>::decode(input)?));
-            }
-            stores.push(ops);
-        }
+        let attrs = Vec::<(Vec<u8>, Vec<u8>)>::decode(input)?;
+        let blocks = Vec::<(Vec<u8>, Vec<u8>)>::decode(input)?;
         let pending = PendingTable::decode(input)?;
-        for (store, ops) in [&self.attrs, &self.blocks].into_iter().zip(stores) {
+        for (store, entries) in [(&self.attrs, attrs), (&self.blocks, blocks)] {
             store.reset();
-            store.write_batch(ops)?;
+            store.write_batch(
+                entries
+                    .into_iter()
+                    .map(|(k, v)| WriteOp::Put(k, v))
+                    .collect(),
+            )?;
         }
         *self.pending.lock() = pending;
         Ok(())
