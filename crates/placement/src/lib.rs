@@ -31,8 +31,8 @@ use cfs_rpc::{MuxService, Network, Service};
 use cfs_tafdb::api::{ShardCmd, TafRequest, TafResponse};
 use cfs_tafdb::router::{MapSource, MapVersion, PartitionMap, ShardInfo};
 use cfs_tafdb::TafDbClient;
-use cfs_types::codec::{Decode, DecodeError, Encode};
-use cfs_types::{FsError, FsResult, NodeId, ShardId};
+use cfs_types::codec::{Decode, Encode};
+use cfs_types::{wire, FsError, FsResult, NodeId, ShardId};
 use parking_lot::Mutex;
 
 /// Entries per `MigExport` page.
@@ -51,27 +51,7 @@ pub enum PlacementRequest {
     },
 }
 
-impl Encode for PlacementRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PlacementRequest::FetchMap { have_epoch } => {
-                buf.push(0);
-                have_epoch.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for PlacementRequest {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => PlacementRequest::FetchMap {
-                have_epoch: u64::decode(input)?,
-            },
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum PlacementRequest { 0 => FetchMap { have_epoch } });
 
 /// Wire responses of the driver node.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -82,30 +62,7 @@ pub enum PlacementResponse {
     Err(FsError),
 }
 
-impl Encode for PlacementResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PlacementResponse::Map(v) => {
-                buf.push(0);
-                v.encode(buf);
-            }
-            PlacementResponse::Err(e) => {
-                buf.push(1);
-                e.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for PlacementResponse {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => PlacementResponse::Map(Option::<MapVersion>::decode(input)?),
-            1 => PlacementResponse::Err(FsError::decode(input)?),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum PlacementResponse { 0 => Map(map), 1 => Err(err) });
 
 /// Outcome of one completed split.
 #[derive(Clone, Copy, Debug)]
