@@ -1,7 +1,6 @@
 //! Wire protocol of the Renamer service.
 
-use cfs_types::codec::{Decode, DecodeError, Encode};
-use cfs_types::{FsError, InodeId};
+use cfs_types::{wire, FsError, InodeId};
 
 /// A normal-path rename request, with the path components already resolved to
 /// parent inode ids by the client library.
@@ -17,25 +16,7 @@ pub struct RenameRequest {
     pub dst_name: String,
 }
 
-impl Encode for RenameRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.src_parent.encode(buf);
-        self.src_name.encode(buf);
-        self.dst_parent.encode(buf);
-        self.dst_name.encode(buf);
-    }
-}
-
-impl Decode for RenameRequest {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(RenameRequest {
-            src_parent: InodeId::decode(input)?,
-            src_name: String::decode(input)?,
-            dst_parent: InodeId::decode(input)?,
-            dst_name: String::decode(input)?,
-        })
-    }
-}
+wire!(struct RenameRequest { src_parent, src_name, dst_parent, dst_name });
 
 /// Response of the Renamer.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -46,31 +27,12 @@ pub enum RenameResponse {
     Err(FsError),
 }
 
-impl Encode for RenameResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            RenameResponse::Ok => buf.push(0),
-            RenameResponse::Err(e) => {
-                buf.push(1);
-                e.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for RenameResponse {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => RenameResponse::Ok,
-            1 => RenameResponse::Err(FsError::decode(input)?),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum RenameResponse { 0 => Ok, 1 => Err(err) });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfs_types::codec::{Decode, Encode};
 
     #[test]
     fn rename_messages_round_trip() {
