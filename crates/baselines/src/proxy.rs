@@ -13,8 +13,8 @@ use cfs_core::{DirEntryInfo, FileSystem};
 use cfs_filestore::SetAttrPatch;
 use cfs_rpc::mux::{frame, CH_APP};
 use cfs_rpc::{Network, Service};
-use cfs_types::codec::{Decode, DecodeError, Encode, EncodeListItem};
-use cfs_types::{Attr, FileType, FsError, FsResult, InodeId, NodeId};
+use cfs_types::codec::{Decode, Encode};
+use cfs_types::{wire, Attr, FileType, FsError, FsResult, InodeId, NodeId};
 
 use crate::engine::MetaEngine;
 
@@ -71,100 +71,21 @@ impl ProxyRequest {
     }
 }
 
-impl Encode for ProxyRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ProxyRequest::Create(p) => {
-                buf.push(0);
-                p.encode(buf);
-            }
-            ProxyRequest::Mkdir(p) => {
-                buf.push(1);
-                p.encode(buf);
-            }
-            ProxyRequest::Unlink(p) => {
-                buf.push(2);
-                p.encode(buf);
-            }
-            ProxyRequest::Rmdir(p) => {
-                buf.push(3);
-                p.encode(buf);
-            }
-            ProxyRequest::Lookup(p) => {
-                buf.push(4);
-                p.encode(buf);
-            }
-            ProxyRequest::Getattr(p) => {
-                buf.push(5);
-                p.encode(buf);
-            }
-            ProxyRequest::Setattr(p, patch) => {
-                buf.push(6);
-                p.encode(buf);
-                patch.encode(buf);
-            }
-            ProxyRequest::Readdir(p) => {
-                buf.push(7);
-                p.encode(buf);
-            }
-            ProxyRequest::Rename(a, b) => {
-                buf.push(8);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            ProxyRequest::Symlink(a, b) => {
-                buf.push(9);
-                a.encode(buf);
-                b.encode(buf);
-            }
-            ProxyRequest::Readlink(p) => {
-                buf.push(10);
-                p.encode(buf);
-            }
-            ProxyRequest::Write(p, off, data) => {
-                buf.push(11);
-                p.encode(buf);
-                off.encode(buf);
-                data.encode(buf);
-            }
-            ProxyRequest::Read(p, off, len) => {
-                buf.push(12);
-                p.encode(buf);
-                off.encode(buf);
-                len.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for ProxyRequest {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => ProxyRequest::Create(String::decode(input)?),
-            1 => ProxyRequest::Mkdir(String::decode(input)?),
-            2 => ProxyRequest::Unlink(String::decode(input)?),
-            3 => ProxyRequest::Rmdir(String::decode(input)?),
-            4 => ProxyRequest::Lookup(String::decode(input)?),
-            5 => ProxyRequest::Getattr(String::decode(input)?),
-            6 => ProxyRequest::Setattr(String::decode(input)?, SetAttrPatch::decode(input)?),
-            7 => ProxyRequest::Readdir(String::decode(input)?),
-            8 => ProxyRequest::Rename(String::decode(input)?, String::decode(input)?),
-            9 => ProxyRequest::Symlink(String::decode(input)?, String::decode(input)?),
-            10 => ProxyRequest::Readlink(String::decode(input)?),
-            11 => ProxyRequest::Write(
-                String::decode(input)?,
-                u64::decode(input)?,
-                Vec::<u8>::decode(input)?,
-            ),
-            12 => ProxyRequest::Read(
-                String::decode(input)?,
-                u64::decode(input)?,
-                u64::decode(input)?,
-            ),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum ProxyRequest {
+    0 => Create(path),
+    1 => Mkdir(path),
+    2 => Unlink(path),
+    3 => Rmdir(path),
+    4 => Lookup(path),
+    5 => Getattr(path),
+    6 => Setattr(path, patch),
+    7 => Readdir(path),
+    8 => Rename(src, dst),
+    9 => Symlink(target, path),
+    10 => Readlink(path),
+    11 => Write(path, offset, data),
+    12 => Read(path, offset, len),
+});
 
 /// A wire-encodable directory entry.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -177,25 +98,7 @@ pub struct WireEntry {
     pub ftype: FileType,
 }
 
-impl EncodeListItem for WireEntry {}
-
-impl Encode for WireEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.name.encode(buf);
-        self.ino.encode(buf);
-        self.ftype.encode(buf);
-    }
-}
-
-impl Decode for WireEntry {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(WireEntry {
-            name: String::decode(input)?,
-            ino: InodeId::decode(input)?,
-            ftype: FileType::decode(input)?,
-        })
-    }
-}
+wire!(struct WireEntry { name, ino, ftype });
 
 /// Proxy responses.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -216,52 +119,15 @@ pub enum ProxyResponse {
     Err(FsError),
 }
 
-impl Encode for ProxyResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ProxyResponse::Ok => buf.push(0),
-            ProxyResponse::Ino(i) => {
-                buf.push(1);
-                i.encode(buf);
-            }
-            ProxyResponse::Attr(a) => {
-                buf.push(2);
-                a.encode(buf);
-            }
-            ProxyResponse::Entries(es) => {
-                buf.push(3);
-                es.encode(buf);
-            }
-            ProxyResponse::Text(s) => {
-                buf.push(4);
-                s.encode(buf);
-            }
-            ProxyResponse::Data(d) => {
-                buf.push(5);
-                d.encode(buf);
-            }
-            ProxyResponse::Err(e) => {
-                buf.push(6);
-                e.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for ProxyResponse {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(match u8::decode(input)? {
-            0 => ProxyResponse::Ok,
-            1 => ProxyResponse::Ino(InodeId::decode(input)?),
-            2 => ProxyResponse::Attr(Attr::decode(input)?),
-            3 => ProxyResponse::Entries(Vec::<WireEntry>::decode(input)?),
-            4 => ProxyResponse::Text(String::decode(input)?),
-            5 => ProxyResponse::Data(Vec::<u8>::decode(input)?),
-            6 => ProxyResponse::Err(FsError::decode(input)?),
-            t => return Err(DecodeError::InvalidTag(t)),
-        })
-    }
-}
+wire!(enum ProxyResponse {
+    0 => Ok,
+    1 => Ino(ino),
+    2 => Attr(attr),
+    3 => Entries(entries),
+    4 => Text(text),
+    5 => Data(data),
+    6 => Err(err),
+});
 
 /// The proxy service: runs the engine server-side.
 pub struct ProxyService {
