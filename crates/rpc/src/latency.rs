@@ -111,6 +111,7 @@ mod tests {
 
     #[test]
     fn zero_latency_never_waits() {
+        let _turn = crate::test_turn::shared();
         let start = Instant::now();
         for i in 0..1000 {
             SimLatency::ZERO.wait(i);
@@ -120,6 +121,7 @@ mod tests {
 
     #[test]
     fn fixed_latency_waits_at_least_base() {
+        let _turn = crate::test_turn::shared();
         let lat = SimLatency::fixed(Duration::from_micros(200));
         let start = Instant::now();
         lat.wait(1);
@@ -128,6 +130,7 @@ mod tests {
 
     #[test]
     fn the_delay_rule_sleeps_only_outside_the_last_stretch() {
+        let _turn = crate::test_turn::exclusive();
         assert_eq!(sleepable(YIELD_THRESHOLD / 2), None);
         assert_eq!(sleepable(YIELD_THRESHOLD), None);
         assert_eq!(
@@ -152,6 +155,7 @@ mod tests {
 
     #[test]
     fn jitter_stays_within_bounds() {
+        let _turn = crate::test_turn::shared();
         let lat = SimLatency::with_jitter(Duration::from_micros(100), Duration::from_micros(50));
         for i in 0..200 {
             let d = lat.sample(i);
@@ -162,6 +166,7 @@ mod tests {
 
     #[test]
     fn jitter_actually_varies() {
+        let _turn = crate::test_turn::shared();
         let lat = SimLatency::with_jitter(Duration::ZERO, Duration::from_micros(100));
         let samples: std::collections::HashSet<Duration> = (0..64).map(|i| lat.sample(i)).collect();
         assert!(samples.len() > 8, "expected varied jitter, got {samples:?}");

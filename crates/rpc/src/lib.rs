@@ -33,3 +33,24 @@ pub use mux::MuxService;
 pub use network::{seed_from_env, NetConfig, Network, Service};
 pub use rng::SimRng;
 pub use stats::NetStats;
+
+/// Turns for the lib's tests. The punctuality tests time real delays on a
+/// shared machine, so each takes the lock exclusively and runs alone; every
+/// other test holds it shared and runs beside its siblings only.
+#[cfg(test)]
+pub(crate) mod test_turn {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static TURN: RwLock<()> = RwLock::new(());
+
+    /// A turn beside the other shared ones.
+    pub(crate) fn shared() -> RwLockReadGuard<'static, ()> {
+        TURN.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// A turn with every other test of the lib held off.
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        TURN.write()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}

@@ -88,6 +88,7 @@ mod tests {
 
     #[test]
     fn dispatches_by_channel() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig::default());
         let mux = MuxService::new();
         mux.mount(CH_RAFT, Arc::new(Tagger(b'r')));
@@ -105,6 +106,7 @@ mod tests {
 
     #[test]
     fn unknown_channel_returns_empty() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig::default());
         net.register(NodeId(1), MuxService::new());
         let resp = net.call(NodeId(0), NodeId(1), &frame(9, b"z")).unwrap();

@@ -543,6 +543,7 @@ mod tests {
 
     #[test]
     fn call_round_trips_payload() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig::default());
         net.register(NodeId(1), Arc::new(Echo));
         let resp = net.call(NodeId(0), NodeId(1), b"hello").unwrap();
@@ -552,6 +553,7 @@ mod tests {
 
     #[test]
     fn call_to_unknown_node_times_out() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig::default());
         assert_eq!(net.call(NodeId(0), NodeId(9), b"x"), Err(FsError::Timeout));
         assert_eq!(net.stats().snapshot().unreachable, 1);
@@ -559,6 +561,7 @@ mod tests {
 
     #[test]
     fn killed_node_unreachable_until_revived() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig::default());
         net.register(NodeId(1), Arc::new(Echo));
         net.kill(NodeId(1));
@@ -569,6 +572,7 @@ mod tests {
 
     #[test]
     fn partition_blocks_cross_group_traffic() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig::default());
         net.register(NodeId(1), Arc::new(Echo));
         net.register(NodeId(2), Arc::new(Echo));
@@ -581,6 +585,7 @@ mod tests {
 
     #[test]
     fn oneway_messages_are_delivered() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig::default());
         let counter = Arc::new(Counter(AtomicUsize::new(0)));
         net.register(NodeId(5), counter.clone());
@@ -639,6 +644,7 @@ mod tests {
 
     #[test]
     fn oneway_delivery_is_punctual_below_the_yield_threshold() {
+        let _turn = crate::test_turn::exclusive();
         // A 200 µs hop is yield-looped: delivery must not carry the 50–100 µs
         // a timed condvar wait overshoots by. Margin: 50 µs.
         let hop = Duration::from_micros(200);
@@ -653,6 +659,7 @@ mod tests {
 
     #[test]
     fn oneway_delivery_is_punctual_on_the_sleep_branch() {
+        let _turn = crate::test_turn::exclusive();
         // A 2 ms hop is slept until YIELD_THRESHOLD before the deadline and
         // yield-looped from there, so the sleep's overshoot never shows.
         // Margin: 50 µs.
@@ -686,6 +693,7 @@ mod tests {
 
     #[test]
     fn equal_deadline_messages_keep_send_order() {
+        let _turn = crate::test_turn::shared();
         // One worker, so handling order is delivery order.
         let net = Network::new(NetConfig {
             oneway_workers: 1,
@@ -703,6 +711,7 @@ mod tests {
 
     #[test]
     fn message_cut_off_in_flight_is_dropped_at_delivery() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig {
             hop_latency: SimLatency::fixed(Duration::from_millis(20)),
             ..NetConfig::default()
@@ -723,6 +732,7 @@ mod tests {
 
     #[test]
     fn drop_joins_a_spinning_and_a_sleeping_timer_owner() {
+        let _turn = crate::test_turn::shared();
         // Below the yield threshold the timer's owner yield-loops, above it
         // sleeps on its condvar; dropping the network must stop either
         // without waiting the hop out.
@@ -760,6 +770,7 @@ mod tests {
 
     #[test]
     fn last_handle_dropped_on_a_worker_does_not_join_it() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig::default());
         let svc = Arc::new(LastHandle {
             net: Mutex::new(Some(Arc::clone(&net))),
@@ -795,6 +806,7 @@ mod tests {
 
     #[test]
     fn blocked_handler_does_not_stall_other_due_messages() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig {
             hop_latency: SimLatency::fixed(Duration::from_micros(100)),
             oneway_workers: 2,
@@ -824,6 +836,7 @@ mod tests {
 
     #[test]
     fn full_drop_rate_drops_everything() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig {
             drop_rate: 1.0,
             ..NetConfig::default()
@@ -858,6 +871,7 @@ mod tests {
 
     #[test]
     fn drop_decisions_are_a_pure_function_of_the_seed() {
+        let _turn = crate::test_turn::shared();
         let a = drop_pattern(1234, 200);
         let b = drop_pattern(1234, 200);
         assert_eq!(a, b, "same seed must reproduce the same drop pattern");
@@ -872,6 +886,7 @@ mod tests {
 
     #[test]
     fn per_connection_streams_are_isolated() {
+        let _turn = crate::test_turn::shared();
         // Decisions on connection 0→5 must be identical whether or not other
         // connections carry traffic in between.
         let quiet = drop_pattern(7, 50);
@@ -911,6 +926,7 @@ mod tests {
 
     #[test]
     fn trace_envelope_is_transparent_to_handlers_and_counters() {
+        let _turn = crate::test_turn::shared();
         trace::enable();
         let net = Network::new(NetConfig::default());
         net.register(NodeId(7), Arc::new(Echo));
@@ -932,6 +948,7 @@ mod tests {
 
     #[test]
     fn trace_ctx_rides_oneway_messages_across_threads() {
+        let _turn = crate::test_turn::shared();
         trace::enable();
         let net = Network::new(NetConfig::default());
         let counter = Arc::new(Counter(AtomicUsize::new(0)));
@@ -961,6 +978,7 @@ mod tests {
 
     #[test]
     fn concurrent_calls_all_complete() {
+        let _turn = crate::test_turn::shared();
         let net = Network::new(NetConfig::default());
         net.register(NodeId(1), Arc::new(Echo));
         let mut handles = Vec::new();

@@ -88,6 +88,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream() {
+        let _turn = crate::test_turn::shared();
         let mut a = SimRng::from_seed(7);
         let mut b = SimRng::from_seed(7);
         for _ in 0..64 {
@@ -97,6 +98,7 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
+        let _turn = crate::test_turn::shared();
         let a: Vec<u64> = {
             let mut r = SimRng::from_seed(1);
             (0..8).map(|_| r.next_u64()).collect()
@@ -110,6 +112,7 @@ mod tests {
 
     #[test]
     fn split_streams_are_independent_of_draw_order() {
+        let _turn = crate::test_turn::shared();
         let root = SimRng::from_seed(42);
         let mut a1 = root.split(1);
         // Drawing from one child must not affect the other child's stream.
@@ -123,12 +126,14 @@ mod tests {
 
     #[test]
     fn split2_is_order_sensitive() {
+        let _turn = crate::test_turn::shared();
         let root = SimRng::from_seed(9);
         assert_ne!(root.split2(3, 5).next_u64(), root.split2(5, 3).next_u64());
     }
 
     #[test]
     fn nth_is_stateless_and_matches_indexing() {
+        let _turn = crate::test_turn::shared();
         let r = SimRng::from_seed(11);
         let a = r.nth(5);
         let _ = r.nth(9);
@@ -140,6 +145,7 @@ mod tests {
 
     #[test]
     fn chance_extremes() {
+        let _turn = crate::test_turn::shared();
         let mut r = SimRng::from_seed(3);
         assert!(!(0..100).any(|_| r.chance(0.0)));
         assert!((0..100).all(|_| r.chance(1.0)));

@@ -145,6 +145,7 @@ mod tests {
 
     #[test]
     fn snapshot_delta() {
+        let _turn = crate::test_turn::shared();
         let stats = NetStats::default();
         stats.calls.add(10);
         stats.bytes.add(100);
@@ -160,6 +161,7 @@ mod tests {
 
     #[test]
     fn per_class_counters_follow_the_channel_byte() {
+        let _turn = crate::test_turn::shared();
         let stats = NetStats::default();
         stats.count_call_class(&[crate::mux::CH_APP, 1, 2]);
         stats.count_call_class(&[crate::mux::CH_APP]);
@@ -177,6 +179,7 @@ mod tests {
 
     #[test]
     fn registry_is_the_source_of_truth() {
+        let _turn = crate::test_turn::shared();
         let stats = NetStats::default();
         stats.calls.add(3);
         stats.count_call_class(&[crate::mux::CH_APP]);
