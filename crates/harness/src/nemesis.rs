@@ -34,10 +34,10 @@ use std::fmt;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use cfs_core::{CfsCluster, CfsConfig, FileSystem};
+use cfs_core::{CfsClient, CfsCluster, CfsConfig, DirEntryInfo, FileSystem};
 use cfs_filestore::SetAttrPatch;
 use cfs_rpc::SimRng;
-use cfs_types::{FileType, FsError, NodeId, ShardId};
+use cfs_types::{FileType, FsError, NodeId, ShardId, VolumeId};
 
 use crate::model::Model;
 
@@ -46,7 +46,7 @@ pub const NEMESIS_THREADS: usize = 3;
 
 /// Stream labels carving independent [`SimRng`] children out of the seed.
 const LBL_SCHEDULE: u64 = 0x5eed_0001;
-pub(crate) const LBL_WORKLOAD: u64 = 0x5eed_0002;
+const LBL_WORKLOAD: u64 = 0x5eed_0002;
 
 /// Upper bound on oracle candidate states per thread; crossing it means the
 /// history is so fault-riddled the check would be vacuous.
@@ -250,11 +250,6 @@ impl NemesisSchedule {
         }
         NemesisSchedule { windows }
     }
-
-    /// Last fault-revert time, ms from workload start.
-    pub fn end_ms(&self) -> u64 {
-        self.windows.last().map(|w| w.end_ms).unwrap_or(0)
-    }
 }
 
 fn pick_target(
@@ -359,7 +354,7 @@ pub fn generate_ops_under(seed: u64, t: usize, count: usize, base: &str) -> Vec<
         .collect()
 }
 
-pub(crate) fn apply_fs(fs: &impl FileSystem, op: &NemOp) -> Result<(), FsError> {
+fn apply_fs(fs: &impl FileSystem, op: &NemOp) -> Result<(), FsError> {
     match op {
         NemOp::Create(p) => fs.create(p).map(|_| ()),
         NemOp::Mkdir(p) => fs.mkdir(p).map(|_| ()),
@@ -434,20 +429,9 @@ impl fmt::Display for Divergence {
 
 /// Replays one thread's history against the model, forking candidates on
 /// ambiguous results, and checks the observed final subtree against the
-/// surviving candidates.
+/// surviving candidates. Every ancestor of `root` is pre-created in the
+/// model, mirroring the runner's setup mkdirs.
 pub fn check_thread_history(
-    thread: usize,
-    ops: &[NemOp],
-    results: &[Result<(), FsError>],
-    final_subtree: &BTreeMap<String, bool>,
-) -> Result<(), Divergence> {
-    check_thread_history_under(thread, &thread_root(thread), ops, results, final_subtree)
-}
-
-/// Like [`check_thread_history`], but judging a history rooted at an
-/// arbitrary subtree (every ancestor of `root` is pre-created in the model,
-/// mirroring the runner's setup mkdirs).
-pub fn check_thread_history_under(
     thread: usize,
     root: &str,
     ops: &[NemOp],
@@ -661,11 +645,22 @@ impl Default for NemesisOptions {
     }
 }
 
-/// Everything a nemesis run yields.
+/// The seeds one sweep runs: `CFS_NEMESIS_SEEDS` of them (default 20),
+/// starting at `CFS_SIM_SEED` plus the sweep's own `salt`.
+pub fn sweep_seeds(salt: u64) -> std::ops::Range<u64> {
+    let base = cfs_rpc::seed_from_env().wrapping_add(salt);
+    let count: u64 = std::env::var("CFS_NEMESIS_SEEDS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(20);
+    base..base + count
+}
+
+/// Everything a nemesis round yields.
 pub struct NemesisReport {
-    /// The seed the run derived from.
+    /// The seed the round derived from.
     pub seed: u64,
-    /// Per-thread observed results, parallel to `generate_ops(seed, t, ..)`.
+    /// Per-thread observed results, parallel to each thread's op stream.
     pub results: Vec<Vec<Result<(), FsError>>>,
     /// Splits that completed their cutover (≤ `NemesisOptions::splits`; the
     /// rest aborted against a fault window, which is also a valid outcome).
@@ -678,8 +673,9 @@ pub struct NemesisReport {
     pub max_log_len: u64,
     /// First divergence found, if any.
     pub divergence: Option<Divergence>,
-    /// Forensic dump written on divergence: per-node metrics snapshots and
-    /// the trace tree of the diverging operation, alongside the seed.
+    /// Forensic dump written on divergence: the observed results, per-node
+    /// metrics snapshots and the trace tree of the diverging operation,
+    /// alongside the seed.
     pub dump_path: Option<PathBuf>,
     canonical: String,
 }
@@ -697,6 +693,19 @@ impl NemesisReport {
 /// Renders the canonical log for `seed` without running anything (the run's
 /// log must equal this by construction; the determinism test asserts it).
 pub fn canonical_log_for(seed: u64, opts: &NemesisOptions, schedule: &NemesisSchedule) -> String {
+    let ops: Vec<Vec<NemOp>> = (0..NEMESIS_THREADS)
+        .map(|t| generate_ops(seed, t, opts.ops_per_thread))
+        .collect();
+    history_log(seed, schedule, ops.iter().map(Vec::as_slice))
+}
+
+/// The canonical log of one round: its seed, its fault schedule, and every
+/// stream's ops in issue order.
+fn history_log<'a>(
+    seed: u64,
+    schedule: &NemesisSchedule,
+    streams: impl IntoIterator<Item = &'a [NemOp]>,
+) -> String {
     let mut out = String::new();
     out.push_str(&format!("seed={seed}\nschedule:\n"));
     for w in &schedule.windows {
@@ -706,11 +715,8 @@ pub fn canonical_log_for(seed: u64, opts: &NemesisOptions, schedule: &NemesisSch
         ));
     }
     out.push_str("ops:\n");
-    for t in 0..NEMESIS_THREADS {
-        for (i, op) in generate_ops(seed, t, opts.ops_per_thread)
-            .iter()
-            .enumerate()
-        {
+    for (t, ops) in streams.into_iter().enumerate() {
+        for (i, op) in ops.iter().enumerate() {
             out.push_str(&format!("  t{t}#{i} {op}\n"));
         }
     }
@@ -718,8 +724,8 @@ pub fn canonical_log_for(seed: u64, opts: &NemesisOptions, schedule: &NemesisSch
 }
 
 /// Boots a `test_small` cluster seeded with `seed`, drives the seed-derived
-/// workload and fault schedule against it, heals, and runs the divergence
-/// oracle over the surviving history.
+/// workload and fault schedule against it in one [`run_round`], and reports
+/// the round's verdict.
 pub fn run_nemesis(seed: u64, opts: NemesisOptions) -> NemesisReport {
     let mut config = CfsConfig::test_small();
     config.net.seed = seed;
@@ -733,12 +739,6 @@ pub fn run_nemesis(seed: u64, opts: NemesisOptions) -> NemesisReport {
         config.replication,
         &opts,
     );
-    let canonical = canonical_log_for(seed, &opts, &schedule);
-
-    // Record every operation's trace so a divergence can be dumped with the
-    // full client → shard → Raft → FileStore span tree of the failing op.
-    cfs_obs::trace::enable();
-
     let cluster = CfsCluster::start(config.clone()).expect("cluster boot");
 
     // Pre-create the per-thread roots before any fault opens.
@@ -747,88 +747,116 @@ pub fn run_nemesis(seed: u64, opts: NemesisOptions) -> NemesisReport {
     for t in 0..NEMESIS_THREADS {
         setup.mkdir(&thread_root(t)).expect("setup thread root");
     }
-
-    let per_thread_ops: Vec<Vec<NemOp>> = (0..NEMESIS_THREADS)
-        .map(|t| generate_ops(seed, t, opts.ops_per_thread))
+    let streams = (0..NEMESIS_THREADS)
+        .map(|t| Stream {
+            client: cluster.client(),
+            root: thread_root(t),
+            ops: generate_ops(seed, t, opts.ops_per_thread),
+            pace: pace_stream(seed, t),
+        })
         .collect();
-    let pace_rng = SimRng::from_seed(seed).split(LBL_WORKLOAD);
+    run_round(&cluster, seed, &schedule, streams, opts.splits)
+}
 
-    // One workload observation: the op's result plus the trace id of the
-    // root span the client opened for it.
-    type OpOutcome = (Result<(), FsError>, u64);
+/// Workload thread `t`'s pacing stream for `seed`.
+pub(crate) fn pace_stream(seed: u64, t: usize) -> SimRng {
+    SimRng::from_seed(seed)
+        .split(LBL_WORKLOAD)
+        .split(0x70ace)
+        .split(t as u64 + 1)
+}
+
+/// One workload thread of a [`run_round`]: its client, the subtree it owns,
+/// the ops it issues there in order, and the seed-pure stream its pauses
+/// between ops are drawn from.
+pub(crate) struct Stream {
+    pub(crate) client: CfsClient,
+    pub(crate) root: String,
+    pub(crate) ops: Vec<NemOp>,
+    pub(crate) pace: SimRng,
+}
+
+/// One fault round, shared by the nemesis, soak and tenant sweeps. Each
+/// stream runs on its own thread, pausing a seed-pure 4–16 ms before every
+/// op so issuance spreads across the schedule, and `splits` online shard
+/// splits run on one more. This thread walks `schedule`, joins them all,
+/// heals, and judges each stream's history against a walk of its root. A
+/// divergence is dumped to `nemesis_dump_seed_<seed>.txt`.
+///
+/// Nothing can land after the judged walk. Every stream's thread has
+/// joined, and its client with it, whose worker threads join on drop. The
+/// heal then commits a barrier in a single leader's term on every group, so
+/// each earlier proposal is applied on that leader or can never commit. The
+/// oracle's last clause checks that claim: after a second quiesce, a second
+/// walk must read every judged namespace again unchanged.
+pub(crate) fn run_round(
+    cluster: &CfsCluster,
+    seed: u64,
+    schedule: &NemesisSchedule,
+    streams: Vec<Stream>,
+    splits: usize,
+) -> NemesisReport {
+    // Record every operation's trace so a divergence can be dumped with the
+    // full client → shard → Raft → FileStore span tree of the failing op.
+    cfs_obs::trace::enable();
+    let (lanes, crews): (Vec<_>, Vec<_>) = streams
+        .into_iter()
+        .map(|s| ((s.client.volume(), s.root, s.ops), (s.client, s.pace)))
+        .unzip();
+    let canonical = history_log(seed, schedule, lanes.iter().map(|(_, _, ops)| &ops[..]));
 
     let start = Instant::now();
     let (outcomes, splits_ok): (Vec<Vec<OpOutcome>>, usize) = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, ops) in per_thread_ops.iter().enumerate() {
-            let client = cluster.client();
-            // Pacing stream: seed-pure sleep lengths spreading issuance
-            // across the fault schedule.
-            let mut pace = pace_rng.split(0x70ace).split(t as u64 + 1);
-            handles.push(scope.spawn(move || {
-                ops.iter()
-                    .map(|op| {
-                        std::thread::sleep(Duration::from_millis(4 + pace.below(12)));
-                        let r = apply_fs(&client, op);
-                        // The client opened a root span for this op on
-                        // this thread; remember its trace id so a
-                        // divergence can be dumped with the op's tree.
-                        (r, cfs_obs::trace::last_root_trace_id())
-                    })
-                    .collect::<Vec<_>>()
-            }));
-        }
-
+        let workers: Vec<_> = crews
+            .into_iter()
+            .zip(&lanes)
+            .map(|((client, mut pace), (_, _, ops))| {
+                scope.spawn(move || {
+                    ops.iter()
+                        .map(|op| {
+                            std::thread::sleep(Duration::from_millis(4 + pace.below(12)));
+                            let r = apply_fs(&client, op);
+                            // The client opened a root span for this op on
+                            // this thread; remember its trace id so a
+                            // divergence can be dumped with the op's tree.
+                            (r, cfs_obs::trace::last_root_trace_id())
+                        })
+                        .collect()
+                })
+            })
+            .collect();
         // The scale-out nemesis: live splits racing the ops and the fault
         // windows. A split blocked by a fault (donor leader down, drop
         // spike) aborts cleanly; the donor resumes and later redirects
         // nothing — the oracle judges the op history either way.
-        let split_handle = (opts.splits > 0).then(|| {
-            let cluster = &cluster;
-            let taf_shards = config.taf_shards;
-            scope.spawn(move || {
-                let mut ok = 0usize;
-                for s in 0..opts.splits {
+        let splitter = scope.spawn(move || {
+            let taf_shards = cluster.config().taf_shards;
+            (0..splits)
+                .filter(|&s| {
                     sleep_until(start, 100 + s as u64 * 250);
                     let donor = ShardId((s % taf_shards) as u32);
-                    if cluster.split_shard(donor).is_ok() {
-                        ok += 1;
-                    }
-                }
-                ok
-            })
+                    cluster.split_shard(donor).is_ok()
+                })
+                .count()
         });
-
-        // The nemesis itself: walk the schedule on this thread.
         for w in &schedule.windows {
             sleep_until(start, w.start_ms);
-            let active = apply_fault(&cluster, start, w);
+            let active = apply_fault(cluster, start, w);
             sleep_until(start, w.end_ms);
-            revert_fault(&cluster, &active);
+            revert_fault(cluster, &active);
         }
-
-        let outcomes = handles
+        let outcomes = workers
             .into_iter()
             .map(|h| h.join().expect("workload thread"))
             .collect();
-        let splits_ok = split_handle
-            .map(|h| h.join().expect("split thread"))
-            .unwrap_or(0);
-        (outcomes, splits_ok)
+        (outcomes, splitter.join().expect("split thread"))
     });
     let results: Vec<Vec<Result<(), FsError>>> = outcomes
         .iter()
-        .map(|res| res.iter().map(|(r, _)| r.clone()).collect())
-        .collect();
-    let trace_ids: Vec<Vec<u64>> = outcomes
-        .iter()
-        .map(|res| res.iter().map(|(_, tid)| *tid).collect())
+        .map(|o| o.iter().map(|(r, _)| r.clone()).collect())
         .collect();
 
-    // Belt and braces: revert every fault class, then wait for re-election so
-    // the final read runs against a healthy cluster.
-    heal_cluster(&cluster);
-
+    heal_cluster(cluster);
     // The compaction oracle's input: with snapshots on, no replica's log
     // may have grown past the snapshot threshold (plus the entries applied
     // since the last compaction point).
@@ -839,41 +867,52 @@ pub fn run_nemesis(seed: u64, opts: NemesisOptions) -> NemesisReport {
         .max()
         .unwrap_or(0);
 
-    // If any op was abandoned at an indeterminate result, its proposal may
-    // still be in flight (bounded by the raft propose timeout, plus a
-    // renamer continuation finishing against the healed cluster). Let it
-    // land before taking the final read, so the oracle's late-landing
-    // extension sees a settled namespace rather than a torn mid-walk mix.
-    let any_abandoned = results
-        .iter()
-        .flatten()
-        .any(|r| matches!(r, Err(e) if e.is_retryable()));
-    if any_abandoned {
-        std::thread::sleep(Duration::from_secs(6));
-    }
-
-    // The final walk is oracle instrumentation, not the system under test:
-    // the workload threads already drove the configured read path (possibly
+    // The walk is oracle instrumentation, not the system under test: the
+    // workload threads already drove the configured read path (possibly
     // ReadIndex + dentry cache) through the fault schedule. Read the ground
     // truth leader-locally so the verdict does not depend on follower-read
     // confirmation latency on a starved CI box.
-    let walker = cluster.client_with_consistency(cfs_core::ReadConsistency::LeaderOnly);
+    let walk = |(volume, root, _): &(VolumeId, String, Vec<NemOp>)| {
+        let walker = cluster
+            .client_with_consistency(cfs_core::ReadConsistency::LeaderOnly)
+            .with_volume(*volume);
+        walk_subtree(&walker, root)
+    };
+    let mut judged = Vec::new();
     let mut divergence = None;
-    for (t, (ops, res)) in per_thread_ops.iter().zip(&results).enumerate() {
-        let observed = walk_subtree(&walker, &thread_root(t));
-        if let Err(d) = check_thread_history(t, ops, res, &observed) {
+    for (t, (lane, res)) in lanes.iter().zip(&results).enumerate() {
+        let observed = walk(lane);
+        let (_, root, ops) = lane;
+        if let Err(d) = check_thread_history(t, root, ops, res, &observed) {
             divergence = Some(d);
             break;
         }
+        judged.push(observed);
+    }
+    if divergence.is_none() {
+        quiesce(cluster);
+        divergence = lanes.iter().zip(&judged).enumerate().find_map(|(t, (lane, was))| {
+            let now = walk(lane);
+            (&now != was).then(|| Divergence {
+                thread: t,
+                op_index: None,
+                detail: format!(
+                    "namespace changed after the judged walk.\n  judged: {was:?}\n  re-read: {now:?}"
+                ),
+            })
+        });
     }
 
-    // Drain this run's spans either way (the sink is process-global); on a
+    // Drain this round's spans either way (the sink is process-global); on a
     // divergence, write the forensic dump before the evidence is lost.
     let spans = cfs_obs::trace::drain();
-    let net_stats = format!("{:?}", cluster.network().stats().snapshot());
-    let dump_path = divergence
-        .as_ref()
-        .and_then(|d| write_divergence_dump(seed, d, &canonical, &trace_ids, &spans, &net_stats));
+    let dump_path = divergence.as_ref().and_then(|d| {
+        let net_stats = format!("{:?}", cluster.network().stats().snapshot());
+        write_dump(
+            seed,
+            &render_dump(seed, d, &canonical, &outcomes, &spans, &net_stats),
+        )
+    });
 
     NemesisReport {
         seed,
@@ -886,11 +925,15 @@ pub fn run_nemesis(seed: u64, opts: NemesisOptions) -> NemesisReport {
     }
 }
 
+/// One workload observation: the op's result plus the trace id of the root
+/// span the client opened for it.
+type OpOutcome = (Result<(), FsError>, u64);
+
 /// What [`apply_fault`] actually did, so [`revert_fault`] can undo exactly
 /// that: faults that pick their victim against live cluster state (a
 /// `SnapshotCrash` bumping off the current leader) record the resolved
 /// `NodeId` here rather than re-resolving at revert time.
-pub(crate) enum ActiveFault {
+enum ActiveFault {
     Kill(NodeId),
     Isolate,
     DropSpike,
@@ -926,7 +969,7 @@ fn set_fsync_latency(cluster: &CfsCluster, extra: Duration) {
 
 /// Opens `w.fault` against the live cluster (called at the window's start;
 /// `start` anchors the schedule's clock for faults with intra-window timing).
-pub(crate) fn apply_fault(cluster: &CfsCluster, start: Instant, w: &FaultWindow) -> ActiveFault {
+fn apply_fault(cluster: &CfsCluster, start: Instant, w: &FaultWindow) -> ActiveFault {
     let net = cluster.network();
     match w.fault {
         Fault::Kill(t) => {
@@ -994,7 +1037,7 @@ pub(crate) fn apply_fault(cluster: &CfsCluster, start: Instant, w: &FaultWindow)
 /// Undoes what [`apply_fault`] did (called at the window's end). For the
 /// crash-family faults this is where recovery — and, for `SnapshotCrash`,
 /// the mid-`InstallSnapshot` leader kill — actually happens.
-pub(crate) fn revert_fault(cluster: &CfsCluster, active: &ActiveFault) {
+fn revert_fault(cluster: &CfsCluster, active: &ActiveFault) {
     let net = cluster.network();
     match active {
         ActiveFault::Kill(id) => net.revive(*id),
@@ -1039,7 +1082,7 @@ pub(crate) fn revert_fault(cluster: &CfsCluster, active: &ActiveFault) {
 /// enough for a post-run read: a revived deposed leader still claims the
 /// role until a higher-term message reaches it, and would serve a stale
 /// leader-local read.
-pub(crate) fn heal_cluster(cluster: &CfsCluster) {
+fn heal_cluster(cluster: &CfsCluster) {
     let net = cluster.network();
     net.heal();
     net.set_drop_rate(0.0);
@@ -1051,30 +1094,41 @@ pub(crate) fn heal_cluster(cluster: &CfsCluster) {
             net.revive(id);
         }
     }
-    for g in &groups {
+    quiesce(cluster);
+}
+
+/// Waits for every group to commit a barrier under a single leader.
+fn quiesce(cluster: &CfsCluster) {
+    for g in cluster.replica_sets() {
         g.wait_quiescent(Duration::from_secs(30)).expect("quiesce");
     }
 }
 
-/// Writes `nemesis_dump_seed_<seed>.txt` (into `CFS_NEMESIS_DUMP_DIR`, or the
-/// working directory): the seed, the divergence, the diverging operation's
-/// cross-node trace tree, per-node metrics snapshots, and network stats.
-fn write_divergence_dump(
+/// Writes `nemesis_dump_seed_<seed>.txt` into `CFS_NEMESIS_DUMP_DIR`, or the
+/// working directory.
+fn write_dump(seed: u64, text: &str) -> Option<PathBuf> {
+    let dir = std::env::var("CFS_NEMESIS_DUMP_DIR").unwrap_or_else(|_| ".".to_string());
+    let path = PathBuf::from(dir).join(format!("nemesis_dump_seed_{seed}.txt"));
+    std::fs::write(&path, text).ok()?;
+    Some(path)
+}
+
+/// A divergence dump: the seed, the divergence, the diverging operation's
+/// cross-node trace tree, every stream's observed results, per-node metrics
+/// snapshots, network stats, and the canonical op history.
+fn render_dump(
     seed: u64,
     d: &Divergence,
     canonical: &str,
-    trace_ids: &[Vec<u64>],
+    outcomes: &[Vec<OpOutcome>],
     spans: &[cfs_obs::trace::SpanRecord],
     net_stats: &str,
-) -> Option<PathBuf> {
-    let dir = std::env::var("CFS_NEMESIS_DUMP_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = PathBuf::from(dir).join(format!("nemesis_dump_seed_{seed}.txt"));
-
+) -> String {
     let mut out = String::new();
     out.push_str(&format!("seed={seed}\ndivergence: {d}\n\n"));
     out.push_str("trace of the diverging operation:\n");
-    match d.op_index.and_then(|i| trace_ids.get(d.thread)?.get(i)) {
-        Some(&tid) if tid != 0 => {
+    match d.op_index.and_then(|i| outcomes.get(d.thread)?.get(i)) {
+        Some(&(_, tid)) if tid != 0 => {
             let rendered = cfs_obs::trace::render_trace(spans, tid);
             if rendered.is_empty() {
                 out.push_str(&format!(
@@ -1085,6 +1139,12 @@ fn write_divergence_dump(
             }
         }
         _ => out.push_str("  (final-state mismatch: no single diverging op to trace)\n"),
+    }
+    out.push_str("\nobserved results (wall-clock dependent):\n");
+    for (t, stream) in outcomes.iter().enumerate() {
+        for (i, (r, tid)) in stream.iter().enumerate() {
+            out.push_str(&format!("  t{t}#{i} {r:?} trace={tid}\n"));
+        }
     }
     out.push_str("\nper-node metrics snapshots:\n");
     out.push_str(&cfs_obs::metrics::snapshot_all().to_text());
@@ -1098,12 +1158,10 @@ fn write_divergence_dump(
     ));
     out.push_str("\ncanonical op history:\n");
     out.push_str(canonical);
-
-    std::fs::write(&path, out).ok()?;
-    Some(path)
+    out
 }
 
-pub(crate) fn sleep_until(start: Instant, ms: u64) {
+fn sleep_until(start: Instant, ms: u64) {
     let target = start + Duration::from_millis(ms);
     let now = Instant::now();
     if target > now {
@@ -1111,12 +1169,21 @@ pub(crate) fn sleep_until(start: Instant, ms: u64) {
     }
 }
 
-/// Recursively lists `root` (which must exist) into path → is_dir, retrying
-/// transient errors — the cluster has healed, so persistent failures here
-/// are themselves a test failure.
-pub(crate) fn walk_subtree(fs: &impl FileSystem, root: &str) -> BTreeMap<String, bool> {
-    let mut out = BTreeMap::new();
+/// `root`'s subtree (which must exist) as path → is_dir, `root` included.
+fn walk_subtree(fs: &impl FileSystem, root: &str) -> BTreeMap<String, bool> {
+    let mut out: BTreeMap<String, bool> = walk_entries(fs, root)
+        .into_iter()
+        .map(|(path, e)| (path, e.ftype == FileType::Dir))
+        .collect();
     out.insert(root.to_string(), true);
+    out
+}
+
+/// Recursively lists `root` (which must exist) into `(path, entry)` pairs,
+/// retrying transient errors — the cluster has healed, so persistent
+/// failures here are themselves a test failure.
+pub(crate) fn walk_entries(fs: &impl FileSystem, root: &str) -> Vec<(String, DirEntryInfo)> {
+    let mut out = Vec::new();
     let mut stack = vec![root.to_string()];
     let deadline = Instant::now() + Duration::from_secs(30);
     while let Some(dir) = stack.pop() {
@@ -1130,12 +1197,11 @@ pub(crate) fn walk_subtree(fs: &impl FileSystem, root: &str) -> BTreeMap<String,
             }
         };
         for e in entries {
-            let path = format!("{dir}/{}", e.name);
-            let is_dir = e.ftype == FileType::Dir;
-            out.insert(path.clone(), is_dir);
-            if is_dir {
-                stack.push(path);
+            let path = format!("{}/{}", dir.trim_end_matches('/'), e.name);
+            if e.ftype == FileType::Dir {
+                stack.push(path.clone());
             }
+            out.push((path, e));
         }
     }
     out
@@ -1306,7 +1372,7 @@ mod tests {
         let mut fin = BTreeMap::new();
         fin.insert("/nem/c0".to_string(), true);
         fin.insert("/nem/c0/f1".to_string(), false);
-        check_thread_history(0, &ops, &results, &fin).unwrap();
+        check_thread_history(0, "/nem/c0", &ops, &results, &fin).unwrap();
     }
 
     #[test]
@@ -1319,8 +1385,8 @@ mod tests {
         absent.insert("/nem/c0".to_string(), true);
         let mut present = absent.clone();
         present.insert("/nem/c0/f0".to_string(), false);
-        check_thread_history(0, &ops, &results, &absent).unwrap();
-        check_thread_history(0, &ops, &results, &present).unwrap();
+        check_thread_history(0, "/nem/c0", &ops, &results, &absent).unwrap();
+        check_thread_history(0, "/nem/c0", &ops, &results, &present).unwrap();
     }
 
     #[test]
@@ -1332,17 +1398,17 @@ mod tests {
         let mut present = BTreeMap::new();
         present.insert("/nem/c0".to_string(), true);
         present.insert("/nem/c0/f0".to_string(), false);
-        check_thread_history(0, &ops, &results, &present).unwrap();
+        check_thread_history(0, "/nem/c0", &ops, &results, &present).unwrap();
         // An error never commits anything, so the untouched namespace is
         // also legal (the kind may stem from a stale resolution read) —
         // but a *directory* at that name matches neither fork.
         let mut absent = BTreeMap::new();
         absent.insert("/nem/c0".to_string(), true);
-        check_thread_history(0, &ops, &results, &absent).unwrap();
+        check_thread_history(0, "/nem/c0", &ops, &results, &absent).unwrap();
         let mut dir = BTreeMap::new();
         dir.insert("/nem/c0".to_string(), true);
         dir.insert("/nem/c0/f0".to_string(), true);
-        assert!(check_thread_history(0, &ops, &results, &dir).is_err());
+        assert!(check_thread_history(0, "/nem/c0", &ops, &results, &dir).is_err());
     }
 
     #[test]
@@ -1351,7 +1417,7 @@ mod tests {
         let results = vec![Ok(())];
         let mut fin = BTreeMap::new();
         fin.insert("/nem/c0".to_string(), true);
-        let d = check_thread_history(0, &ops, &results, &fin).unwrap_err();
+        let d = check_thread_history(0, "/nem/c0", &ops, &results, &fin).unwrap_err();
         assert!(d.op_index.is_none(), "should fail the final-state check");
     }
 
@@ -1363,7 +1429,7 @@ mod tests {
         let results = vec![Ok(())];
         let mut fin = BTreeMap::new();
         fin.insert("/nem/c0".to_string(), true);
-        let d = check_thread_history(0, &ops, &results, &fin).unwrap_err();
+        let d = check_thread_history(0, "/nem/c0", &ops, &results, &fin).unwrap_err();
         assert_eq!(d.op_index, Some(0));
     }
 
@@ -1380,7 +1446,7 @@ mod tests {
         let mut fin = BTreeMap::new();
         fin.insert("/nem/c0".to_string(), true);
         fin.insert("/nem/c0/d0".to_string(), true);
-        check_thread_history(0, &ops, &results, &fin).unwrap();
+        check_thread_history(0, "/nem/c0", &ops, &results, &fin).unwrap();
     }
 
     #[test]
@@ -1412,7 +1478,10 @@ mod tests {
                 end_ns: 800,
             },
         ];
-        let trace_ids = vec![vec![0; 3], vec![0, 0, 77]];
+        let outcomes = vec![
+            vec![(Ok(()), 0); 3],
+            vec![(Ok(()), 0), (Ok(()), 0), (Ok(()), 77)],
+        ];
         // A booted cluster registers every replica's instruments, so the
         // dump shows what each shard applied.
         let cluster = CfsCluster::start(CfsConfig::test_small()).expect("cluster boot");
@@ -1421,8 +1490,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cfs_dump_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::env::set_var("CFS_NEMESIS_DUMP_DIR", &dir);
-        let path = write_divergence_dump(42, &d, "seed=42\n", &trace_ids, &spans, "net{}")
-            .expect("dump written");
+        let text = render_dump(42, &d, "seed=42\n", &outcomes, &spans, "net{}");
+        let path = write_dump(42, &text).expect("dump written");
         std::env::remove_var("CFS_NEMESIS_DUMP_DIR");
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(path.ends_with("nemesis_dump_seed_42.txt"));
@@ -1439,6 +1508,33 @@ mod tests {
         assert!(taf_metrics.contains("\"shard_txn_commits\""));
         assert!(text.contains("net{}"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn divergence_dump_lists_every_streams_results() {
+        let d = Divergence {
+            thread: 0,
+            op_index: None,
+            detail: "hand-made final-state mismatch".into(),
+        };
+        let outcomes = vec![
+            vec![(Ok(()), 11), (Err(FsError::Timeout), 12)],
+            vec![(Err(FsError::NotDir), 0)],
+        ];
+        let text = render_dump(7, &d, "seed=7\n", &outcomes, &[], "net{}");
+        assert!(text.contains("hand-made final-state mismatch"));
+        assert!(text.contains("no single diverging op to trace"));
+        let results = text
+            .split_once("observed results (wall-clock dependent):\n")
+            .expect("the dump has a results section")
+            .1;
+        for line in [
+            "  t0#0 Ok(()) trace=11\n",
+            "  t0#1 Err(Timeout) trace=12\n",
+            "  t1#0 Err(NotDir) trace=0\n",
+        ] {
+            assert!(results.contains(line), "missing {line:?}");
+        }
     }
 
     #[test]

@@ -21,16 +21,14 @@
 //! or two rounds, CI runs ~60 s, and a local soak can run for hours
 //! (`CFS_SOAK_SECS=14400 cargo test --test soak soak_long -- --ignored`).
 
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use cfs_core::{CfsCluster, CfsConfig, FileSystem};
-use cfs_rpc::SimRng;
-use cfs_types::FsError;
 
 use crate::nemesis::{
-    apply_fault, apply_fs, check_thread_history_under, generate_ops_under, heal_cluster,
-    revert_fault, sleep_until, walk_subtree, Divergence, FaultFamily, NemOp, NemesisOptions,
-    NemesisSchedule, LBL_WORKLOAD, NEMESIS_THREADS,
+    generate_ops_under, pace_stream, run_round, Divergence, FaultFamily, NemesisOptions,
+    NemesisSchedule, Stream, NEMESIS_THREADS,
 };
 
 /// Tunables for one soak run.
@@ -68,8 +66,12 @@ pub struct SoakReport {
     pub windows_injected: usize,
     /// Ops issued across all rounds and threads.
     pub ops_issued: usize,
+    /// The last round's seed: the failing round's when `divergence` is set.
+    pub round_seed: u64,
     /// First divergence found, if any (the soak stops at it).
     pub divergence: Option<Divergence>,
+    /// The forensic dump written for `divergence`.
+    pub dump_path: Option<PathBuf>,
 }
 
 /// The per-round subtree root owned by workload thread `t` in round `r`.
@@ -109,7 +111,9 @@ pub fn run_soak(opts: SoakOptions) -> SoakReport {
         rounds: 0,
         windows_injected: 0,
         ops_issued: 0,
+        round_seed: opts.seed,
         divergence: None,
+        dump_path: None,
     };
 
     while Instant::now() < deadline && report.divergence.is_none() {
@@ -123,65 +127,25 @@ pub fn run_soak(opts: SoakOptions) -> SoakReport {
             &fault_opts,
         );
 
-        let roots: Vec<String> = (0..NEMESIS_THREADS).map(|t| round_root(r, t)).collect();
-        for root in &roots {
-            setup.mkdir(root).expect("mkdir round root");
-        }
-        let per_thread_ops: Vec<Vec<NemOp>> = (0..NEMESIS_THREADS)
-            .map(|t| generate_ops_under(seed, t, opts.ops_per_round, &roots[t]))
+        let streams = (0..NEMESIS_THREADS)
+            .map(|t| {
+                let root = round_root(r, t);
+                setup.mkdir(&root).expect("mkdir round root");
+                Stream {
+                    ops: generate_ops_under(seed, t, opts.ops_per_round, &root),
+                    root,
+                    client: cluster.client(),
+                    pace: pace_stream(seed, t),
+                }
+            })
             .collect();
-        let pace_rng = SimRng::from_seed(seed).split(LBL_WORKLOAD);
-
-        let start = Instant::now();
-        let results: Vec<Vec<Result<(), FsError>>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (t, ops) in per_thread_ops.iter().enumerate() {
-                let client = cluster.client();
-                let mut pace = pace_rng.split(0x70ace).split(t as u64 + 1);
-                handles.push(scope.spawn(move || {
-                    ops.iter()
-                        .map(|op| {
-                            std::thread::sleep(Duration::from_millis(4 + pace.below(12)));
-                            apply_fs(&client, op)
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-
-            // The fault walker, on this thread — same arms as the nemesis.
-            for w in &schedule.windows {
-                sleep_until(start, w.start_ms);
-                let active = apply_fault(&cluster, start, w);
-                sleep_until(start, w.end_ms);
-                revert_fault(&cluster, &active);
-            }
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("workload thread"))
-                .collect()
-        });
+        let round = run_round(&cluster, seed, &schedule, streams, 0);
 
         report.windows_injected += schedule.windows.len();
-        report.ops_issued += results.iter().map(Vec::len).sum::<usize>();
-
-        // Oracle checkpoint: heal, let abandoned proposals land, judge.
-        heal_cluster(&cluster);
-        let any_abandoned = results
-            .iter()
-            .flatten()
-            .any(|res| matches!(res, Err(e) if e.is_retryable()));
-        if any_abandoned {
-            std::thread::sleep(Duration::from_secs(6));
-        }
-        let walker = cluster.client_with_consistency(cfs_core::ReadConsistency::LeaderOnly);
-        for (t, (ops, res)) in per_thread_ops.iter().zip(&results).enumerate() {
-            let observed = walk_subtree(&walker, &roots[t]);
-            if let Err(d) = check_thread_history_under(t, &roots[t], ops, res, &observed) {
-                report.divergence = Some(d);
-                break;
-            }
-        }
+        report.ops_issued += round.results.iter().map(Vec::len).sum::<usize>();
+        report.round_seed = seed;
+        report.divergence = round.divergence;
+        report.dump_path = round.dump_path;
         report.rounds += 1;
     }
 

@@ -18,16 +18,14 @@
 //! A failing seed reproduces with `CFS_SIM_SEED=<seed>` exactly like the
 //! base sweep.
 
-use std::time::{Duration, Instant};
+use std::path::PathBuf;
 
 use cfs_core::{CfsCluster, CfsConfig, FileSystem};
 use cfs_rpc::SimRng;
-use cfs_types::{FsError, InodeId, VolumeId};
+use cfs_types::VolumeId;
 
-use crate::model::Model;
 use crate::nemesis::{
-    apply_fault, check_thread_history_under, generate_ops_under, heal_cluster, revert_fault,
-    sleep_until, walk_subtree, Divergence, NemOp, NemesisSchedule,
+    generate_ops_under, run_round, walk_entries, Divergence, NemesisSchedule, Stream,
 };
 
 /// Tenants (volumes) driven per run.
@@ -68,37 +66,12 @@ pub struct TenantReport {
     pub seed: u64,
     /// First divergence found across all tenant threads, if any.
     pub divergence: Option<Divergence>,
+    /// The forensic dump written for `divergence`.
+    pub dump_path: Option<PathBuf>,
     /// Cross-tenant isolation violations (empty on a clean run).
     pub isolation: Vec<IsolationViolation>,
     /// Per-tenant `(inodes, bytes)` quota usage read back after heal.
     pub usage: Vec<(i64, i64)>,
-}
-
-/// Walks `root` collecting every visible `(path, inode id)`, retrying
-/// transient errors (the cluster has healed).
-fn walk_ids(fs: &impl FileSystem, root: &str) -> Vec<(String, InodeId)> {
-    let mut out = Vec::new();
-    let mut stack = vec![root.to_string()];
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while let Some(dir) = stack.pop() {
-        let entries = loop {
-            match fs.readdir(&dir) {
-                Ok(es) => break es,
-                Err(e) if e.is_retryable() && Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => panic!("readdir {dir} after heal failed: {e:?}"),
-            }
-        };
-        for e in entries {
-            let path = format!("{}/{}", dir.trim_end_matches('/'), e.name);
-            if e.ftype == cfs_types::FileType::Dir {
-                stack.push(path.clone());
-            }
-            out.push((path, e.ino));
-        }
-    }
-    out
 }
 
 /// Boots a `test_small` cluster, creates [`TENANTS`] volumes, drives the
@@ -140,96 +113,29 @@ pub fn run_tenant_nemesis(seed: u64, ops_per_thread: usize) -> TenantReport {
         }
     }
 
-    // Per-(tenant, thread) op streams: pure functions of the seed. Both
-    // tenants draw *distinct* streams (stream index = tenant*threads+t) over
-    // the *same* path universe, so colliding names across tenants are the
-    // norm, not the exception.
-    let streams: Vec<Vec<Vec<NemOp>>> = (0..TENANTS)
-        .map(|v| {
-            (0..THREADS_PER_TENANT)
-                .map(|t| {
-                    generate_ops_under(
-                        seed,
-                        v * THREADS_PER_TENANT + t,
-                        ops_per_thread,
-                        &tenant_thread_root(t),
-                    )
-                })
-                .collect()
+    // Per-(tenant, thread) streams: op streams are pure functions of the
+    // seed. Both tenants draw *distinct* streams (stream index =
+    // tenant*threads+t) over the *same* path universe, so colliding names
+    // across tenants are the norm, not the exception. QoS admission is live
+    // on every tenant client; the default share (2000 ops/s) never
+    // throttles this workload, it just keeps the admission path under fault
+    // coverage.
+    let pace = SimRng::from_seed(seed).split(LBL_TENANT_PACE);
+    let streams = (0..TENANTS * THREADS_PER_TENANT)
+        .map(|i| {
+            let (v, t) = (i / THREADS_PER_TENANT, i % THREADS_PER_TENANT);
+            let root = tenant_thread_root(t);
+            Stream {
+                client: cluster.client_for_volume(vols[v]),
+                ops: generate_ops_under(seed, i, ops_per_thread, &root),
+                root,
+                pace: pace.split(v as u64 + 1).split(t as u64 + 1),
+            }
         })
         .collect();
-    let pace_rng = SimRng::from_seed(seed).split(LBL_TENANT_PACE);
 
-    let start = Instant::now();
-    let results: Vec<Vec<Vec<Result<(), FsError>>>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (v, tenant_ops) in streams.iter().enumerate() {
-            for (t, ops) in tenant_ops.iter().enumerate() {
-                // QoS admission is live on every tenant client; the default
-                // share (2000 ops/s) never throttles this workload, it just
-                // keeps the admission path under fault coverage.
-                let client = cluster.client_for_volume(vols[v]);
-                let mut pace = pace_rng.split(v as u64 + 1).split(t as u64 + 1);
-                handles.push(scope.spawn(move || {
-                    ops.iter()
-                        .map(|op| {
-                            std::thread::sleep(Duration::from_millis(4 + pace.below(12)));
-                            crate::nemesis::apply_fs(&client, op)
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-        }
-
-        // The nemesis: walk the schedule on this thread.
-        for w in &schedule.windows {
-            sleep_until(start, w.start_ms);
-            let active = apply_fault(&cluster, start, w);
-            sleep_until(start, w.end_ms);
-            revert_fault(&cluster, &active);
-        }
-
-        let mut per_thread = handles
-            .into_iter()
-            .map(|h| h.join().expect("workload thread"));
-        (0..TENANTS)
-            .map(|_| {
-                (0..THREADS_PER_TENANT)
-                    .map(|_| per_thread.next().unwrap())
-                    .collect()
-            })
-            .collect()
-    });
-
-    heal_cluster(&cluster);
-
-    // Let abandoned proposals land before the final reads (same settling
-    // logic as the base nemesis).
-    let any_abandoned = results
-        .iter()
-        .flatten()
-        .flatten()
-        .any(|r| matches!(r, Err(e) if e.is_retryable()));
-    if any_abandoned {
-        std::thread::sleep(Duration::from_secs(6));
-    }
-
-    // Oracle 1: per-tenant-thread divergence check.
-    let mut divergence = None;
-    'outer: for (v, tenant_ops) in streams.iter().enumerate() {
-        let walker = cluster.client_for_volume_unlimited(vols[v]);
-        for (t, ops) in tenant_ops.iter().enumerate() {
-            let root = tenant_thread_root(t);
-            let observed = walk_subtree(&walker, &root);
-            let thread = v * THREADS_PER_TENANT + t;
-            if let Err(d) =
-                check_thread_history_under(thread, &root, ops, &results[v][t], &observed)
-            {
-                divergence = Some(d);
-                break 'outer;
-            }
-        }
-    }
+    // Oracle 1, the per-tenant-thread divergence check, is the round's.
+    let round = run_round(&cluster, seed, &schedule, streams, 0);
 
     // Oracle 2: isolation. Every inode id visible inside a tenant's
     // namespace must lie in that volume's band, and the default volume's
@@ -237,7 +143,8 @@ pub fn run_tenant_nemesis(seed: u64, ops_per_thread: usize) -> TenantReport {
     let mut isolation = Vec::new();
     for (i, &v) in vols.iter().enumerate() {
         let walker = cluster.client_for_volume_unlimited(v);
-        for (path, ino) in walk_ids(&walker, "/") {
+        for (path, e) in walk_entries(&walker, "/") {
+            let ino = e.ino;
             if ino.volume() != v {
                 isolation.push(IsolationViolation {
                     volume: Some(v.0),
@@ -252,12 +159,12 @@ pub fn run_tenant_nemesis(seed: u64, ops_per_thread: usize) -> TenantReport {
         }
     }
     let default_client = cluster.client();
-    for (path, ino) in walk_ids(&default_client, "/") {
+    for (path, e) in walk_entries(&default_client, "/") {
         isolation.push(IsolationViolation {
             volume: None,
             detail: format!(
                 "default volume sees {path} (inode {:#x}) — tenant data escaped",
-                ino.raw()
+                e.ino.raw()
             ),
         });
     }
@@ -269,46 +176,10 @@ pub fn run_tenant_nemesis(seed: u64, ops_per_thread: usize) -> TenantReport {
 
     TenantReport {
         seed,
-        divergence,
+        divergence: round.divergence,
+        dump_path: round.dump_path,
         isolation,
         usage,
-    }
-}
-
-/// Replays every tenant thread's issued stream against the reference model
-/// to bound how many inodes a clean run can have outstanding — a sanity
-/// check used by the sweep to catch quota drift that is *under* the limit
-/// but still wrong in sign (usage must never go negative).
-pub fn model_final_count(seed: u64, ops_per_thread: usize) -> usize {
-    let mut total = 0;
-    for v in 0..TENANTS {
-        for t in 0..THREADS_PER_TENANT {
-            let root = tenant_thread_root(t);
-            let mut m = Model::new();
-            let mut prefix = String::new();
-            for comp in root.trim_start_matches('/').split('/') {
-                prefix.push('/');
-                prefix.push_str(comp);
-                m.mkdir(&prefix).expect("fresh model");
-            }
-            for op in generate_ops_under(seed, v * THREADS_PER_TENANT + t, ops_per_thread, &root) {
-                let _ = apply_model_op(&mut m, &op);
-            }
-            total += m.subtree(&root).len();
-        }
-    }
-    total
-}
-
-fn apply_model_op(m: &mut Model, op: &NemOp) -> Result<(), FsError> {
-    match op {
-        NemOp::Create(p) => m.create(p),
-        NemOp::Mkdir(p) => m.mkdir(p),
-        NemOp::Unlink(p) => m.unlink(p),
-        NemOp::Rmdir(p) => m.rmdir(p),
-        NemOp::Rename(s, d) => m.rename(s, d),
-        NemOp::Setattr(p) => m.setattr(p),
-        NemOp::Lookup(p) => m.lookup(p),
     }
 }
 
@@ -334,11 +205,5 @@ mod tests {
         // different stream over the same path universe.
         let c = generate_ops_under(5, THREADS_PER_TENANT, 30, &tenant_thread_root(0));
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn model_final_count_is_deterministic() {
-        assert_eq!(model_final_count(9, 40), model_final_count(9, 40));
-        assert!(model_final_count(9, 40) >= TENANTS * THREADS_PER_TENANT);
     }
 }

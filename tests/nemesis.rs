@@ -9,17 +9,10 @@
 //! (sweep base / single-seed target), `CFS_NEMESIS_OPS` (ops per thread).
 
 use cfs_harness::nemesis::{
-    canonical_log_for, run_nemesis, Fault, FaultFamily, NemesisOptions, NemesisReport,
+    canonical_log_for, run_nemesis, sweep_seeds, Fault, FaultFamily, NemesisOptions, NemesisReport,
     NemesisSchedule,
 };
 use cfs_rpc::seed_from_env;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
 
 fn check_seed_with(seed: u64, opts: NemesisOptions) -> NemesisReport {
     let report = run_nemesis(seed, opts);
@@ -33,7 +26,12 @@ fn check_seed_with(seed: u64, opts: NemesisOptions) -> NemesisReport {
         let dump = report
             .dump_path
             .as_ref()
-            .map(|p| format!("forensic dump (metrics + trace tree): {}\n", p.display()))
+            .map(|p| {
+                format!(
+                    "forensic dump (results, metrics, trace tree): {}\n",
+                    p.display()
+                )
+            })
             .unwrap_or_default();
         panic!(
             "divergence at seed {seed}: {d}\n\
@@ -50,9 +48,9 @@ fn check_seed_with(seed: u64, opts: NemesisOptions) -> NemesisReport {
 /// oracle run under `opts`. `per_seed` sees every oracle-clean report; the
 /// sweep's width is returned for the caller's end-of-sweep check.
 fn sweep(salt: u64, opts: NemesisOptions, mut per_seed: impl FnMut(u64, &NemesisReport)) -> u64 {
-    let base = seed_from_env().wrapping_add(salt);
-    let count = env_usize("CFS_NEMESIS_SEEDS", 20) as u64;
-    for seed in base..base + count {
+    let seeds = sweep_seeds(salt);
+    let count = seeds.end - seeds.start;
+    for seed in seeds {
         per_seed(seed, &check_seed_with(seed, opts));
     }
     count

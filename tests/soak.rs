@@ -27,11 +27,14 @@ fn soak_with(duration: Duration) {
     assert!(report.windows_injected > 0, "no fault windows injected");
     if let Some(d) = &report.divergence {
         panic!(
-            "soak divergence after {} round(s), {} window(s), {} op(s): {d}\n\
+            "soak divergence in round {} (round seed {}), after {} window(s) and {} op(s): {d}\n\
+             forensic dump (results, metrics, trace tree): {:?}\n\
              reproduce with: CFS_SIM_SEED={} cargo test --test soak",
-            report.rounds + 1,
+            report.rounds - 1,
+            report.round_seed,
             report.windows_injected,
             report.ops_issued,
+            report.dump_path,
             seed_from_env()
         );
     }

@@ -13,31 +13,26 @@
 //! spans two shards.
 
 use cfs_core::{CfsCluster, CfsConfig, FileSystem};
+use cfs_harness::nemesis::{sweep_seeds, NemesisOptions};
 use cfs_harness::tenants::{isolation_summary, run_tenant_nemesis};
-use cfs_rpc::seed_from_env;
 use cfs_types::{FsError, ShardId};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
 
 /// The CI sweep: ~20 seeds, each booting a cluster with two tenant volumes,
 /// running their workloads through the fault schedule, and checking both
 /// oracles plus quota-usage sanity (never negative after heal).
 #[test]
 fn volume_nemesis_sweep_passes_divergence_and_isolation_oracles() {
-    let base = seed_from_env().wrapping_add(0x7e4a_0000);
-    let count = env_usize("CFS_NEMESIS_SEEDS", 20) as u64;
-    let ops = env_usize("CFS_NEMESIS_OPS", 50);
-    for seed in base..base + count {
+    const SALT: u64 = 0x7e4a_0000;
+    let ops = NemesisOptions::default().ops_per_thread;
+    for seed in sweep_seeds(SALT) {
         let report = run_tenant_nemesis(seed, ops);
         if let Some(d) = &report.divergence {
             panic!(
                 "divergence at seed {seed}: {d}\n\
-                 reproduce with: CFS_SIM_SEED={seed} cargo test --test tenants"
+                 reproduce with: CFS_SIM_SEED={} CFS_NEMESIS_SEEDS=1 cargo test --test tenants volume_nemesis_sweep\n\
+                 forensic dump (results, metrics, trace tree): {:?}",
+                seed.wrapping_sub(SALT),
+                report.dump_path
             );
         }
         assert!(
@@ -141,12 +136,10 @@ fn write_extensions_charge_bytes_and_unlink_returns_them() {
 /// live inode count, for every seed of the sweep.
 #[test]
 fn quota_races_across_two_shards_never_oversubscribe() {
-    let base = seed_from_env().wrapping_add(0x0009_07a5);
-    let count = env_usize("CFS_NEMESIS_SEEDS", 20) as u64;
     // 2 setup dirs + 10 contended slots, 20 attempts racing for them.
     const SLOTS: i64 = 10;
     const LIMIT: i64 = 2 + SLOTS;
-    for seed in base..base + count {
+    for seed in sweep_seeds(0x0009_07a5) {
         let mut config = CfsConfig::test_small();
         config.net.seed = seed;
         let cluster = CfsCluster::start(config).expect("boot");
