@@ -74,9 +74,25 @@ impl Drop for Worker {
     }
 }
 
+/// The attribute a new inode is created with: a file's or symlink's in
+/// FileStore, or a directory's `/_ATTR` record in TafDB.
+enum NewAttr {
+    File(Attr),
+    Dir(InodeId, Record),
+}
+
+impl NewAttr {
+    fn ino(&self) -> InodeId {
+        match self {
+            NewAttr::File(attr) => attr.ino,
+            NewAttr::Dir(ino, _) => *ino,
+        }
+    }
+}
+
 /// The CFS client: implements [`FileSystem`] against a running cluster.
 pub struct CfsClient {
-    taf: TafDbClient,
+    taf: Arc<TafDbClient>,
     fs: Arc<FileStoreClient>,
     ts: TsClient,
     renamer: RenamerClient,
@@ -99,9 +115,9 @@ pub struct CfsClient {
     /// Asynchronous write-back (paper §5.2: unlink's FileStore deletion is
     /// asynchronous, hiding its latency).
     writeback: Worker,
-    /// Writes a new file's FileStore attribute while the creating thread
-    /// links it into TafDB, so a `create` waits on the two replicated
-    /// commits at once rather than one after the other.
+    /// Writes a new inode's attribute while the creating thread links it
+    /// into TafDB, so a `create`, `symlink` or `mkdir` waits on the two
+    /// replicated commits at once rather than one after the other.
     attr_writer: Worker,
 }
 
@@ -116,7 +132,7 @@ impl CfsClient {
         block_size: u64,
     ) -> CfsClient {
         CfsClient {
-            taf,
+            taf: Arc::new(taf),
             fs: Arc::new(fs),
             ts,
             renamer,
@@ -353,38 +369,51 @@ impl CfsClient {
 
     // ---- creation ---------------------------------------------------------
 
-    /// Figure 7's two writes of a new file or symlink, issued at once: the
-    /// FileStore attribute on the attribute writer, the namespace link on
-    /// the calling thread. Acks once both have committed.
+    /// Figure 7's two writes of a new inode, issued at once: its attribute
+    /// on the attribute writer, the namespace link on the calling thread.
+    /// Acks once both have committed.
     ///
-    /// An abandoned create leaves nothing, an orphaned attribute, a link
-    /// whose attribute is missing, or both. The collector reclaims an
-    /// orphaned attribute; a link whose attribute write failed is removed
-    /// here, and if that removal fails as well, by the collector.
+    /// An abandoned create, symlink or mkdir leaves nothing, an orphaned
+    /// attribute, a link whose attribute is missing, or both. The collector
+    /// reclaims an orphaned file attribute; a link whose attribute write
+    /// failed is removed here, and if that removal fails as well, by the
+    /// collector.
     fn link_new_inode(
         &self,
         parent: InodeId,
         name: &str,
-        attr: Attr,
+        attr: NewAttr,
         rec: Record,
         ts: Timestamp,
     ) -> FsResult<InodeId> {
-        let ino = attr.ino;
-        let put = self.put_attr_async(attr);
-        let prim = Self::insert_entry_prim(parent, name, rec, 0, ts.raw(), ts);
+        let ino = attr.ino();
+        // A child directory adds a link to its parent.
+        let links = i64::from(matches!(attr, NewAttr::Dir(..)));
+        let written = self.write_attr_async(attr);
+        let prim = Self::insert_entry_prim(parent, name, rec, links, ts.raw(), ts);
         let linked = self.execute_charged(prim, parent, 1, 0);
-        let put = put
+        let written = written
             .recv()
             .unwrap_or_else(|_| Err(FsError::Io("attribute writer stopped".into())));
-        match (linked, put) {
+        match (linked, written) {
             (Ok(_), Ok(())) => {
-                // The create bumped the parent's generation server-side; a
+                // The link bumped the parent's generation server-side; a
                 // cached negative for this name is now stale.
                 self.cache_forget(parent, name);
                 Ok(ino)
             }
             (Ok(_), Err(e)) => {
-                self.unlink_failed_create(parent, name, ino, ts);
+                // Best-effort removal of the link, with its share of the
+                // parent's counts. The inode-id guard keeps it from removing
+                // anything another op has put under the name since.
+                let unlink = Primitive::delete_with_update(
+                    Cond::require(Key::entry(parent, name), vec![Pred::IdEq(ino)]),
+                    Self::parent_update(parent, -1, -links, ts.raw(), ts),
+                );
+                if self.taf.execute(unlink).is_ok() {
+                    self.quota_release(1, 0);
+                }
+                self.cache_forget(parent, name);
                 Err(e)
             }
             // Whatever became of the attribute, the namespace shows no new
@@ -394,34 +423,23 @@ impl CfsClient {
         }
     }
 
-    /// Hands `attr`'s FileStore write to the attribute writer, under the
-    /// calling op's trace context and node, and returns where its result
-    /// arrives.
-    fn put_attr_async(&self, attr: Attr) -> Receiver<FsResult<()>> {
+    /// Hands `attr`'s write to the attribute writer, under the calling op's
+    /// trace context and node, and returns where its result arrives.
+    fn write_attr_async(&self, attr: NewAttr) -> Receiver<FsResult<()>> {
         let (tx, rx) = bounded(1);
         let fs = Arc::clone(&self.fs);
+        let taf = Arc::clone(&self.taf);
         let ctx = trace::current();
         let node = trace::current_node();
         self.attr_writer.run(move || {
             let _ctx = trace::ctx_scope(ctx);
             let _node = trace::node_scope(node);
-            let _ = tx.send(fs.put_attr(attr));
+            let _ = tx.send(match attr {
+                NewAttr::File(attr) => fs.put_attr(attr),
+                NewAttr::Dir(ino, rec) => taf.put(Key::attr(ino), rec),
+            });
         });
         rx
-    }
-
-    /// Best-effort removal of the link of a create whose attribute write
-    /// failed. The inode-id guard keeps it from removing anything another
-    /// op has put under the name since.
-    fn unlink_failed_create(&self, parent: InodeId, name: &str, ino: InodeId, ts: Timestamp) {
-        let prim = Primitive::delete_with_update(
-            Cond::require(Key::entry(parent, name), vec![Pred::IdEq(ino)]),
-            Self::parent_update(parent, -1, 0, ts.raw(), ts),
-        );
-        if self.taf.execute(prim).is_ok() {
-            self.quota_release(1, 0);
-        }
-        self.cache_forget(parent, name);
     }
 
     /// Queues the deletion of an unlinked file's FileStore attribute and
@@ -573,6 +591,23 @@ impl CfsClient {
         Ok(ino)
     }
 
+    /// The TafDB link of `mkdir` only: links a new directory into the
+    /// namespace but never writes its `/_ATTR` record. Models a client crash
+    /// while a mkdir's two writes are in flight, after the link landed; the
+    /// garbage collector must remove the dangling link and its share of the
+    /// parent's counts.
+    #[doc(hidden)]
+    pub fn mkdir_crash_before_attr(&self, p: &str) -> FsResult<InodeId> {
+        let (parent, name) = self.resolve_parent_of(p)?;
+        let ino = self.ts.alloc_id_in(self.volume)?;
+        let ts = self.ts.timestamp()?;
+        let rec = Record::id_record(ino, FileType::Dir);
+        let prim = Self::insert_entry_prim(parent, &name, rec, 1, ts.raw(), ts);
+        self.execute_charged(prim, parent, 1, 0)?;
+        self.cache_forget(parent, &name);
+        Ok(ino)
+    }
+
     /// First phase of `unlink` only (unlink from parent), never deleting the
     /// file's FileStore attribute. Models the crash whose leftover attribute
     /// the garbage collector deletes.
@@ -604,7 +639,7 @@ impl FileSystem for CfsClient {
         let (parent, name) = self.resolve_parent_of(p)?;
         let ino = self.ts.alloc_id_in(self.volume)?;
         let ts = self.ts.timestamp()?;
-        let attr = Attr::new_file(ino, ts.raw());
+        let attr = NewAttr::File(Attr::new_file(ino, ts.raw()));
         let rec = Record::id_record(ino, FileType::File);
         self.link_new_inode(parent, &name, attr, rec, ts)
     }
@@ -615,27 +650,11 @@ impl FileSystem for CfsClient {
         let (parent, name) = self.resolve_parent_of(p)?;
         let ino = self.ts.alloc_id_in(self.volume)?;
         let ts = self.ts.timestamp()?;
-        let now = ts.raw();
-        // Same deterministic order inside TafDB: the new directory's /_ATTR
-        // record (on its home shard) first, the namespace link last.
-        let mut attr_rec = Record::dir_attr_record(now, ts);
+        // The new directory's /_ATTR record lives on its own home shard.
+        let mut attr_rec = Record::dir_attr_record(ts.raw(), ts);
         attr_rec.id = Some(parent); // parent pointer, used by rename loop checks
-        self.taf.put(Key::attr(ino), attr_rec)?;
-        let prim = Self::insert_entry_prim(
-            parent,
-            &name,
-            Record::id_record(ino, FileType::Dir),
-            1, // child directory adds a link to the parent
-            now,
-            ts,
-        );
-        match self.execute_charged(prim, parent, 1, 0) {
-            Ok(_) => {
-                self.cache_forget(parent, &name);
-                Ok(ino)
-            }
-            Err(e) => Err(e),
-        }
+        let rec = Record::id_record(ino, FileType::Dir);
+        self.link_new_inode(parent, &name, NewAttr::Dir(ino, attr_rec), rec, ts)
     }
 
     fn unlink(&self, p: &str) -> FsResult<()> {
@@ -932,7 +951,7 @@ impl FileSystem for CfsClient {
         let (parent, name) = self.resolve_parent_of(linkpath)?;
         let ino = self.ts.alloc_id_in(self.volume)?;
         let ts = self.ts.timestamp()?;
-        let attr = Attr::new_symlink(ino, ts.raw(), target);
+        let attr = NewAttr::File(Attr::new_symlink(ino, ts.raw(), target));
         let mut rec = Record::id_record(ino, FileType::Symlink);
         rec.symlink_target = Some(target.to_string());
         self.link_new_inode(parent, &name, attr, rec, ts)

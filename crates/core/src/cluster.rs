@@ -208,7 +208,7 @@ pub struct CfsCluster {
     tiers: Tiers,
     driver: Arc<PlacementDriver>,
     qos: Arc<QosLimiter>,
-    _renamer: Arc<RenamerService>,
+    renamer: Arc<RenamerService>,
     next_client: AtomicU32,
     /// First unused TafDB replica node id (split receivers allocate here).
     next_taf_node: AtomicU32,
@@ -262,7 +262,7 @@ impl CfsCluster {
             tiers,
             driver,
             qos: Arc::new(QosLimiter::new(QosConfig::default())),
-            _renamer: renamer,
+            renamer,
             next_client: AtomicU32::new(CLIENT_BASE),
             next_taf_node,
             next_shard_id,
@@ -294,6 +294,12 @@ impl CfsCluster {
     /// Every group of both tiers, TafDB first, split receivers included.
     pub fn replica_sets(&self) -> Vec<Arc<dyn Replicas>> {
         self.tiers.replica_sets()
+    }
+
+    /// The rename coordinator (tests drive it directly).
+    #[doc(hidden)]
+    pub fn renamer(&self) -> &Arc<RenamerService> {
+        &self.renamer
     }
 
     /// The placement driver (authoritative map, split orchestration).

@@ -3,10 +3,10 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use cfs_core::{CfsCluster, CfsConfig, FileSystem, GarbageCollector};
+use cfs_core::{CfsClient, CfsCluster, CfsConfig, FileSystem, GarbageCollector};
 use cfs_filestore::SetAttrPatch;
 use cfs_raft::Replicas;
-use cfs_types::{FileType, FsError};
+use cfs_types::{FileType, FsError, InodeId, Key, Record, Timestamp};
 
 fn cluster() -> CfsCluster {
     CfsCluster::start(CfsConfig::test_small()).expect("cluster boot")
@@ -489,6 +489,170 @@ fn gc_unlinks_a_create_whose_attribute_never_landed() {
     );
     assert_eq!(fs.getattr("/gd/alive").unwrap().ino, live);
     assert_eq!(fs.getattr("/gd").unwrap().children, 1);
+}
+
+#[test]
+fn gc_unlinks_a_mkdir_whose_attribute_never_landed() {
+    let c = cluster();
+    let fs = c.client();
+    fs.mkdir("/gm").unwrap();
+    let gm = fs.lookup("/gm").unwrap();
+    // A client crash while a mkdir's two writes were in flight, after the
+    // link landed and before the directory's attribute did.
+    let ghost = fs.mkdir_crash_before_attr("/gm/ghost").unwrap();
+    assert_eq!(fs.getattr("/gm/ghost").unwrap_err(), FsError::NotFound);
+    assert_eq!(fs.lookup("/gm/ghost").unwrap(), ghost);
+    // A mkdir still in flight: its link has landed, and its attribute lands
+    // once the collector has seen the link alone, but within grace.
+    let late = fs.mkdir_crash_before_attr("/gm/late").unwrap();
+    let parent = fs.getattr("/gm").unwrap();
+    assert_eq!((parent.children, parent.links), (2, 4));
+    quiesce(&c);
+
+    let _turn = gc_turn();
+    let gc = c.garbage_collector(Duration::from_millis(300));
+    let repaired_before = gc_counter(&gc, "gc_dangling_entries_repaired");
+    gc.run_once().unwrap();
+    let mut attr = Record::dir_attr_record(0, Timestamp(0));
+    attr.id = Some(gm);
+    fs.taf().put(Key::attr(late), attr).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while fs.readdir("/gm").unwrap().iter().any(|e| e.name == "ghost") {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the dangling directory link must be collected"
+        );
+        gc.run_once().unwrap();
+        std::thread::sleep(Duration::from_millis(60));
+    }
+    settle_and_sweep(&c, &gc);
+    assert_eq!(
+        gc_counter(&gc, "gc_dangling_entries_repaired") - repaired_before,
+        1
+    );
+    // The collector restored the parent's counts and left the late
+    // directory alone.
+    let parent = fs.getattr("/gm").unwrap();
+    assert_eq!((parent.children, parent.links), (1, 3));
+    let late_attr = fs.getattr("/gm/late").unwrap();
+    assert_eq!((late_attr.ino, late_attr.ftype), (late, FileType::Dir));
+    fs.create("/gm/late/f").unwrap();
+    assert_eq!(fs.getattr("/gm/late").unwrap().children, 1);
+}
+
+/// The TafDB groups other than the one serving `dir`'s entries: where a
+/// new subdirectory's attribute lands when its link does not.
+fn groups_not_serving(c: &CfsCluster, fs: &CfsClient, dir: InodeId) -> Vec<Arc<dyn Replicas>> {
+    let map = fs.taf().partition_map();
+    let home = map.route(map.shard_for(dir));
+    c.taf_groups()
+        .into_iter()
+        .filter(|g| g.raft().ids() != home.replicas())
+        .map(|g| g as Arc<dyn Replicas>)
+        .collect()
+}
+
+#[test]
+fn in_flight_mkdir_survives_concurrent_readers() {
+    // Elections slow enough that a 200 ms fsync cannot set one off.
+    let mut config = CfsConfig::test_small();
+    config.raft.election_timeout_min = Duration::from_millis(1_000);
+    config.raft.election_timeout_max = Duration::from_millis(1_500);
+    let c = CfsCluster::start(config).expect("cluster boot");
+    let (writer, reader) = (c.client(), c.client());
+    writer.mkdir("/race").unwrap();
+    let race = writer.lookup("/race").unwrap();
+    // Every commit but those of /race's own shard waits on a slow disk, so
+    // a new directory homed elsewhere has its attribute land long after
+    // its link. Inode ids alternate across the shards.
+    let slow = groups_not_serving(&c, &writer, race);
+    for g in &slow {
+        g.set_fsync_latency(Duration::from_millis(200));
+    }
+    let mut made = Vec::new();
+    let mut files = 0;
+    while made.len() < 4 {
+        let path = format!("/race/d{}", made.len());
+        let (ino, in_flight, child) = std::thread::scope(|s| {
+            let mkdir = s.spawn(|| writer.mkdir(&path));
+            while !mkdir.is_finished() && reader.lookup(&path).is_err() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Linked, attribute still in flight: the reader sees NotFound
+            // and must not take the link for corruption.
+            let got = reader.getattr(&path);
+            let in_flight = !mkdir.is_finished();
+            if in_flight {
+                assert_eq!(got.unwrap_err(), FsError::NotFound);
+            }
+            // A child's link applies behind the attribute on its shard's
+            // log, or finds it absent: never anything worse.
+            let child = reader.create(&format!("{path}/f"));
+            (mkdir.join().unwrap().unwrap(), in_flight, child)
+        });
+        match child {
+            Ok(_) => files += 1,
+            Err(e) => assert_eq!(e, FsError::NotFound),
+        }
+        made.push(ino);
+        if in_flight {
+            break;
+        }
+    }
+    assert!(made.len() < 4, "no mkdir was seen in flight");
+    for g in &slow {
+        g.set_fsync_latency(Duration::ZERO);
+    }
+    let parent = reader.getattr("/race").unwrap();
+    assert_eq!(parent.children as usize, made.len());
+    assert_eq!(parent.links as usize, 2 + made.len());
+    let mut children = 0;
+    for (i, &ino) in made.iter().enumerate() {
+        let path = format!("/race/d{i}");
+        assert_eq!(reader.lookup(&path).unwrap(), ino);
+        let attr = reader.getattr(&path).unwrap();
+        assert_eq!((attr.ino, attr.ftype), (ino, FileType::Dir));
+        children += attr.children;
+    }
+    assert_eq!(children, files);
+}
+
+#[test]
+fn mkdir_whose_attribute_write_fails_leaves_no_entry() {
+    let c = cluster();
+    let fs = c.client();
+    fs.mkdir("/full").unwrap();
+    let full = fs.lookup("/full").unwrap();
+    let capped: Vec<_> = groups_not_serving(&c, &fs, full)
+        .iter()
+        .flat_map(|g| g.ids().to_vec())
+        .collect();
+    for &id in &capped {
+        c.set_disk_budget(id, Some(0)).unwrap();
+    }
+    // Inode ids alternate across the shards, so one of two mkdirs homes its
+    // attribute on a full shard. Its link commits; the attribute write backs
+    // off on ENOSPC until the client gives up, and the mkdir then removes
+    // its own link.
+    let mut made = 0;
+    let failed = (0..2)
+        .find(|i| match fs.mkdir(&format!("/full/d{i}")) {
+            Ok(_) => {
+                made += 1;
+                false
+            }
+            Err(_) => true,
+        })
+        .expect("a mkdir homed on a full shard");
+    assert_eq!(fs.readdir("/full").unwrap().len(), made);
+    let attr = fs.getattr("/full").unwrap();
+    assert_eq!((attr.children, attr.links), (made as u64, 2 + made as u64));
+    for &id in &capped {
+        c.clear_storage_faults(id).unwrap();
+    }
+    fs.mkdir(&format!("/full/d{failed}")).unwrap();
+    assert_eq!(fs.readdir("/full").unwrap().len(), made + 1);
+    assert_eq!(fs.getattr("/full").unwrap().links, 3 + made as u64);
 }
 
 #[test]

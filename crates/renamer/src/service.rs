@@ -3,13 +3,14 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use cfs_filestore::FileStoreClient;
 use cfs_rpc::mux::{frame, CH_APP};
 use cfs_rpc::{Network, Service};
 use cfs_tafdb::api::{TxnRequest, TxnResponse};
 use cfs_tafdb::primitive::{Primitive, UpdateSpec};
-use cfs_tafdb::{TafDbClient, TsClient};
+use cfs_tafdb::{TafDbClient, TsClient, RETRY_TIMEOUT};
 use cfs_types::codec::{Decode, Encode};
 use cfs_types::{
     key::validate_name, Cond, FieldAssign, FileType, FsError, FsResult, InodeId, Key, LwwField,
@@ -25,6 +26,9 @@ const RENAMER_TXN_BASE: u64 = 1 << 48;
 
 /// Maximum directory depth walked during the orphan-loop check.
 const MAX_DEPTH: usize = 4096;
+
+/// Pause before re-running a rename whose attempt raced another op.
+const RACE_BACKOFF: Duration = Duration::from_millis(1);
 
 /// The normal-path rename coordinator.
 pub struct RenamerService {
@@ -101,6 +105,20 @@ impl RenamerService {
 
     /// Executes one rename request end to end.
     pub fn process(&self, req: &RenameRequest) -> FsResult<()> {
+        self.process_racing(req, &mut || {})
+    }
+
+    /// [`Self::process`], running `between` after each attempt's validation
+    /// and before it locks a row: the window in which ops that take no
+    /// renamer lock (`create`, `mkdir`, `unlink`, fast-path renames) can
+    /// change the source or destination it read.
+    ///
+    /// An attempt whose prepare finds either end changed since its
+    /// validation read, or whose destination directory has no attribute
+    /// record yet (a `mkdir` in flight), aborts, and the request runs again
+    /// from its first read until [`RETRY_TIMEOUT`] has passed.
+    #[doc(hidden)]
+    pub fn process_racing(&self, req: &RenameRequest, between: &mut dyn FnMut()) -> FsResult<()> {
         validate_name(&req.src_name)?;
         validate_name(&req.dst_name)?;
         if req.src_parent == req.dst_parent && req.src_name == req.dst_name {
@@ -110,7 +128,18 @@ impl RenamerService {
                 None => Err(FsError::NotFound),
             };
         }
+        let deadline = Instant::now() + RETRY_TIMEOUT;
+        loop {
+            match self.attempt(req, between)? {
+                Attempt::Done => return Ok(()),
+                Attempt::Raced if Instant::now() >= deadline => return Err(FsError::Timeout),
+                Attempt::Raced => std::thread::sleep(RACE_BACKOFF),
+            }
+        }
+    }
 
+    /// One validate, lock, prepare and commit pass over `req`.
+    fn attempt(&self, req: &RenameRequest, between: &mut dyn FnMut()) -> FsResult<Attempt> {
         // Peek at the source type to decide whether the directory-topology
         // lock is needed; the actual validation re-reads under locks.
         let peek = self
@@ -153,15 +182,15 @@ impl RenamerService {
                 .ok_or(FsError::Corrupted("dst entry lacks id".into()))?;
             if dst_id == src_id {
                 // Hard links to the same inode: POSIX rename is a no-op.
-                return Ok(());
+                return Ok(Attempt::Done);
             }
             match (src_type, dst.ftype) {
                 (FileType::Dir, Some(FileType::Dir)) => {
-                    // Destination directory must be empty.
-                    let dst_attr = self
-                        .taf
-                        .get(&Key::attr(dst_id))?
-                        .ok_or(FsError::Corrupted("dst dir lacks attr".into()))?;
+                    // Destination directory must be empty. No attribute yet
+                    // is a mkdir whose two writes are still in flight.
+                    let Some(dst_attr) = self.taf.get(&Key::attr(dst_id))? else {
+                        return Ok(Attempt::Raced);
+                    };
                     if dst_attr.children.unwrap_or(0) > 0 {
                         return Err(FsError::NotEmpty);
                     }
@@ -177,6 +206,7 @@ impl RenamerService {
             // the destination parent.
             self.check_loop_free(src_id, req.dst_parent)?;
         }
+        between();
 
         // Build the per-shard primitive shares.
         let pmap = self.taf.partition_map();
@@ -210,13 +240,18 @@ impl RenamerService {
             )
             .with_per_deleted(vec![(NumField::Children, -1)])
         };
+        // The destination is replaced only if it still names what was
+        // validated; an absent one is left to the insert's existence check.
+        let dst_delete = replaced_file.or(replaced_dir).map(|id| {
+            Cond::require(
+                Key::entry(req.dst_parent, &req.dst_name),
+                vec![Pred::IdEq(id)],
+            )
+        });
         let mut dst_prim = Primitive::insert_and_delete_with_update(
             Key::entry(req.dst_parent, &req.dst_name),
             Record::id_record(src_id, src_type),
-            vec![Cond::if_exist(
-                Key::entry(req.dst_parent, &req.dst_name),
-                Vec::new(),
-            )],
+            dst_delete.into_iter().collect(),
             dst_update,
         );
         if same_parent {
@@ -333,7 +368,14 @@ impl RenamerService {
                 Ok(TxnResponse::Ok) => {}
                 Ok(TxnResponse::Err(e)) => {
                     self.abort(txn, &locked_shards);
-                    return Err(e);
+                    // A failed row check: an end changed since validation.
+                    return match e {
+                        FsError::NotFound
+                        | FsError::Conflict
+                        | FsError::AlreadyExists
+                        | FsError::NotEmpty => Ok(Attempt::Raced),
+                        e => Err(e),
+                    };
                 }
                 Ok(other) => {
                     self.abort(txn, &locked_shards);
@@ -373,7 +415,7 @@ impl RenamerService {
         if let Some(ino) = replaced_file {
             self.fs.delete_file(ino)?;
         }
-        Ok(())
+        Ok(Attempt::Done)
     }
 
     fn abort(&self, txn: u64, shards: &[ShardId]) {
@@ -381,6 +423,13 @@ impl RenamerService {
             let _ = self.taf.txn_request(*shard, &TxnRequest::Abort { txn });
         }
     }
+}
+
+/// How an attempt at a rename ended, when it did not fail.
+enum Attempt {
+    Done,
+    /// Another op changed what the attempt validated; run it again.
+    Raced,
 }
 
 /// RAII holder for either flavor of the topology lock; only its drop matters.

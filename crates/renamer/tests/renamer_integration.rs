@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cfs_core::{CfsCluster, CfsConfig, FileSystem};
+use cfs_renamer::RenameRequest;
 use cfs_types::FsError;
 
 fn cluster() -> Arc<CfsCluster> {
@@ -148,4 +149,55 @@ fn rename_survives_filestore_node_failover() {
     assert_eq!(fs.getattr("/m2").unwrap().children, 1);
     assert_eq!(fs.getattr("/m1").unwrap().children, 0);
     let _ = Duration::from_secs(0);
+}
+
+/// Ops that take no renamer lock change the destination between the
+/// coordinator's validation and its prepare. The rename runs again from its
+/// first read: it overwrites nothing it did not validate, and deletes no
+/// live file's attribute.
+#[test]
+fn a_destination_changed_after_validation_is_never_overwritten() {
+    let c = cluster();
+    let fs = c.client();
+    fs.mkdir("/x").unwrap();
+    fs.mkdir("/y").unwrap();
+    let (x, y) = (fs.lookup("/x").unwrap(), fs.lookup("/y").unwrap());
+    let req = |src_name: &str, dst_name: &str| RenameRequest {
+        src_parent: x,
+        src_name: src_name.into(),
+        dst_parent: y,
+        dst_name: dst_name.into(),
+    };
+
+    // The validated destination file moves away by a fast-path rename.
+    let src = fs.create("/x/src").unwrap();
+    let old = fs.create("/y/dst").unwrap();
+    let mut raced = false;
+    c.renamer()
+        .process_racing(&req("src", "dst"), &mut || {
+            if !std::mem::replace(&mut raced, true) {
+                fs.rename("/y/dst", "/y/kept").unwrap();
+            }
+        })
+        .unwrap();
+    assert_eq!(fs.getattr("/y/kept").unwrap().ino, old);
+    assert_eq!(fs.getattr("/y/dst").unwrap().ino, src);
+    assert_eq!(fs.getattr("/x").unwrap().children, 0);
+    assert_eq!(fs.getattr("/y").unwrap().children, 2);
+
+    // A directory, with a child, is made at a destination validated absent.
+    let file = fs.create("/x/f").unwrap();
+    let mut raced = false;
+    let res = c.renamer().process_racing(&req("f", "d"), &mut || {
+        if !std::mem::replace(&mut raced, true) {
+            fs.mkdir("/y/d").unwrap();
+            fs.create("/y/d/inner").unwrap();
+        }
+    });
+    assert_eq!(res.unwrap_err(), FsError::IsDir);
+    assert_eq!(fs.getattr("/x/f").unwrap().ino, file);
+    assert_eq!(fs.getattr("/y/d").unwrap().children, 1);
+    assert!(fs.getattr("/y/d/inner").is_ok());
+    let y_attr = fs.getattr("/y").unwrap();
+    assert_eq!((y_attr.children, y_attr.links), (3, 3));
 }

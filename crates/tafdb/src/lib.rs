@@ -32,6 +32,10 @@ pub mod router;
 pub mod shard;
 pub mod tserver;
 
+/// How long a TafDB request may chase its shard's leader before it answers
+/// `Timeout`.
+pub use cfs_raft::RETRY_TIMEOUT;
+
 pub use api::{ResolveEnd, ResolveStep, Resolved, TafRequest, TafResponse};
 pub use client::{ReadConsistency, TafDbClient};
 pub use primitive::{PrimResult, Primitive, UpdateSpec};

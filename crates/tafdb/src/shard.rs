@@ -608,6 +608,16 @@ impl TafShard {
                 if let Some(e) = prim_kids(&prim).find_map(|kid| st.rejects_prepare(kid)) {
                     return TafResponse::Err(e);
                 }
+                // The participant's vote: its share's checks must hold now.
+                // The coordinator row-locked every key the share reads, so
+                // they still hold when the commit executes it.
+                let mut dry_run = StagingStore {
+                    kv: &self.kv,
+                    staged: Vec::new(),
+                };
+                if let Err(e) = primitive::execute(&mut dry_run, &prim) {
+                    return TafResponse::Err(e);
+                }
                 st.prepared.entry(txn).or_default().push(Staged::Prim(prim));
                 TafResponse::Ok
             }
@@ -941,6 +951,40 @@ mod tests {
         assert!(shard
             .get(&Key::entry(cfs_types::ROOT_INODE, "staged"))
             .is_some());
+    }
+
+    #[test]
+    fn prepare_votes_no_on_a_failed_check() {
+        let shard = shard_with_root();
+        create(&shard, cfs_types::ROOT_INODE, "f", 100);
+        let unlink = |id| {
+            Primitive::delete_with_update(
+                Cond::require(
+                    Key::entry(cfs_types::ROOT_INODE, "f"),
+                    vec![Pred::IdEq(InodeId(id))],
+                ),
+                UpdateSpec::new(
+                    Cond::require(Key::attr(cfs_types::ROOT_INODE), vec![]),
+                    vec![],
+                ),
+            )
+        };
+        let prepare = |txn, prim| shard.apply_cmd(ShardCmd::PreparePrim { txn, prim });
+        // The entry names another inode than the share was built for: the
+        // prepare fails and stages nothing a commit could apply.
+        assert_eq!(prepare(1, unlink(101)), TafResponse::Err(FsError::Conflict));
+        assert!(matches!(
+            shard.apply_cmd(ShardCmd::CommitPrepared { txn: 1 }),
+            TafResponse::Err(FsError::Invalid(_))
+        ));
+        assert_eq!(prepare(2, unlink(100)), TafResponse::Ok);
+        // Staged only: the entry is still there until the commit.
+        assert!(shard.get(&Key::entry(cfs_types::ROOT_INODE, "f")).is_some());
+        assert!(matches!(
+            shard.apply_cmd(ShardCmd::CommitPrepared { txn: 2 }),
+            TafResponse::Executed(_)
+        ));
+        assert!(shard.get(&Key::entry(cfs_types::ROOT_INODE, "f")).is_none());
     }
 
     #[test]

@@ -87,6 +87,29 @@ fn deep_create_emits_a_consistent_cross_node_trace() {
         nodes.iter().any(|&n| (FS_BASE..CLIENT_BASE).contains(&n)),
         "no FileStore hop in {nodes:?}:\n{rendered}"
     );
+
+    // A mkdir writes its attribute on the client's attribute writer while
+    // it links: both commits must sit in the op's one tree.
+    trace::enable();
+    client.mkdir("/a/b/c/d").expect("mkdir /a/b/c/d");
+    let tid = trace::last_root_trace_id();
+    std::thread::sleep(Duration::from_millis(300));
+    let spans = trace::drain();
+    trace::disable();
+    let orphans = trace::validate_spans(&spans);
+    assert!(orphans.is_empty(), "orphan spans: {orphans:?}");
+    let rendered = trace::render_trace(&spans, tid);
+    let trees = trace::build_trees(&spans, tid);
+    assert_eq!(trees.len(), 1, "one mkdir tree:\n{rendered}");
+    assert_eq!(trees[0].span.name, "fs.mkdir");
+    let commits = spans
+        .iter()
+        .filter(|s| s.trace_id == tid && s.name == "raft.propose")
+        .count();
+    assert!(
+        commits >= 2,
+        "the link's and the attribute's commits:\n{rendered}"
+    );
 }
 
 #[test]
